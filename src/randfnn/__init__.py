@@ -53,6 +53,6 @@ from .timeseries import (
     synth_generate,
     write_csv,
 )
-from .tuning import Grid, TuneResult, cross_validate, default_grid, grid_search, kfold_split
+from .tuning import Grid, TuneResult, default_grid, grid_search, kfold_split
 
 __version__ = "0.1.0"

@@ -193,8 +193,12 @@ def cmd_tune(args) -> int:
             result = grid_search(phi, args.method, grid, args.folds, args.seed,
                                  args.trials_per_fold)
             best = result.best
-            print(f"{WEEKDAYS[wd]}: m={best.m} {best.smoothing_name}={best.smoothing} "
-                  f"(N={len(phi)}, cv_error={min(p.mean_error for p in result.table):.6g})")
+            if best is None:
+                print(f"{WEEKDAYS[wd]}: no gridpoint fits (N={len(phi)})")
+            else:
+                cv_error = min(p.mean_error for p in result.table if p.mean_error is not None)
+                print(f"{WEEKDAYS[wd]}: m={best.m} {best.smoothing_name}={best.smoothing} "
+                      f"(N={len(phi)}, cv_error={cv_error:.6g})")
             _append_tuning(fh, result, {"method": args.method, "weekday": WEEKDAYS[wd]},
                            header=first)
             first = False

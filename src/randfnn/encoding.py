@@ -9,7 +9,7 @@ predicted pattern back into physical units.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from typing import Sequence
 
@@ -100,7 +100,10 @@ class TrainingSet:
     """Stacked x/y pattern matrices, optionally with per-pair provenance.
 
     All pairs share one target weekday when built from the calendar;
-    `from_arrays` admits bare matrices for direct model-level use.
+    `from_arrays` admits bare matrices for direct model-level use. `x`
+    and `y` are read-only copies, so values derived from them stay valid
+    for the set's lifetime: `memo` keeps such values (ddm's neighborhood
+    fits, see `randnn.gen_ddm`) and dies with the set.
     """
 
     x: np.ndarray  # (N, n)
@@ -108,6 +111,7 @@ class TrainingSet:
     pairs: tuple[PatternPair, ...] | None = None
     target_weekday: int | None = None
     n_skipped_degenerate: int = 0
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.array(self.x, dtype=float)

@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 
-__all__ = ["as_matrix", "sigmoid", "pinv_solve", "knn", "fit_hyperplane"]
+__all__ = ["as_matrix", "sigmoid", "pinv_factor", "pinv_apply", "pinv_solve",
+           "knn", "fit_hyperplane", "hyperplane_factors"]
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -32,26 +33,42 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def pinv_factor(H, tol: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factor step of `pinv_solve`: (u, s_inv, vt) with pinv(H) =
+    vt.T @ diag(s_inv) @ u.T, from the SVD of H with the reciprocals of
+    singular values below ``tol * s_max`` set to zero. The zero matrix
+    gets empty factors, which `pinv_apply` turns into B = 0."""
+    H = as_matrix(H, "H")
+    if tol is None:
+        tol = max(H.shape) * np.finfo(float).eps
+    u, s, vt = np.linalg.svd(H, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((H.shape[0], 0)), np.zeros(0), np.zeros((0, H.shape[1]))
+    keep = s > tol * s[0]
+    s_inv = np.zeros_like(s)
+    s_inv[keep] = 1.0 / s[keep]
+    return u, s_inv, vt
+
+
+def pinv_apply(factors, Y) -> np.ndarray:
+    """Apply step of `pinv_solve`: B = pinv(H) @ Y from H's factors."""
+    Y = as_matrix(Y, "Y")
+    u, s_inv, vt = factors
+    if u.shape[0] != Y.shape[0]:
+        raise ShapeError(f"row counts differ: H {u.shape[0]} vs Y {Y.shape[0]}")
+    return vt.T @ (s_inv[:, None] * (u.T @ Y))
+
+
 def pinv_solve(H, Y, tol: float | None = None) -> np.ndarray:
     """Minimum-norm least-squares solution B of H @ B ~= Y.
 
     Computed from the SVD of H: singular values below ``tol * s_max`` are
     treated as zero, which makes B the minimum-Frobenius-norm minimizer
     of ||H B - Y||_F. Default `tol` is ``max(H.shape) * machine epsilon``.
+    Runs `pinv_factor` then `pinv_apply`; callers that reuse one H call
+    the two steps themselves.
     """
-    H = as_matrix(H, "H")
-    Y = as_matrix(Y, "Y")
-    if H.shape[0] != Y.shape[0]:
-        raise ShapeError(f"row counts differ: H {H.shape[0]} vs Y {Y.shape[0]}")
-    if tol is None:
-        tol = max(H.shape) * np.finfo(float).eps
-    u, s, vt = np.linalg.svd(H, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((H.shape[1], Y.shape[1]))
-    keep = s > tol * s[0]
-    s_inv = np.zeros_like(s)
-    s_inv[keep] = 1.0 / s[keep]
-    return vt.T @ (s_inv[:, None] * (u.T @ Y))
+    return pinv_apply(pinv_factor(H, tol), Y)
 
 
 def knn(points, query, k: int) -> np.ndarray:
@@ -80,8 +97,8 @@ def knn(points, query, k: int) -> np.ndarray:
 def fit_hyperplane(inputs, targets) -> tuple[np.ndarray, float]:
     """Ordinary least-squares fit of ``targets ~ coeffs . x + intercept``.
 
-    Solved through `pinv_solve` on the design matrix [X | 1]; with fewer
-    points than dimensions the minimum-norm solution is returned.
+    Solved as `pinv_solve` solves it, on the design matrix [X | 1]; with
+    fewer points than dimensions the minimum-norm solution is returned.
     """
     X = as_matrix(inputs, "inputs")
     t = np.asarray(targets, dtype=float).ravel()
@@ -91,6 +108,11 @@ def fit_hyperplane(inputs, targets) -> tuple[np.ndarray, float]:
         raise ShapeError(f"{X.shape[0]} inputs vs {t.shape[0]} targets")
     if X.shape[0] < 2:
         raise ParameterError("fit_hyperplane needs at least 2 points")
-    design = np.hstack([X, np.ones((X.shape[0], 1))])
-    sol = pinv_solve(design, t[:, None])[:, 0]
+    sol = pinv_apply(hyperplane_factors(X), t[:, None])[:, 0]
     return sol[:-1], float(sol[-1])
+
+
+def hyperplane_factors(inputs):
+    """`pinv_factor` of the design matrix [X | 1] that `fit_hyperplane` solves."""
+    X = as_matrix(inputs, "inputs")
+    return pinv_factor(np.hstack([X, np.ones((X.shape[0], 1))]))

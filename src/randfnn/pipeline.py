@@ -306,8 +306,8 @@ def _resolve_tuning(config, sequences, test_days):
     Returns (tuned, tune_tables, hp_for). In `once` mode hyperparameters
     are tuned per weekday on history before the first test day and
     reused; `per-day` re-tunes on each day's own training set; `fixed`
-    bypasses search. Weekdays whose tuning set is empty are recorded as
-    skipped.
+    bypasses search. A weekday (or day) whose tuning set is empty, or on
+    which no gridpoint fits, maps to None and its days are skipped.
     """
     tuned: dict = {m: {} for m in config.model_methods}
     tune_tables: list = []
@@ -347,23 +347,20 @@ def _resolve_tuning(config, sequences, test_days):
 
         return tuned, tune_tables, hp_for
 
-    # per-day: strict protocol, a fresh search for every forecasted day
-    cache: dict = {}
-
-    def hp_for(method, day):
-        key = (method, day)
-        if key not in cache:
+    # per-day: strict protocol, a fresh search for every forecasted day,
+    # resolved here in test-day order so tuning.csv does not depend on workers
+    chosen = {}
+    for day in test_days:
+        phi = build_training_set(sequences, day.weekday(), config.tau, cutoff=day)
+        for method in config.model_methods:
             tune_seed = derive_seed(config.seed, _TUNE_STREAM, _method_tag(method),
                                     day.toordinal())
-            phi = build_training_set(sequences, day.weekday(), config.tau, cutoff=day)
             result = grid_search(phi, method, config.grid_for(method),
                                  config.cv_folds, tune_seed, config.trials_per_fold)
-            cache[key] = result.best
+            chosen[(method, day)] = result.best
             tuned[method][day.isoformat()] = result.best
             tune_tables.append((method, day.isoformat(), result))
-        return cache[key]
-
-    return tuned, tune_tables, hp_for
+    return tuned, tune_tables, lambda method, day: chosen[(method, day)]
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
@@ -423,9 +420,9 @@ def write_report_bundle(report: ExperimentReport, out_dir) -> None:
         for method, scope, result in report.tune_tables:
             best = result.best
             for p in result.table:
-                sel = int(p.m == best.m and p.smoothing == best.smoothing)
-                fh.write(f"{method},{scope},{p.m},{p.smoothing!r},"
-                         f"{p.mean_error!r},{p.std_error!r},{sel}\n")
+                sel = int(best is not None and p.m == best.m and p.smoothing == best.smoothing)
+                errors = ",".join("" if e is None else repr(e) for e in (p.mean_error, p.std_error))
+                fh.write(f"{method},{scope},{p.m},{p.smoothing!r},{errors},{sel}\n")
         for method in report.tuned:
             for scope, hp in report.tuned[method].items():
                 if scope == "fixed" and hp is not None:

@@ -19,6 +19,17 @@ layer output matrix. Four generators are provided:
 All generators draw from a single `numpy.random.Generator` in a fixed
 order (weight block first, then per-node index draws), so a layer is
 reproducible from its seed alone.
+
+A ddm node's neighborhood and the SVD of its hyperplane design depend
+only on the training set, k and the anchor, and its slopes also on the
+target component. So ``ddm`` computes each of them once per training set
+and looks them up for every later node, trial and m. The cache lives in
+`TrainingSet.memo` and holds one k at a time, which bounds it to one
+neighborhood per anchor (grid search visits its gridpoints k by k). A
+cached slope equals, bit for bit, what the uncached kNN +
+`fit_hyperplane` computation returns: the same kernels run on the same
+read-only inputs, and each component is still solved as its own
+single-column product.
 """
 
 import json
@@ -28,7 +39,7 @@ import numpy as np
 
 from .encoding import TrainingSet
 from .errors import ParameterError, ShapeError
-from .numerics import fit_hyperplane, knn, pinv_solve, sigmoid
+from .numerics import hyperplane_factors, knn, pinv_apply, pinv_solve, sigmoid
 
 __all__ = [
     "METHODS",
@@ -196,6 +207,27 @@ def gen_ralpham(m: int, alpha_max: float, x_patterns, rng: np.random.Generator) 
                        anchor_indices=anchors, angles=angles)
 
 
+class _HyperplaneFits:
+    """ddm's per-anchor work on one training set for one k, filled on use:
+    each anchor's neighborhood with the SVD factors of its [X | 1]
+    design, and each (anchor, component) hyperplane's slopes."""
+
+    def __init__(self, X: np.ndarray, Y: np.ndarray, k: int):
+        self.X, self.Y, self.k = X, Y, k  # the arrays, not the set: no cycle
+        self.hoods: dict = {}  # anchor -> (neighborhood, pinv_factor of its design)
+        self.slopes: dict = {}  # (anchor, component) -> slope vector
+
+    def slope(self, anchor: int, component: int) -> np.ndarray:
+        key = (anchor, component)
+        if key not in self.slopes:
+            if anchor not in self.hoods:
+                hood = np.concatenate(([anchor], knn(self.X, self.X[anchor], self.k)))
+                self.hoods[anchor] = hood, hyperplane_factors(self.X[hood])
+            hood, factors = self.hoods[anchor]
+            self.slopes[key] = pinv_apply(factors, self.Y[hood, component][:, None])[:-1, 0]
+        return self.slopes[key]
+
+
 def gen_ddm(m: int, k: int, phi: TrainingSet, rng: np.random.Generator) -> HiddenLayer:
     """Weights from local hyperplane slopes, scaled by 4; anchored biases.
 
@@ -203,6 +235,10 @@ def gen_ddm(m: int, k: int, phi: TrainingSet, rng: np.random.Generator) -> Hidde
     fitted to one randomly chosen target component over that pattern and
     its k nearest neighbors, and the node's weights are 4x its slopes.
     The fitted component index is recorded per node.
+
+    Neighborhoods, design factors and slopes are cached on `phi` for the
+    last k used, so repeated layers on one set (trials, node counts) reuse
+    them; the layer is bitwise the one the uncached fits would give.
     """
     N = len(phi)
     if N < 2:
@@ -212,12 +248,12 @@ def gen_ddm(m: int, k: int, phi: TrainingSet, rng: np.random.Generator) -> Hidde
     X, Y = phi.x, phi.y
     anchors = rng.integers(0, N, size=m)
     components = rng.integers(0, Y.shape[1], size=m)
+    fits = phi.memo.get("ddm")
+    if fits is None or fits.k != k:
+        fits = phi.memo["ddm"] = _HyperplaneFits(X, Y, k)
     weights = np.empty((m, X.shape[1]))
     for j in range(m):
-        centre = anchors[j]
-        hood = np.concatenate(([centre], knn(X, X[centre], k)))
-        coeffs, _ = fit_hyperplane(X[hood], Y[hood, components[j]])
-        weights[j] = 4.0 * coeffs
+        weights[j] = 4.0 * fits.slope(int(anchors[j]), int(components[j]))
     return HiddenLayer("ddm", weights, _anchored_biases(weights, anchors, X),
                        anchor_indices=anchors, output_components=components)
 

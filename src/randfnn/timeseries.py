@@ -77,14 +77,6 @@ class TimeSeries:
     def n_days(self) -> int:
         return len(self.dates)
 
-    def day_values(self, d: date) -> np.ndarray | None:
-        """Values of day `d`, or None if the day is absent."""
-        try:
-            i = self.dates.index(d)
-        except ValueError:
-            return None
-        return self.values[i]
-
 
 @dataclass(frozen=True)
 class SeasonalSequence:

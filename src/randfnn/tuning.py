@@ -21,7 +21,6 @@ __all__ = [
     "TuneResult",
     "default_grid",
     "kfold_split",
-    "cross_validate",
     "grid_search",
     "write_tuning_csv",
 ]
@@ -45,13 +44,13 @@ class Grid:
 class GridPoint:
     m: int
     smoothing: float
-    mean_error: float
-    std_error: float
+    mean_error: float | None  # None: the gridpoint does not fit the history
+    std_error: float | None
 
 
 @dataclass(frozen=True)
 class TuneResult:
-    best: HyperParams
+    best: HyperParams | None
     table: tuple[GridPoint, ...]
     folds: int
 
@@ -88,27 +87,9 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     return list(np.array_split(perm, k))
 
 
-def cross_validate(phi: TrainingSet, hp: HyperParams, k_folds: int, seed: int,
-                   trials_per_fold: int = 3) -> float:
-    """Mean held-out pattern-space MAE over folds.
-
-    Each fold's error is averaged over `trials_per_fold` independently
-    seeded layers, damping the variance of randomized generation. Fully
-    deterministic for fixed (phi, hp, k_folds, seed).
-    """
-    errors = _fold_errors(phi, hp, k_folds, seed, trials_per_fold)
-    return float(np.mean(errors))
-
-
-def _fold_errors(phi, hp, k_folds, seed, trials_per_fold) -> np.ndarray:
-    if trials_per_fold < 1:
-        raise ParameterError(f"trials_per_fold must be >= 1, got {trials_per_fold}")
-    folds = kfold_split(len(phi), k_folds, seed)
+def _fold_errors(phi, folds, hp, seed, trials_per_fold) -> np.ndarray:
     fold_errors = np.empty(len(folds))
-    for fold_idx, held in enumerate(folds):
-        mask = np.ones(len(phi), dtype=bool)
-        mask[held] = False
-        phi_train = TrainingSet.from_arrays(phi.x[mask], phi.y[mask])
+    for fold_idx, (phi_train, held) in enumerate(folds):
         trial_errors = np.empty(trials_per_fold)
         for trial in range(trials_per_fold):
             rng = derive_rng(seed, fold_idx, trial)
@@ -122,26 +103,48 @@ def _fold_errors(phi, hp, k_folds, seed, trials_per_fold) -> np.ndarray:
 def grid_search(phi: TrainingSet, method: str, grid: Grid, k_folds: int, seed: int,
                 trials_per_fold: int = 3) -> TuneResult:
     """Evaluate every (m, smoothing) gridpoint; ties prefer the simpler
-    model (smaller m, then smaller smoothing value)."""
-    table = []
+    model (smaller m, then smaller smoothing value).
+
+    Each gridpoint's error is the mean held-out pattern-space MAE over the
+    folds, each fold averaging `trials_per_fold` independently seeded
+    layers. The folds and their training sets are built once and shared
+    by every gridpoint. A ddm gridpoint whose k exceeds the smallest fold
+    training set less one cannot be generated: it stays in the table with
+    no error and is never selected. `best` is None when nothing fits.
+    """
+    if trials_per_fold < 1:
+        raise ParameterError(f"trials_per_fold must be >= 1, got {trials_per_fold}")
+    folds = []
+    for held in kfold_split(len(phi), k_folds, seed):
+        mask = np.ones(len(phi), dtype=bool)
+        mask[held] = False
+        folds.append((TrainingSet.from_arrays(phi.x[mask], phi.y[mask]), held))
+    max_k = min(len(phi_train) for phi_train, _ in folds) - 1
+    points = {}
+    # smoothing-major, so that ddm's per-k cache on each fold serves every m
+    for s in grid.smoothing_values:
+        for m in grid.m_values:
+            hp = HyperParams(method, m, s, seed=seed)
+            if method == "ddm" and s > max_k:
+                points[m, s] = GridPoint(m, s, None, None)
+                continue
+            errors = _fold_errors(phi, folds, hp, seed, trials_per_fold)
+            std = float(errors.std(ddof=1)) if errors.size > 1 else 0.0
+            points[m, s] = GridPoint(m, s, float(errors.mean()), std)
+    table = tuple(points[m, s] for m in grid.m_values for s in grid.smoothing_values)
     best = None
     best_error = np.inf
-    for m in grid.m_values:
-        for s in grid.smoothing_values:
-            hp = HyperParams(method, m, s, seed=seed)
-            fold_errors = _fold_errors(phi, hp, k_folds, seed, trials_per_fold)
-            mean = float(fold_errors.mean())
-            std = float(fold_errors.std(ddof=1)) if fold_errors.size > 1 else 0.0
-            table.append(GridPoint(m, s, mean, std))
-            if mean < best_error:  # strict: earlier (simpler) point wins ties
-                best_error = mean
-                best = hp
-    return TuneResult(best=best, table=tuple(table), folds=k_folds)
+    for p in table:
+        # strict: earlier (simpler) point wins ties
+        if p.mean_error is not None and p.mean_error < best_error:
+            best_error = p.mean_error
+            best = HyperParams(method, p.m, p.smoothing, seed=seed)
+    return TuneResult(best=best, table=table, folds=k_folds)
 
 
 def write_tuning_csv(result: TuneResult, target, context: dict | None = None) -> None:
     """One row per gridpoint: optional context columns, m, smoothing,
-    mean and std of the validation error."""
+    mean and std of the validation error (empty where it did not fit)."""
     context = context or {}
 
     def _write(fh):
@@ -149,8 +152,8 @@ def write_tuning_csv(result: TuneResult, target, context: dict | None = None) ->
         writer.writerow(list(context) + ["m", "smoothing", "mean_error", "std_error"])
         ctx = [str(v) for v in context.values()]
         for p in result.table:
-            writer.writerow(ctx + [p.m, repr(p.smoothing),
-                                   repr(p.mean_error), repr(p.std_error)])
+            writer.writerow(ctx + [p.m, repr(p.smoothing)]
+                            + ["" if e is None else repr(e) for e in (p.mean_error, p.std_error)])
 
     if hasattr(target, "write"):
         _write(target)

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from randfnn.errors import ParameterError, ShapeError
-from randfnn.numerics import as_matrix, fit_hyperplane, knn, pinv_solve, sigmoid
+from randfnn.numerics import (
+    as_matrix,
+    fit_hyperplane,
+    hyperplane_factors,
+    knn,
+    pinv_apply,
+    pinv_factor,
+    pinv_solve,
+    sigmoid,
+)
 
 
 def ridge_solve(H, Y, lam=1e-10):
@@ -105,6 +114,64 @@ class TestPinvSolve:
     def test_zero_matrix(self):
         beta = pinv_solve(np.zeros((3, 2)), np.ones((3, 1)))
         np.testing.assert_array_equal(beta, np.zeros((2, 1)))
+
+
+class TestPinvFactorApply:
+    """pinv_solve runs as a factor step and an apply step; ddm reuses one
+    factorization for several right-hand sides."""
+
+    @staticmethod
+    def graded(s, seed=0, rows=9):
+        # H = U diag(s) V' with orthonormal U, V: its singular values are s
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(rows, len(s))))
+        v, _ = np.linalg.qr(rng.normal(size=(len(s), len(s))))
+        return u @ np.diag(s) @ v.T, u, v
+
+    def test_rank_cutoff_drops_tiny_singular_values(self):
+        h, u, v = self.graded([1.0, 1e-3, 1e-17])  # 1e-17 < 9 * eps
+        y = np.random.default_rng(1).normal(size=(9, 2))
+        beta = pinv_solve(h, y)
+        oracle = v[:, :2] @ np.diag([1.0, 1e3]) @ u[:, :2].T @ y
+        np.testing.assert_allclose(beta, oracle, rtol=1e-9, atol=1e-9)
+        assert np.abs(v[:, 2] @ beta).max() < 1e-9  # nothing in the null direction
+
+    def test_tol_sets_the_cutoff(self):
+        h, u, v = self.graded([1.0, 1e-3, 1e-5], seed=2)
+        y = np.random.default_rng(3).normal(size=(9, 1))
+        beta = pinv_solve(h, y, tol=1e-2)
+        np.testing.assert_allclose(beta, v[:, :1] @ u[:, :1].T @ y, atol=1e-9)
+        s_inv = pinv_factor(h, tol=1e-2)[1]
+        assert np.count_nonzero(s_inv) == 1
+
+    def test_steps_give_pinv_solve_bits(self):
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(32, 25))
+        h[:, 7] = h[:, 3]  # rank deficient
+        factors = pinv_factor(h)
+        for _ in range(3):
+            y = rng.normal(size=(32, 1))
+            assert pinv_apply(factors, y).tobytes() == pinv_solve(h, y).tobytes()
+
+    def test_zero_matrix_gives_positive_zeros(self):
+        beta = pinv_apply(pinv_factor(np.zeros((3, 2))), -np.ones((3, 1)))
+        assert beta.shape == (2, 1)
+        assert beta.tobytes() == np.zeros((2, 1)).tobytes()
+
+    def test_apply_checks_its_input(self):
+        factors = pinv_factor(np.ones((3, 2)))
+        with pytest.raises(ShapeError):
+            pinv_apply(factors, np.ones((4, 1)))
+        with pytest.raises(ParameterError):
+            pinv_apply(factors, np.array([[1.0], [np.inf], [0.0]]))
+
+    def test_hyperplane_factors_solve_fit_hyperplane(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(12, 5))
+        t = rng.normal(size=12)
+        coeffs, intercept = fit_hyperplane(x, t)
+        sol = pinv_apply(hyperplane_factors(x), t[:, None])[:, 0]
+        assert sol[:-1].tobytes() == coeffs.tobytes() and sol[-1] == intercept
 
 
 class TestKnn:

@@ -6,7 +6,7 @@ import pytest
 
 from randfnn.encoding import TrainingSet
 from randfnn.errors import ParameterError, ShapeError
-from randfnn.numerics import sigmoid
+from randfnn.numerics import fit_hyperplane, knn, sigmoid
 from randfnn.randnn import (
     HiddenLayer,
     HyperParams,
@@ -189,6 +189,64 @@ class TestGenDdm:
         phi = random_phi(n_pairs=40, p=24)
         layer = gen_ddm(200, 5, phi, derive_rng(12))
         assert set(layer.output_components) == set(range(24))
+
+
+def reference_ddm(m, k, phi, rng):
+    """gen_ddm without its cache: a kNN and a hyperplane fit per node."""
+    anchors = rng.integers(0, len(phi), size=m)
+    components = rng.integers(0, phi.y.shape[1], size=m)
+    weights = np.empty((m, phi.n))
+    for j, (centre, comp) in enumerate(zip(anchors, components)):
+        hood = np.concatenate(([centre], knn(phi.x, phi.x[centre], k)))
+        weights[j] = 4.0 * fit_hyperplane(phi.x[hood], phi.y[hood, comp])[0]
+    return weights, -np.einsum("ij,ij->i", weights, phi.x[anchors])
+
+
+def assert_same_bits(layer, reference):
+    weights, biases = reference
+    assert layer.weights.tobytes() == weights.tobytes()
+    assert layer.biases.tobytes() == biases.tobytes()
+
+
+class TestDdmCache:
+    """gen_ddm's per-training-set cache must leave every layer's bits as
+    the uncached per-node fits give them."""
+
+    @pytest.mark.parametrize("k", [1, 31, 59])  # 59 = N - 1
+    @pytest.mark.parametrize("n, p", [(24, 24), (12, 5)])
+    def test_matches_uncached_fits(self, k, n, p):
+        phi = random_phi(n_pairs=60, n=n, p=p, seed=k + n)
+        for t in range(12):  # later layers hit entries earlier ones filled
+            m = (5, 20, 50)[t % 3]
+            assert_same_bits(gen_ddm(m, k, phi, derive_rng(3, t)),
+                             reference_ddm(m, k, phi, derive_rng(3, t)))
+        assert phi.memo["ddm"].k == k
+
+    def test_duplicated_x_row(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(25, 6))
+        x[9] = x[4]  # knn drops only the first equal row, whichever is the anchor
+        phi = TrainingSet.from_arrays(x, rng.normal(size=(25, 3)))
+        for t in range(20):
+            assert_same_bits(gen_ddm(30, 6, phi, derive_rng(4, t)),
+                             reference_ddm(30, 6, phi, derive_rng(4, t)))
+
+    def test_switching_k_refills(self):
+        phi = random_phi(n_pairs=40, n=8, p=4, seed=5)
+        for t, k in enumerate((5, 9, 5, 9)):
+            assert_same_bits(gen_ddm(20, k, phi, derive_rng(6, t)),
+                             reference_ddm(20, k, phi, derive_rng(6, t)))
+
+    def test_sets_of_one_shape_share_nothing(self):
+        a = random_phi(n_pairs=30, n=8, p=4, seed=1)
+        b = random_phi(n_pairs=30, n=8, p=4, seed=2)
+        for t in range(6):  # interleaved, same seeds on both sets
+            for phi in (a, b):
+                assert_same_bits(gen_ddm(20, 7, phi, derive_rng(7, t)),
+                                 reference_ddm(20, 7, phi, derive_rng(7, t)))
+        assert a.memo["ddm"] is not b.memo["ddm"]
+        assert not np.array_equal(gen_ddm(20, 7, a, derive_rng(8)).weights,
+                                  gen_ddm(20, 7, b, derive_rng(8)).weights)
 
 
 class TestHiddenOutput:

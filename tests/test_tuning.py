@@ -1,0 +1,88 @@
+import io
+
+import numpy as np
+import pytest
+
+import randfnn.tuning as tuning
+from randfnn.encoding import TrainingSet
+from randfnn.randnn import HyperParams, derive_rng, fit, make_layer, predict
+from randfnn.tuning import Grid, grid_search, kfold_split, write_tuning_csv
+
+
+def random_phi(n_pairs=20, n=6, p=4, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n_pairs, n))
+    x -= x.mean(axis=1, keepdims=True)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return TrainingSet.from_arrays(x, rng.normal(size=(n_pairs, p)))
+
+
+def reference_errors(phi, hp, k_folds, seed, trials_per_fold):
+    """One gridpoint's fold errors, with its own split and fold sets."""
+    errors = []
+    for fold_idx, held in enumerate(kfold_split(len(phi), k_folds, seed)):
+        mask = np.ones(len(phi), dtype=bool)
+        mask[held] = False
+        train = TrainingSet.from_arrays(phi.x[mask], phi.y[mask])
+        trials = []
+        for trial in range(trials_per_fold):
+            model = fit(make_layer(hp, train, derive_rng(seed, fold_idx, trial)), train)
+            trials.append(np.mean(np.abs(predict(model, phi.x[held]) - phi.y[held])))
+        errors.append(np.mean(trials))
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("method, smoothing", [("ram", (0.2, 0.6)), ("ddm", (3.0, 7.0))])
+def test_errors_match_per_gridpoint_reference(method, smoothing):
+    phi = random_phi(n_pairs=30)
+    grid = Grid((3, 6), smoothing)
+    result = grid_search(phi, method, grid, 4, 11, trials_per_fold=2)
+    assert [(p.m, p.smoothing) for p in result.table] == [
+        (m, s) for m in grid.m_values for s in grid.smoothing_values]
+    for p in result.table:
+        ref = reference_errors(phi, HyperParams(method, p.m, p.smoothing, seed=11), 4, 11, 2)
+        assert p.mean_error == float(ref.mean())
+        assert p.std_error == float(ref.std(ddof=1))
+    first_least = min(result.table, key=lambda p: p.mean_error)
+    assert (result.best.m, result.best.smoothing) == (first_least.m, first_least.smoothing)
+
+
+def test_folds_built_once(monkeypatch):
+    calls = []
+
+    def counting_split(*args):
+        calls.append(args)
+        return kfold_split(*args)
+
+    monkeypatch.setattr(tuning, "kfold_split", counting_split)
+    grid_search(random_phi(), "ddm", Grid((2, 4, 6), (3.0, 5.0)), 5, 0, trials_per_fold=2)
+    assert calls == [(20, 5, 0)]
+
+
+def test_ddm_gridpoints_too_large_for_a_fold_are_skipped():
+    # 20 pairs in 5 folds: every training fold has 16 pairs, so k <= 15
+    phi = random_phi(n_pairs=20)
+    result = grid_search(phi, "ddm", Grid((3, 6), (5.0, 15.0, 16.0, 40.0)), 5, 1,
+                         trials_per_fold=1)
+    fitted = {(p.m, p.smoothing) for p in result.table if p.mean_error is not None}
+    skipped = {(p.m, p.smoothing) for p in result.table
+               if p.mean_error is None and p.std_error is None}
+    assert fitted == {(m, k) for m in (3, 6) for k in (5.0, 15.0)}
+    assert skipped == {(m, k) for m in (3, 6) for k in (16.0, 40.0)}
+    assert result.best.smoothing in (5.0, 15.0)
+
+    buf = io.StringIO()
+    write_tuning_csv(result, buf)
+    assert "3,16.0,,\r\n" in buf.getvalue()
+
+
+def test_ddm_nothing_fits():
+    result = grid_search(random_phi(n_pairs=20), "ddm", Grid((3,), (16.0, 30.0)), 5, 1)
+    assert result.best is None
+    assert all(p.mean_error is None for p in result.table)
+
+
+def test_ram_has_no_size_limit():
+    result = grid_search(random_phi(n_pairs=10), "ram", Grid((3,), (40.0,)), 5, 1,
+                         trials_per_fold=1)
+    assert result.table[0].mean_error is not None
