@@ -11,7 +11,6 @@ from .encoding import (
     encode_y,
 )
 from .evaluation import (
-    ErrorRecord,
     MetricsSummary,
     WilcoxonResult,
     percentage_errors,

@@ -14,13 +14,8 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .encoding import build_training_set
-from .errors import PairingError, ParameterError, RandfnnError
-from .evaluation import (
-    percentage_errors,
-    summarize,
-    wilcoxon_signed_rank,
-    write_metrics_csv,
-)
+from .errors import PairingError, ParameterError, ParseError, RandfnnError
+from .evaluation import summarize, wilcoxon_signed_rank, write_metrics_csv
 from .pipeline import (
     NAIVE,
     ExperimentConfig,
@@ -302,21 +297,28 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    by_method: dict = {}
+    by_method: dict = {}  # method -> (actuals, forecasts), in file order
     with open(args.forecasts, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, [])
         needed = {"method", "date", "trial", "hour", "forecast", "actual"}
-        if not needed <= set(reader.fieldnames or ()):
+        if not needed <= set(header):
             raise ParameterError(f"{args.forecasts} lacks columns {sorted(needed)}")
-        for row in reader:
-            recs = by_method.setdefault(row["method"], [])
-            recs.extend(percentage_errors(
-                [float(row["actual"])], [float(row["forecast"])],
-                day=date.fromisoformat(row["date"]), hours=[int(row["hour"])]))
+        im, ia, iv = (header.index(c) for c in ("method", "actual", "forecast"))
+        try:
+            for row in reader:
+                if not row:  # blank line, skipped as csv.DictReader does
+                    continue
+                a, f = by_method.setdefault(row[im], ([], []))
+                a.append(float(row[ia]))
+                f.append(float(row[iv]))
+        except (IndexError, ValueError):
+            raise ParseError(f"{args.forecasts}:{reader.line_num}: bad or missing "
+                             "method, actual or forecast value") from None
     if not by_method:
         raise ParameterError(f"{args.forecasts} has no rows")
 
-    summaries = {m: summarize(r) for m, r in by_method.items()}
+    summaries = {m: summarize(a, f) for m, (a, f) in by_method.items()}
     width = max(len(m) for m in summaries)
     for m, s in summaries.items():
         print(f"{m:>{width}}: MAPE={s.mape:.4f}  Median(APE)={s.median_ape:.4f}  "

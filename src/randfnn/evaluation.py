@@ -3,20 +3,21 @@
 Percentage errors follow the underprediction-positive convention:
 pe = 100 * (actual - forecast) / actual, so a positive mean percentage
 error means the forecasts run low.
+
+Scoring works on whole float arrays: a method's forecasts are one
+`(days, trials, n)` block scored against `(days, 1, n)` actuals, and
+every metric is taken over the samples in C order (day, trial, hour).
 """
 
 import csv
 import math
 from dataclasses import dataclass
-from datetime import date
-from typing import Sequence
 
 import numpy as np
 
 from .errors import MetricError, ParameterError, ShapeError
 
 __all__ = [
-    "ErrorRecord",
     "MetricsSummary",
     "WilcoxonResult",
     "percentage_errors",
@@ -31,16 +32,6 @@ INDISTINGUISHABLE = "indistinguishable"
 
 
 @dataclass(frozen=True)
-class ErrorRecord:
-    date: date | None
-    hour: int
-    actual: float
-    forecast: float
-    pe: float  # percent, positive = underprediction
-    ape: float  # |pe|
-
-
-@dataclass(frozen=True)
 class MetricsSummary:
     mape: float
     median_ape: float
@@ -51,44 +42,44 @@ class MetricsSummary:
     std_pe_degenerate: bool = False
 
 
-def percentage_errors(actual, forecast, day: date | None = None,
-                      hours: Sequence[int] | None = None) -> list[ErrorRecord]:
-    """Per-sample signed and absolute percentage errors."""
-    a = np.asarray(actual, dtype=float).ravel()
-    f = np.asarray(forecast, dtype=float).ravel()
-    if a.shape != f.shape:
-        raise ShapeError(f"actual has {a.size} entries, forecast {f.size}")
+def percentage_errors(actual, forecast) -> np.ndarray:
+    """Signed percentage error of every forecast sample, flattened in C
+    order. `actual` may broadcast against `forecast`, e.g. `(days, 1, n)`
+    against `(days, trials, n)`."""
+    a = np.asarray(actual, dtype=float)
+    f = np.asarray(forecast, dtype=float)
+    try:
+        fits = np.broadcast_shapes(a.shape, f.shape) == f.shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeError(f"actual of shape {a.shape} does not match forecast of shape {f.shape}")
     zero = np.flatnonzero(a == 0.0)
     if zero.size:
         raise MetricError(f"actual value is zero at index {zero[0]}")
-    if hours is None:
-        hours = range(a.size)
-    pe = 100.0 * (a - f) / a
-    return [
-        ErrorRecord(day, int(h), float(av), float(fv), float(p), float(abs(p)))
-        for h, av, fv, p in zip(hours, a, f, pe)
-    ]
+    return (100.0 * (a - f) / a).ravel()
 
 
-def summarize(records: Sequence[ErrorRecord]) -> MetricsSummary:
-    """MAPE, median APE, RMSE, MPE and the sample std of PE over records.
+def summarize(actual, forecast) -> MetricsSummary:
+    """MAPE, median APE, RMSE, MPE and the sample std of PE over every
+    forecast sample (`actual` broadcasts as in `percentage_errors`).
 
-    RMSE is in series units. With a single record the PE std is undefined
+    RMSE is in series units. With a single sample the PE std is undefined
     and reported as 0 with `std_pe_degenerate` set.
     """
-    if not records:
-        raise ParameterError("no error records to summarize")
-    pe = np.array([r.pe for r in records])
+    pe = percentage_errors(actual, forecast)
+    if not pe.size:
+        raise ParameterError("no samples to summarize")
+    err = (np.asarray(actual, dtype=float) - np.asarray(forecast, dtype=float)).ravel()
     ape = np.abs(pe)
-    err = np.array([r.actual - r.forecast for r in records])
-    degenerate = len(records) == 1
+    degenerate = pe.size == 1
     return MetricsSummary(
         mape=float(ape.mean()),
         median_ape=float(np.median(ape)),
         rmse=float(np.sqrt((err ** 2).mean())),
         mpe=float(pe.mean()),
         std_pe=0.0 if degenerate else float(pe.std(ddof=1)),
-        n_records=len(records),
+        n_records=pe.size,
         std_pe_degenerate=degenerate,
     )
 

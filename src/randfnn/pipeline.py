@@ -28,13 +28,7 @@ from .errors import (
     ExperimentError,
     ParameterError,
 )
-from .evaluation import (
-    MetricsSummary,
-    WilcoxonResult,
-    percentage_errors,
-    summarize,
-    wilcoxon_signed_rank,
-)
+from .evaluation import summarize, wilcoxon_signed_rank
 from .randnn import METHODS, HyperParams, derive_rng, fit, make_layer, predict
 from .timeseries import TimeSeries, exclude_days, load_csv, load_exclusions, split_seasonal
 from .tuning import Grid, default_grid, grid_search
@@ -258,28 +252,20 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> Ex
     actuals = {d: by_date[d].values for d in test_days}
     forecasts = {m: {d: results[d][m] for d in test_days} for m in config.methods}
 
-    summaries, ape_by_key = {}, {}
+    summaries, ape_by_key, ape_mean = {}, {}, {}
+    actual = np.stack([actuals[d] for d in test_days])[:, None, :]  # (days, 1, n)
     for method in config.methods:
-        records = []
-        ape_mean = {}
-        for d in test_days:
-            actual = actuals[d]
-            block = forecasts[method][d]
-            for trial_row in block:
-                records.extend(percentage_errors(actual, trial_row, day=d))
-            ape = np.abs(100.0 * (actual - block) / actual)  # (trials, n)
-            for h, v in enumerate(ape.mean(axis=0)):
-                ape_mean[(d, h)] = float(v)
-        summaries[method] = summarize(records)
-        ape_by_key[method] = ape_mean
+        block = np.stack([forecasts[method][d] for d in test_days])  # (days, trials, n)
+        summaries[method] = summarize(actual, block)
+        ape_mean[method] = np.abs(100.0 * (actual - block) / actual).mean(axis=1)
+        ape_by_key[method] = {(d, h): v for d, row in zip(test_days, ape_mean[method].tolist())
+                              for h, v in enumerate(row)}
 
-    keys = sorted(ape_by_key[config.methods[0]])
     wilcoxon = {}
     for i, ma in enumerate(config.methods):
         for mb in config.methods[i + 1:]:
-            va = [ape_by_key[ma][k] for k in keys]
-            vb = [ape_by_key[mb][k] for k in keys]
-            wilcoxon[(ma, mb)] = wilcoxon_signed_rank(va, vb, alpha=config.alpha)
+            wilcoxon[(ma, mb)] = wilcoxon_signed_rank(ape_mean[ma], ape_mean[mb],
+                                                      alpha=config.alpha)
 
     bands = {
         m: {
@@ -384,7 +370,6 @@ def _config_dict(config: ExperimentConfig) -> dict:
         "alpha": config.alpha,
         "data_path": config.data_path,
         "exclusions_path": config.exclusions_path,
-        "jobs": config.jobs,
     }
 
 
@@ -402,12 +387,12 @@ def write_report_bundle(report: ExperimentReport, out_dir) -> None:
         fh.write("method,date,trial,hour,forecast,actual\n")
         for method in config.methods:
             for d in report.test_days:
-                block = report.forecasts[method][d]
-                actual = report.actuals[d]
-                for trial in range(block.shape[0]):
-                    for h in range(block.shape[1]):
-                        fh.write(f"{method},{d.isoformat()},{trial},{h},"
-                                 f"{float(block[trial, h])!r},{float(actual[h])!r}\n")
+                prefix = f"{method},{d.isoformat()},"
+                actual = [repr(v) for v in report.actuals[d].tolist()]
+                for trial, row in enumerate(report.forecasts[method][d].tolist()):
+                    head = f"{prefix}{trial},"
+                    fh.writelines(f"{head}{h},{v!r},{a}\n"
+                                  for h, (v, a) in enumerate(zip(row, actual)))
 
     with open(out / "ape_records.csv", "w", newline="") as fh:
         fh.write("method,date,hour,ape\n")

@@ -110,22 +110,25 @@ def grid_search(phi: TrainingSet, method: str, grid: Grid, k_folds: int, seed: i
     layers. The folds and their training sets are built once and shared
     by every gridpoint. A ddm gridpoint whose k exceeds the smallest fold
     training set less one cannot be generated: it stays in the table with
-    no error and is never selected. `best` is None when nothing fits.
+    no error and is never selected. With fewer pairs than folds no
+    gridpoint fits. `best` is None when nothing fits.
     """
     if trials_per_fold < 1:
         raise ParameterError(f"trials_per_fold must be >= 1, got {trials_per_fold}")
     folds = []
-    for held in kfold_split(len(phi), k_folds, seed):
-        mask = np.ones(len(phi), dtype=bool)
-        mask[held] = False
-        folds.append((TrainingSet.from_arrays(phi.x[mask], phi.y[mask]), held))
-    max_k = min(len(phi_train) for phi_train, _ in folds) - 1
+    # too few pairs to split: no fold set, so no gridpoint fits
+    if len(phi) >= k_folds:
+        for held in kfold_split(len(phi), k_folds, seed):
+            mask = np.ones(len(phi), dtype=bool)
+            mask[held] = False
+            folds.append((TrainingSet.from_arrays(phi.x[mask], phi.y[mask]), held))
+    max_k = min((len(phi_train) for phi_train, _ in folds), default=0) - 1
     points = {}
     # smoothing-major, so that ddm's per-k cache on each fold serves every m
     for s in grid.smoothing_values:
         for m in grid.m_values:
             hp = HyperParams(method, m, s, seed=seed)
-            if method == "ddm" and s > max_k:
+            if not folds or (method == "ddm" and s > max_k):
                 points[m, s] = GridPoint(m, s, None, None)
                 continue
             errors = _fold_errors(phi, folds, hp, seed, trials_per_fold)

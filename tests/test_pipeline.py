@@ -1,11 +1,13 @@
 import csv
-import json
 from datetime import date
 
+import numpy as np
 import pytest
 
 from randfnn.errors import ExperimentError
+from randfnn.evaluation import summarize
 from randfnn.pipeline import ExperimentConfig, run_experiment, write_report_bundle
+from randfnn.randnn import HyperParams
 from randfnn.timeseries import SynthSpec, synth_generate
 from randfnn.tuning import Grid
 
@@ -55,12 +57,51 @@ def test_per_day_bundle_same_for_one_and_two_jobs(two_years, tmp_path):
         report = run_experiment(config, two_years)
         write_report_bundle(report, tmp_path / f"jobs{jobs}")
         bundles.append({f: (tmp_path / f"jobs{jobs}" / f).read_bytes() for f in BUNDLE})
-    # report.json records the configuration, jobs included; the rest is equal
-    docs = [json.loads(b.pop("report.json")) for b in bundles]
-    assert [d["config"].pop("jobs") for d in docs] == [1, 2]
     assert bundles[0] == bundles[1]
-    assert docs[0] == docs[1]
+    assert b'"jobs"' not in bundles[0]["report.json"]
     scopes = [line.split(b",")[:2] for line in bundles[0]["tuning.csv"].splitlines()[1:]]
     days = [b"2013-01-01", b"2013-01-02", b"2013-01-03", b"2013-01-04"]
     assert list(dict.fromkeys(tuple(s) for s in scopes)) == [
         (method, day) for day in days for method in (b"ddm", b"ram")]
+
+
+@pytest.fixture(scope="module")
+def sixty_days():
+    # 2012-01-01 (a Sunday) .. 2012-02-29: before 2012-02-02 the Monday to
+    # Wednesday targets have 5 training pairs each, Thursday to Sunday 4
+    return synth_generate(SynthSpec(days=60), 0)
+
+
+@pytest.mark.parametrize("tuning", ["once", "per-day"])
+def test_fewer_pairs_than_folds_skips_the_weekday(sixty_days, tmp_path, tuning):
+    config = short_config(methods=("ram", "naive"), test_start=date(2012, 2, 2),
+                          test_end=date(2012, 2, 6), trials=1, tuning=tuning,
+                          grids={"ram": Grid((5,), (0.4,))})
+    report = run_experiment(config, sixty_days)
+    assert report.test_days == [date(2012, 2, 6)]
+    assert report.skipped == [(date(2012, 2, d), "empty tuning history") for d in (2, 3, 4, 5)]
+    unfit = [result for _, _, result in report.tune_tables if result.best is None]
+    assert len(unfit) == 4
+    assert all(p.mean_error is None and p.std_error is None for r in unfit for p in r.table)
+    write_report_bundle(report, tmp_path)
+    with open(tmp_path / "tuning.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted(r["selected"] for r in rows) == ["0", "0", "0", "0", "1"]
+
+
+def test_scores_match_per_trial_reference(two_years):
+    config = short_config(methods=("ram", "naive"), test_end=date(2013, 1, 5), trials=4,
+                          tuning="fixed", fixed_params={"ram": HyperParams("ram", 10, 0.4)})
+    report = run_experiment(config, two_years)
+    for method in config.methods:
+        actual, forecast = [], []
+        for d in report.test_days:
+            for row in report.forecasts[method][d]:
+                actual.append(report.actuals[d])
+                forecast.append(row)
+            block = report.forecasts[method][d]
+            ape = np.abs(100.0 * (report.actuals[d] - block) / report.actuals[d]).mean(axis=0)
+            for h, v in enumerate(ape):
+                assert report.ape_by_key[method][(d, h)] == v
+        assert report.summaries[method] == summarize(np.concatenate(actual),
+                                                     np.concatenate(forecast))
