@@ -14,7 +14,7 @@ from datetime import date, timedelta
 from pathlib import Path
 
 from .encoding import build_training_set
-from .errors import PairingError, ParameterError, ParseError, RandfnnError
+from .errors import MetricError, PairingError, ParameterError, ParseError, RandfnnError
 from .evaluation import summarize, wilcoxon_signed_rank, write_metrics_csv
 from .pipeline import (
     NAIVE,
@@ -102,7 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--grid-m", help="restrict node grid for all methods")
     p.add_argument("--grid-smoothing", help="restrict smoothing grid for all methods")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--out-dir")
     p.set_defaults(func=cmd_forecast)
 
@@ -272,7 +271,6 @@ def cmd_forecast(args) -> int:
         alpha=float(pick("alpha", 0.05)),
         data_path=data,
         exclusions_path=pick("exclude"),
-        jobs=int(pick("jobs", 1)),
     )
     out_dir = pick("out-dir", "randfnn-out")
 
@@ -310,7 +308,11 @@ def cmd_evaluate(args) -> int:
                 if not row:  # blank line, skipped as csv.DictReader does
                     continue
                 a, f = by_method.setdefault(row[im], ([], []))
-                a.append(float(row[ia]))
+                actual = float(row[ia])
+                if actual == 0.0:
+                    raise MetricError(f"{args.forecasts}:{reader.line_num}: actual value "
+                                      "is zero, percentage errors are undefined")
+                a.append(actual)
                 f.append(float(row[iv]))
         except (IndexError, ValueError):
             raise ParseError(f"{args.forecasts}:{reader.line_num}: bad or missing "

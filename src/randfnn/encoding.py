@@ -26,6 +26,7 @@ __all__ = [
     "encode_y",
     "decode",
     "build_training_set",
+    "first_targets",
     "write_pairs_csv",
 ]
 
@@ -194,6 +195,31 @@ def build_training_set(sequences: Sequence[SeasonalSequence], target_weekday: in
             f"no pairs for weekday {target_weekday}, tau {tau}, cutoff {cutoff}"
         )
     return TrainingSet.from_pairs(pairs, n_skipped_degenerate=skipped)
+
+
+def first_targets(sequences: Sequence[SeasonalSequence], tau: int) -> dict:
+    """Earliest target date of each weekday that has an admissible pair.
+
+    A pair is admissible under the rule `build_training_set` applies: the
+    input day `tau` days earlier is present and not constant. So
+    `build_training_set(sequences, wd, tau, cutoff)` raises
+    `EmptyTrainingSet` exactly when weekday `wd` is missing from the
+    result or its date is not before `cutoff`.
+    """
+    by_index = {s.index: s for s in sequences}
+    first: dict = {}
+    for s in sorted(sequences, key=lambda s: s.index):
+        if s.weekday in first:
+            continue
+        inp = by_index.get(s.index - tau)
+        if inp is None:
+            continue
+        try:
+            encode_x(inp)
+        except DegenerateDispersion:
+            continue
+        first[s.weekday] = s.date
+    return first
 
 
 def write_pairs_csv(phi: TrainingSet, target) -> None:

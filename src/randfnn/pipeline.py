@@ -9,18 +9,27 @@ cross-method comparisons stay paired.
 All randomness is derived from the master seed, the method name, the day
 and the trial index, which makes reports reproducible and independent of
 worker scheduling.
+
+Grid searches and test days run in a pool of worker processes, one per
+CPU this process may run on (`os.sched_getaffinity`) but no more than
+the largest stage has tasks, each with one BLAS thread; run under
+`taskset` to use fewer. With one usable CPU, or a stage of fewer than
+two tasks, the tasks run in this process instead.
+Workers are started with `spawn`, which imports the main module again:
+a script that calls `run_experiment` must do so under an
+`if __name__ == "__main__":` guard.
 """
 
 import json
+import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .encoding import build_training_set, decode, encode_x
+from .encoding import build_training_set, decode, encode_x, first_targets
 from .errors import (
     DaySkipped,
     DegenerateDispersion,
@@ -75,7 +84,6 @@ class ExperimentConfig:
     alpha: float = 0.05
     data_path: str | None = None
     exclusions_path: str | None = None
-    jobs: int = 1
 
     def __post_init__(self):
         if not self.methods:
@@ -97,8 +105,6 @@ class ExperimentConfig:
             missing = [m for m in self.model_methods if m not in (self.fixed_params or {})]
             if missing:
                 raise ParameterError(f"fixed tuning mode lacks params for {missing}")
-        if self.jobs < 1:
-            raise ParameterError("jobs must be >= 1")
 
     @property
     def model_methods(self) -> tuple[str, ...]:
@@ -173,8 +179,14 @@ def _load_series(config: ExperimentConfig) -> TimeSeries:
     return ts
 
 
-def _screen_day(day: date, by_date: dict, config: ExperimentConfig) -> str | None:
-    """Reason to skip `day`, or None if every configured method can run it."""
+def _screen_day(day: date, by_date: dict, first_target: dict,
+                config: ExperimentConfig) -> str | None:
+    """Reason to skip `day`, or None if every configured method can run it.
+
+    `first_target` maps a weekday to its earliest target date with an
+    admissible pair (see `encoding.first_targets`): `day`'s training set
+    is empty unless that date is before `day`.
+    """
     if day not in by_date:
         return "missing or excluded actual day"
     input_day = day - timedelta(days=config.tau)
@@ -188,66 +200,179 @@ def _screen_day(day: date, by_date: dict, config: ExperimentConfig) -> str | Non
         if day - timedelta(days=NAIVE_PERIOD_DAYS) not in by_date:
             return "missing naive reference"
     if config.model_methods:
-        try:
-            build_training_set(list(by_date.values()), day.weekday(), config.tau, cutoff=day)
-        except EmptyTrainingSet:
+        first = first_target.get(day.weekday())
+        if first is None or first >= day:
             return "empty training set"
     return None
 
 
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+_worker_sequences = None  # a pool worker's copy of the run's seasonal sequences
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _init_worker(sequences, started) -> None:
+    global _worker_sequences
+    _worker_sequences = sequences
+    started.wait()
+
+
+def _in_worker(fn, task):
+    return fn(_worker_sequences, task)
+
+
+class _Stages:
+    """Runs each stage's tasks, `fn(sequences, task)` for a module-level
+    `fn`, and returns their results in submission order.
+
+    A stage of at least two tasks runs in a spawn pool of
+    `min(usable CPUs, most_tasks)` workers, started on first use and
+    reused by later stages; with fewer than two workers or tasks, the
+    tasks run in this process. A task's exception reaches the caller
+    with its type and message.
+    """
+
+    def __init__(self, sequences, most_tasks: int):
+        self.sequences = sequences
+        self.workers = min(_usable_cpus(), most_tasks)
+        self.pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+
+    def map(self, fn, tasks: list) -> list:
+        if self.workers < 2 or len(tasks) < 2:
+            return [fn(self.sequences, task) for task in tasks]
+        if self.pool is None:
+            self._start_pool()
+        return list(self.pool.map(_in_worker, [fn] * len(tasks), tasks))
+
+    def _start_pool(self) -> None:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        ctx = multiprocessing.get_context("spawn")
+        self.pool = ProcessPoolExecutor(
+            self.workers, mp_context=ctx, initializer=_init_worker,
+            initargs=(self.sequences, ctx.Barrier(self.workers)))
+        # Workers inherit the environment they start in. Each submission
+        # starts a worker while none is idle, and no worker is idle before
+        # all have passed the barrier, so every worker starts here.
+        saved = {k: os.environ.get(k) for k in _BLAS_THREADS}
+        os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+        try:
+            for f in [self.pool.submit(int) for _ in range(self.workers)]:
+                f.result()
+        finally:
+            for k, v in saved.items():
+                if v is None:
+                    del os.environ[k]
+                else:
+                    os.environ[k] = v
+
+
+def _search_weekday(sequences, task):
+    """`once` tuning task: one method's grid search on one weekday's
+    history before `cutoff`; None when that history has no pairs."""
+    config, method, wd, cutoff = task
+    try:
+        phi = build_training_set(sequences, wd, config.tau, cutoff)
+    except EmptyTrainingSet:
+        return None
+    tune_seed = derive_seed(config.seed, _TUNE_STREAM, _method_tag(method), wd)
+    return grid_search(phi, method, config.grid_for(method), config.cv_folds, tune_seed,
+                       config.trials_per_fold)
+
+
+def _search_day(sequences, task):
+    """`per-day` tuning task: every model method's grid search on one
+    test day's own training set, in config order."""
+    config, day = task
+    phi = build_training_set(sequences, day.weekday(), config.tau, cutoff=day)
+    return [grid_search(phi, method, config.grid_for(method), config.cv_folds,
+                        derive_seed(config.seed, _TUNE_STREAM, _method_tag(method),
+                                    day.toordinal()),
+                        config.trials_per_fold)
+            for method in config.model_methods]
+
+
+def _forecast_day(sequences, task):
+    """Forecast task: every method's (trials, n) forecasts for one test
+    day, given each model method's hyperparameters."""
+    config, day, hps = task
+    per_method = {}
+    for method in config.methods:
+        if method == NAIVE:
+            per_method[method] = seasonal_naive(sequences, day)[None, :]
+        else:
+            per_method[method] = run_day(
+                sequences, day, hps[method], config.trials,
+                derive_seed(config.seed, _FORECAST_STREAM, _method_tag(method)),
+                tau=config.tau,
+            )
+    return per_method
+
+
 def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> ExperimentReport:
     """Execute the full rolling evaluation and aggregate every reported
-    quantity (summaries, paired Wilcoxon decisions, percentile bands)."""
+    quantity (summaries, paired Wilcoxon decisions, percentile bands).
+
+    Grid searches and test days run in a pool of spawned worker
+    processes, one per usable CPU (the process's affinity mask; restrict
+    it with `taskset`) and no more than a stage has tasks, each worker
+    with one BLAS thread. On one CPU, or for a stage of fewer than two
+    tasks, they run in this process. Results do not depend on which path
+    runs them. Because workers are spawned, a script calling this must
+    do so under an `if __name__ == "__main__":` guard.
+    """
     if ts is None:
         ts = _load_series(config)
     sequences = split_seasonal(ts)
     by_date = {s.date: s for s in sequences}
+    first_target = first_targets(sequences, config.tau)
 
     candidates = [config.test_start + timedelta(days=i)
                   for i in range((config.test_end - config.test_start).days + 1)]
     skipped = []
     test_days = []
     for day in candidates:
-        reason = _screen_day(day, by_date, config)
+        reason = _screen_day(day, by_date, first_target, config)
         if reason is None:
             test_days.append(day)
         else:
             skipped.append((day, reason))
 
-    tuned, tune_tables, hp_for = _resolve_tuning(config, sequences, test_days)
-    # tuning may rule out whole weekdays; re-filter
-    runnable = []
-    for d in test_days:
-        if all(hp_for(m, d) is not None for m in config.model_methods):
-            runnable.append(d)
-        else:
-            skipped.append((d, "empty tuning history"))
-    test_days = runnable
-    if not test_days:
-        raise ExperimentError("all test days were skipped: "
-                              + "; ".join(f"{d}: {r}" for d, r in skipped[:5]))
-
-    def day_work(day: date):
-        per_method = {}
-        for method in config.methods:
-            if method == NAIVE:
-                per_method[method] = seasonal_naive(sequences, day)[None, :]
+    weekday_searches = 0
+    if config.tuning == "once":
+        weekday_searches = len(config.model_methods) * len({d.weekday() for d in test_days})
+    with _Stages(sequences, max(len(test_days), weekday_searches)) as stages:
+        tuned, tune_tables, hp_for = _resolve_tuning(config, test_days, stages)
+        # tuning may rule out whole weekdays; re-filter
+        runnable = []
+        for d in test_days:
+            if all(hp_for(m, d) is not None for m in config.model_methods):
+                runnable.append(d)
             else:
-                hp = hp_for(method, day)
-                per_method[method] = run_day(
-                    sequences, day, hp, config.trials,
-                    derive_seed(config.seed, _FORECAST_STREAM, _method_tag(method)),
-                    tau=config.tau,
-                )
-        return day, per_method
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = dict()
-            for day, per_method in pool.map(day_work, test_days):
-                results[day] = per_method
-    else:
-        results = {day: per_method for day, per_method in map(day_work, test_days)}
+                skipped.append((d, "empty tuning history"))
+        test_days = runnable
+        if not test_days:
+            raise ExperimentError("all test days were skipped: "
+                                  + "; ".join(f"{d}: {r}" for d, r in skipped[:5]))
+        tasks = [(config, d, {m: hp_for(m, d) for m in config.model_methods})
+                 for d in test_days]
+        results = dict(zip(test_days, stages.map(_forecast_day, tasks)))
 
     actuals = {d: by_date[d].values for d in test_days}
     forecasts = {m: {d: results[d][m] for d in test_days} for m in config.methods}
@@ -286,7 +411,7 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> Ex
     )
 
 
-def _resolve_tuning(config, sequences, test_days):
+def _resolve_tuning(config, test_days, stages):
     """Build the (method, day) -> HyperParams lookup for the tuning mode.
 
     Returns (tuned, tune_tables, hp_for). In `once` mode hyperparameters
@@ -294,6 +419,8 @@ def _resolve_tuning(config, sequences, test_days):
     reused; `per-day` re-tunes on each day's own training set; `fixed`
     bypasses search. A weekday (or day) whose tuning set is empty, or on
     which no gridpoint fits, maps to None and its days are skipped.
+    Searches run as `stages` tasks; their results are collected in
+    submission order, so tuning.csv does not depend on workers.
     """
     tuned: dict = {m: {} for m in config.model_methods}
     tune_tables: list = []
@@ -309,21 +436,13 @@ def _resolve_tuning(config, sequences, test_days):
         return tuned, tune_tables, hp_for
 
     if config.tuning == "once":
-        if not test_days:
-            return tuned, tune_tables, lambda m, d: None
-        cutoff = test_days[0]
         weekdays = sorted({d.weekday() for d in test_days})
-        chosen: dict = {}
-        for method in config.model_methods:
-            for wd in weekdays:
-                tune_seed = derive_seed(config.seed, _TUNE_STREAM, _method_tag(method), wd)
-                try:
-                    phi = build_training_set(sequences, wd, config.tau, cutoff)
-                except EmptyTrainingSet:
-                    chosen[(method, wd)] = None
-                    continue
-                result = grid_search(phi, method, config.grid_for(method),
-                                     config.cv_folds, tune_seed, config.trials_per_fold)
+        keys = [(method, wd) for method in config.model_methods for wd in weekdays]
+        results = stages.map(_search_weekday, [(config, method, wd, test_days[0])
+                                               for method, wd in keys])
+        chosen: dict = {}  # a weekday without pairs stays out
+        for (method, wd), result in zip(keys, results):
+            if result is not None:
                 chosen[(method, wd)] = result.best
                 tuned[method][f"weekday={wd}"] = result.best
                 tune_tables.append((method, f"weekday={wd}", result))
@@ -333,16 +452,11 @@ def _resolve_tuning(config, sequences, test_days):
 
         return tuned, tune_tables, hp_for
 
-    # per-day: strict protocol, a fresh search for every forecasted day,
-    # resolved here in test-day order so tuning.csv does not depend on workers
+    # per-day: strict protocol, a fresh search for every forecasted day
     chosen = {}
-    for day in test_days:
-        phi = build_training_set(sequences, day.weekday(), config.tau, cutoff=day)
-        for method in config.model_methods:
-            tune_seed = derive_seed(config.seed, _TUNE_STREAM, _method_tag(method),
-                                    day.toordinal())
-            result = grid_search(phi, method, config.grid_for(method),
-                                 config.cv_folds, tune_seed, config.trials_per_fold)
+    for day, results in zip(test_days, stages.map(_search_day,
+                                                  [(config, d) for d in test_days])):
+        for method, result in zip(config.model_methods, results):
             chosen[(method, day)] = result.best
             tuned[method][day.isoformat()] = result.best
             tune_tables.append((method, day.isoformat(), result))

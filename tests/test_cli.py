@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+from randfnn import pipeline
 from randfnn.cli import main
+from randfnn.timeseries import SynthSpec, synth_generate, write_csv
 
 HEADER = "method,date,trial,hour,forecast,actual\n"
 
@@ -64,7 +68,9 @@ def test_evaluate_zero_actual(tmp_path, capsys):
     path = write_forecasts(tmp_path / "f.csv", [("ram", "2015-01-05", 0, 0, 1.0, 2.0),
                                                  ("ram", "2015-01-05", 0, 1, 1.0, 0.0)])
     assert main(["evaluate", "--forecasts", str(path)]) == 1
-    assert "zero" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "zero" in err
+    assert f"{path}:3:" in err
 
 
 @pytest.mark.parametrize("bad_row", [
@@ -76,3 +82,18 @@ def test_evaluate_malformed_number(tmp_path, capsys, bad_row):
     path = write_forecasts(tmp_path / "f.csv", [("ram", "2015-01-05", 0, 0, 1.0, 2.0), bad_row])
     assert main(["evaluate", "--forecasts", str(path)]) == 1
     assert f"{path}:3:" in capsys.readouterr().err
+
+
+def test_forecast_worker_parameter_error_exits_2(tmp_path, capsys, monkeypatch):
+    # ddm's k=400 exceeds every training set; the days run in the pool
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    data = tmp_path / "series.csv"
+    write_csv(synth_generate(SynthSpec(days=400), 0), data)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"fixed_params": {"ddm": {"m": 5, "smoothing": 400}}}))
+    code = main(["forecast", "--config", str(config), "--data", str(data),
+                 "--methods", "ddm,naive", "--tuning", "fixed", "--trials", "1",
+                 "--test-start", "2013-01-01", "--test-end", "2013-01-03",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error: k=400 not in [1, ")

@@ -1,14 +1,23 @@
 import csv
-from datetime import date
+import os
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from randfnn.errors import ExperimentError
+from randfnn import pipeline
+from randfnn.encoding import build_training_set, first_targets
+from randfnn.errors import EmptyTrainingSet, ExperimentError, ParameterError
 from randfnn.evaluation import summarize
 from randfnn.pipeline import ExperimentConfig, run_experiment, write_report_bundle
 from randfnn.randnn import HyperParams
-from randfnn.timeseries import SynthSpec, synth_generate
+from randfnn.timeseries import (
+    SeasonalSequence,
+    SynthSpec,
+    exclude_days,
+    split_seasonal,
+    synth_generate,
+)
 from randfnn.tuning import Grid
 
 BUNDLE = ("forecasts.csv", "ape_records.csv", "tuning.csv", "report.json")
@@ -47,22 +56,123 @@ def test_ddm_weekday_with_no_fitting_gridpoint_is_skipped(two_years):
         run_experiment(config, two_years)
 
 
-def test_per_day_bundle_same_for_one_and_two_jobs(two_years, tmp_path):
-    bundles = []
-    for jobs in (1, 2):
-        config = short_config(
-            methods=("ddm", "ram", "naive"), test_end=date(2013, 1, 4), trials=3,
-            tuning="per-day", jobs=jobs,
-            grids={"ddm": Grid((5, 10), (5.0, 9.0)), "ram": Grid((5,), (0.2, 0.4))})
-        report = run_experiment(config, two_years)
-        write_report_bundle(report, tmp_path / f"jobs{jobs}")
-        bundles.append({f: (tmp_path / f"jobs{jobs}" / f).read_bytes() for f in BUNDLE})
-    assert bundles[0] == bundles[1]
-    assert b'"jobs"' not in bundles[0]["report.json"]
-    scopes = [line.split(b",")[:2] for line in bundles[0]["tuning.csv"].splitlines()[1:]]
-    days = [b"2013-01-01", b"2013-01-02", b"2013-01-03", b"2013-01-04"]
-    assert list(dict.fromkeys(tuple(s) for s in scopes)) == [
-        (method, day) for day in days for method in (b"ddm", b"ram")]
+GRIDS = {"ddm": Grid((5, 10), (5.0, 9.0)), "ram": Grid((5,), (0.2, 0.4))}
+FIXED = {"ddm": HyperParams("ddm", 5, 9.0), "ram": HyperParams("ram", 10, 0.4)}
+
+
+def run_with_cpus(monkeypatch, cpus, config, ts):
+    """run_experiment with `cpus` usable CPUs; also returns the worker
+    count of every pool it started."""
+    starts = []
+    start_pool = pipeline._Stages._start_pool
+
+    def counting_start(self):
+        starts.append(self.workers)
+        start_pool(self)
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline._Stages, "_start_pool", counting_start)
+    return run_experiment(config, ts), starts
+
+
+def bundle_bytes(report, out):
+    write_report_bundle(report, out)
+    return {f: (out / f).read_bytes() for f in BUNDLE}
+
+
+@pytest.mark.parametrize("tuning", ["fixed", "once", "per-day"])
+def test_bundle_same_in_process_and_in_pool(two_years, tmp_path, monkeypatch, tuning):
+    config = short_config(methods=("ddm", "ram", "naive"), test_end=date(2013, 1, 4), trials=3,
+                          tuning=tuning, grids=GRIDS, fixed_params=FIXED)
+    alone, starts = run_with_cpus(monkeypatch, 1, config, two_years)
+    assert starts == []
+    pooled, starts = run_with_cpus(monkeypatch, 2, config, two_years)
+    assert starts == [2]
+    assert bundle_bytes(alone, tmp_path / "alone") == bundle_bytes(pooled, tmp_path / "pool")
+    if tuning == "per-day":
+        scopes = [tuple(line.split(b",")[:2])
+                  for line in (tmp_path / "pool" / "tuning.csv").read_bytes().splitlines()[1:]]
+        days = [b"2013-01-01", b"2013-01-02", b"2013-01-03", b"2013-01-04"]
+        assert list(dict.fromkeys(scopes)) == [
+            (method, day) for day in days for method in (b"ddm", b"ram")]
+
+
+def test_worker_parameter_error_reaches_the_caller(two_years, monkeypatch):
+    # about 52 pairs per weekday before 2013: no neighbourhood of k=60 exists
+    config = short_config(test_end=date(2013, 1, 3), tuning="fixed",
+                          fixed_params={"ddm": HyperParams("ddm", 5, 60.0)})
+    errors = []
+    for cpus in (1, 2):
+        with pytest.raises(ParameterError) as info:
+            run_with_cpus(monkeypatch, cpus, config, two_years)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is ParameterError and "k=60" in errors[0][1]
+
+
+def worker_environ(sequences, key):
+    return os.environ.get(key)
+
+
+def test_pool_workers_start_with_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    with pipeline._Stages([], 2) as stages:
+        seen = stages.map(worker_environ, list(pipeline._BLAS_THREADS) * 2)
+        assert stages.pool is not None
+    assert seen == ["1"] * 6
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+    assert "OMP_NUM_THREADS" not in os.environ
+
+
+def test_missing_naive_reference_skips_the_day_for_every_method(two_years, tmp_path,
+                                                                monkeypatch):
+    # 2012-12-25 is 2013-01-01's naive reference; the models could run that day
+    ts = exclude_days(two_years, [date(2012, 12, 25)])
+    config = short_config(methods=("ram", "ddm", "naive"), test_end=date(2013, 1, 4),
+                          tuning="fixed", fixed_params=FIXED)
+    report, starts = run_with_cpus(monkeypatch, 2, config, ts)
+    assert starts == [2]
+    assert report.skipped == [(date(2013, 1, 1), "missing naive reference")]
+    assert report.test_days == [date(2013, 1, d) for d in (2, 3, 4)]
+    write_report_bundle(report, tmp_path)
+    keys: dict = {}
+    with open(tmp_path / "ape_records.csv", newline="") as fh:
+        for r in csv.DictReader(fh):
+            keys.setdefault(r["method"], []).append((r["date"], r["hour"]))
+    assert set(keys) == set(config.methods)
+    expected = [(f"2013-01-0{d}", str(h)) for d in (2, 3, 4) for h in range(24)]
+    assert all(k == expected for k in keys.values())
+
+
+def test_screen_matches_build_training_set():
+    # 2012-01-01 is a Sunday. Mondays 01-02 (constant), 01-09 (excluded)
+    # and 01-16 (gap) leave Tuesday targets without a usable input day.
+    ts = exclude_days(synth_generate(SynthSpec(days=42), 3), [date(2012, 1, 4), date(2012, 1, 9)])
+    sequences = [s if s.date != date(2012, 1, 2)
+                 else SeasonalSequence(np.full(24, 7.0), s.date, s.weekday, s.index)
+                 for s in split_seasonal(ts) if s.date not in (date(2012, 1, 5), date(2012, 1, 16))]
+    by_date = {s.date: s for s in sequences}
+    days = [date(2012, 1, 1) + timedelta(days=i) for i in range(45)]
+    reasons = set()
+    for tau in (1, 2, 7):
+        first = first_targets(sequences, tau)
+        config = short_config(methods=("ram",), tau=tau, tuning="fixed", fixed_params=FIXED)
+        for day in days:
+            try:
+                build_training_set(sequences, day.weekday(), tau, cutoff=day)
+                empty = False
+            except EmptyTrainingSet:
+                empty = True
+            assert (day.weekday() not in first or first[day.weekday()] >= day) == empty
+            reason = pipeline._screen_day(day, by_date, first, config)
+            reasons.add(reason)
+            if reason in (None, "empty training set"):
+                assert (reason is not None) == empty
+    assert first_targets(sequences, 1)[1] == date(2012, 1, 24)
+    assert {None, "empty training set", "missing input pattern",
+            "degenerate input pattern", "missing or excluded actual day"} <= reasons
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import randfnn.tuning as tuning
 from randfnn.encoding import TrainingSet
@@ -86,3 +88,37 @@ def test_ram_has_no_size_limit():
     result = grid_search(random_phi(n_pairs=10), "ram", Grid((3,), (40.0,)), 5, 1,
                          trials_per_fold=1)
     assert result.table[0].mean_error is not None
+
+
+@given(st.integers(2, 200).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(2, n), st.integers(0, 2**32 - 1))))
+def test_kfold_split_partitions(args):
+    n, k, seed = args
+    folds = kfold_split(n, k, seed)
+    assert len(folds) == k
+    sizes = [len(f) for f in folds]
+    assert max(sizes) - min(sizes) <= 1
+    assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(n))
+
+
+def test_ties_prefer_smaller_m_then_smaller_smoothing(monkeypatch):
+    # least error 1.0 at (3, 0.6), (6, 0.2) and (6, 0.4): m=3 wins
+    # although its smoothing is the largest; without it (6, 0.2) wins
+    def fake_errors(least):
+        def errors(phi, folds, hp, seed, trials_per_fold):
+            return np.full(len(folds), 1.0 if (hp.m, hp.smoothing) in least else 2.0)
+        return errors
+
+    grid = Grid((3, 6), (0.2, 0.4, 0.6))
+    for least, best in (({(3, 0.6), (6, 0.2), (6, 0.4)}, (3, 0.6)),
+                        ({(6, 0.4), (6, 0.2)}, (6, 0.2))):
+        monkeypatch.setattr(tuning, "_fold_errors", fake_errors(least))
+        result = grid_search(random_phi(), "ram", grid, 5, 0)
+        assert (result.best.m, result.best.smoothing) == best
+
+
+def test_same_seed_same_table():
+    grid = Grid((3, 6), (0.2, 0.6))
+    first = grid_search(random_phi(), "ram", grid, 5, 7, trials_per_fold=2)
+    assert grid_search(random_phi(), "ram", grid, 5, 7, trials_per_fold=2) == first
+    assert grid_search(random_phi(), "ram", grid, 5, 8, trials_per_fold=2).table != first.table
