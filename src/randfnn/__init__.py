@@ -3,10 +3,11 @@ single-hidden-layer feedforward networks over a pattern representation."""
 
 from .encoding import (
     CodingVars,
-    PatternPair,
+    DayMatrix,
     TrainingSet,
     build_training_set,
     decode,
+    encode_days,
     encode_x,
     encode_y,
 )
@@ -37,18 +38,14 @@ from .randnn import (
     gen_standard,
     hidden_output,
     make_layer,
-    model_from_json,
-    model_to_json,
     predict,
 )
 from .timeseries import (
-    SeasonalSequence,
     SynthSpec,
     TimeSeries,
     exclude_days,
     load_csv,
     load_exclusions,
-    split_seasonal,
     synth_generate,
     write_csv,
 )

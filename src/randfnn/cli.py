@@ -10,11 +10,18 @@ import csv
 import io
 import json
 import sys
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
-from .encoding import build_training_set
-from .errors import MetricError, PairingError, ParameterError, ParseError, RandfnnError
+from .encoding import build_training_set, encode_days
+from .errors import (
+    EmptyTrainingSet,
+    MetricError,
+    PairingError,
+    ParameterError,
+    ParseError,
+    RandfnnError,
+)
 from .evaluation import summarize, wilcoxon_signed_rank, write_metrics_csv
 from .pipeline import (
     NAIVE,
@@ -28,7 +35,6 @@ from .timeseries import (
     exclude_days,
     load_csv,
     load_exclusions,
-    split_seasonal,
     synth_generate,
     write_csv,
 )
@@ -157,21 +163,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_sequences(data_path, exclude_path):
+def _load_days(data_path, exclude_path):
     ts = load_csv(data_path)
     if exclude_path:
         ts = exclude_days(ts, load_exclusions(exclude_path))
-    return split_seasonal(ts)
+    return encode_days(ts)
 
 
 def cmd_tune(args) -> int:
-    sequences = _load_sequences(args.data, args.exclude)
+    """Tune each requested weekday on its pairs before the cutoff. A
+    weekday without pairs is reported on stderr and the others are still
+    tuned and written; the exit code is then 1."""
+    days = _load_days(args.data, args.exclude)
     grid = default_grid(args.method)
     if args.grid_m:
         grid = Grid(_parse_int_list(args.grid_m), grid.smoothing_values)
     if args.grid_smoothing:
         grid = Grid(grid.m_values, _parse_float_list(args.grid_smoothing))
-    cutoff = args.cutoff or (max(s.date for s in sequences) + timedelta(days=1))
+    # default: every day loaded; with none left, no weekday has pairs
+    cutoff = args.cutoff or date.fromordinal(int(days.ordinals.max(initial=0)) + 1)
 
     if args.weekday == "all":
         weekdays = list(range(7))
@@ -180,10 +190,15 @@ def cmd_tune(args) -> int:
     else:
         raise ParameterError(f"unknown weekday {args.weekday!r}")
 
+    no_pairs = False
     with open(args.out, "w", newline="") as fh:
-        first = True
         for wd in weekdays:
-            phi = build_training_set(sequences, wd, args.tau, cutoff)
+            try:
+                phi = build_training_set(days, wd, args.tau, cutoff)
+            except EmptyTrainingSet as exc:
+                print(f"error: {WEEKDAYS[wd]}: {exc}", file=sys.stderr)
+                no_pairs = True
+                continue
             result = grid_search(phi, args.method, grid, args.folds, args.seed,
                                  args.trials_per_fold)
             best = result.best
@@ -194,10 +209,9 @@ def cmd_tune(args) -> int:
                 print(f"{WEEKDAYS[wd]}: m={best.m} {best.smoothing_name}={best.smoothing} "
                       f"(N={len(phi)}, cv_error={cv_error:.6g})")
             _append_tuning(fh, result, {"method": args.method, "weekday": WEEKDAYS[wd]},
-                           header=first)
-            first = False
+                           header=fh.tell() == 0)
     print(f"wrote {args.out}")
-    return 0
+    return 1 if no_pairs else 0
 
 
 def _append_tuning(fh, result, context, header):

@@ -1,4 +1,5 @@
-"""Pattern encoder/decoder and weekday-grouped training sets.
+"""Pattern encoder/decoder, the day matrix, and weekday-grouped training
+sets.
 
 An input pattern is the seasonal sequence centered by its mean and scaled
 by the Euclidean norm of the centered vector, so every x-pattern has zero
@@ -6,28 +7,35 @@ mean and unit length regardless of the level and scale of the original
 day. Target patterns reuse the *input* day's coding variables (the target
 day's are unknown at forecast time), which is also what decodes a
 predicted pattern back into physical units.
+
+A run encodes its series once: `encode_days` turns the complete,
+non-excluded days into a `DayMatrix`, one row per day holding its date
+ordinal, values, x-pattern, mean, dispersion and whether it can be
+encoded at all (a numerically constant day cannot). Each row is bitwise
+what `encode_x` gives for that day alone. One rule, `_pair_rows`, says
+which (target, input) rows pair up: the input day is present exactly
+`tau` days before the target and is not constant. `build_training_set`
+gathers those rows; the pipeline's screening asks the same rule whether a
+day's training set would be empty.
 """
 
-import csv
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDispersion, EmptyTrainingSet, ParameterError, ShapeError
-from .timeseries import SeasonalSequence
+from .timeseries import TimeSeries
 
 __all__ = [
     "CodingVars",
-    "PatternPair",
+    "DayMatrix",
     "TrainingSet",
     "encode_x",
     "encode_y",
+    "encode_days",
     "decode",
     "build_training_set",
-    "first_targets",
-    "write_pairs_csv",
 ]
 
 
@@ -43,25 +51,9 @@ class CodingVars:
             raise ParameterError(f"dispersion must be positive, got {self.dispersion}")
 
 
-@dataclass(frozen=True)
-class PatternPair:
-    x: np.ndarray
-    y: np.ndarray
-    coding: CodingVars
-    input_date: date
-    target_date: date
-    target_weekday: int
-
-    def __post_init__(self):
-        for name in ("x", "y"):
-            v = np.array(getattr(self, name), dtype=float)
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-
-
-def _dispersion_floor(n: int, mean: float) -> float:
-    # scale-aware degeneracy threshold
-    return 1e-12 * n * max(1.0, abs(mean))
+def _dispersion_floor(n: int, mean):
+    # scale-aware degeneracy threshold; `mean` may be an array of day means
+    return 1e-12 * n * np.maximum(1.0, np.abs(mean))
 
 
 def encode_x(values) -> tuple[np.ndarray, CodingVars]:
@@ -70,10 +62,8 @@ def encode_x(values) -> tuple[np.ndarray, CodingVars]:
     Returns the pattern together with the coding variables (mean and
     centered-vector norm) needed to encode targets and decode forecasts.
     Raises `DegenerateDispersion` for (numerically) constant sequences.
-
-    Accepts a `SeasonalSequence` or a plain vector.
     """
-    e = np.asarray(getattr(values, "values", values), dtype=float)
+    e = np.asarray(values, dtype=float)
     mean = float(e.mean())
     dispersion = float(np.sqrt(((e - mean) ** 2).sum()))
     if dispersion <= _dispersion_floor(e.size, mean):
@@ -87,8 +77,7 @@ def encode_y(values, coding: CodingVars) -> np.ndarray:
     Unlike x-patterns, the result is generally neither zero-mean nor
     unit-norm; the residual level differences carry the weekly cycle.
     """
-    e = np.asarray(getattr(values, "values", values), dtype=float)
-    return (e - coding.mean) / coding.dispersion
+    return (np.asarray(values, dtype=float) - coding.mean) / coding.dispersion
 
 
 def decode(y_hat, coding: CodingVars) -> np.ndarray:
@@ -97,20 +86,75 @@ def decode(y_hat, coding: CodingVars) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TrainingSet:
-    """Stacked x/y pattern matrices, optionally with per-pair provenance.
+class DayMatrix:
+    """A series' complete, non-excluded days, encoded once, in date order.
 
-    All pairs share one target weekday when built from the calendar;
-    `from_arrays` admits bare matrices for direct model-level use. `x`
-    and `y` are read-only copies, so values derived from them stay valid
-    for the set's lifetime: `memo` keeps such values (ddm's neighborhood
-    fits, see `randnn.gen_ddm`) and dies with the set.
+    Row i is one day: `ordinals[i]` is its `date.toordinal()`, `values[i]`
+    its observations, and `x[i]`, `mean[i]`, `dispersion[i]` what
+    `encode_x` returns for it. `valid[i]` is False for a constant day,
+    whose x row is zero and which never serves as an input.
+    """
+
+    ordinals: np.ndarray  # (D,) int
+    values: np.ndarray  # (D, n)
+    x: np.ndarray  # (D, n)
+    mean: np.ndarray  # (D,)
+    dispersion: np.ndarray  # (D,)
+    valid: np.ndarray  # (D,) bool
+
+    def row(self, day: date) -> int | None:
+        """Row of `day`, or None when the day is absent or excluded."""
+        o = day.toordinal()
+        i = int(np.searchsorted(self.ordinals, o))
+        return i if i < self.ordinals.size and self.ordinals[i] == o else None
+
+
+def encode_days(ts: TimeSeries) -> DayMatrix:
+    """Encode every complete, non-excluded day of `ts` at once."""
+    keep = ~ts.excluded
+    ordinals = np.array([d.toordinal() for d in ts.dates], dtype=np.int64)[keep]
+    values = ts.values[keep]
+    mean = values.mean(axis=1)
+    centered = values - mean[:, None]
+    dispersion = np.sqrt((centered ** 2).sum(axis=1))
+    valid = dispersion > _dispersion_floor(ts.n, mean)
+    x = np.divide(centered, dispersion[:, None], out=np.zeros_like(centered),
+                  where=valid[:, None])
+    for a in (ordinals, values, x, mean, dispersion, valid):
+        a.flags.writeable = False
+    return DayMatrix(ordinals, values, x, mean, dispersion, valid)
+
+
+def _pair_rows(days: DayMatrix, weekday: int, tau: int,
+               cutoff: date) -> tuple[np.ndarray, np.ndarray, int]:
+    """The admissibility rule: rows (targets, inputs) of the pairs whose
+    target falls on `weekday` strictly before `cutoff`, in date order,
+    and the number of pairs dropped for a constant input day.
+
+    A target pairs with the day exactly `tau` calendar days earlier when
+    that day is present; the pair is admissible when that day is valid.
+    """
+    ords = days.ordinals
+    targets = np.flatnonzero((ords < cutoff.toordinal()) & ((ords - 1) % 7 == weekday))
+    # an input ordinal is below its target's, so its sorted position is in range
+    inputs = np.searchsorted(ords, ords[targets] - tau)
+    present = ords[inputs] == ords[targets] - tau
+    targets, inputs = targets[present], inputs[present]
+    ok = days.valid[inputs]
+    return targets[ok], inputs[ok], int(np.count_nonzero(~ok))
+
+
+@dataclass(frozen=True)
+class TrainingSet:
+    """Stacked x/y pattern matrices.
+
+    `x` and `y` are read-only copies, so values derived from them stay
+    valid for the set's lifetime: `memo` keeps such values (ddm's
+    neighborhood fits, see `randnn.gen_ddm`) and dies with the set.
     """
 
     x: np.ndarray  # (N, n)
     y: np.ndarray  # (N, p)
-    pairs: tuple[PatternPair, ...] | None = None
-    target_weekday: int | None = None
     n_skipped_degenerate: int = 0
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -127,23 +171,6 @@ class TrainingSet:
         y.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if self.pairs is not None:
-            weekdays = {p.target_weekday for p in self.pairs}
-            if len(weekdays) > 1:
-                raise ParameterError(f"mixed target weekdays {sorted(weekdays)}")
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[PatternPair],
-                   n_skipped_degenerate: int = 0) -> "TrainingSet":
-        if not pairs:
-            raise EmptyTrainingSet("no admissible pattern pairs")
-        return cls(
-            np.array([p.x for p in pairs]),
-            np.array([p.y for p in pairs]),
-            pairs=tuple(pairs),
-            target_weekday=pairs[0].target_weekday,
-            n_skipped_degenerate=n_skipped_degenerate,
-        )
 
     @classmethod
     def from_arrays(cls, x, y) -> "TrainingSet":
@@ -157,95 +184,22 @@ class TrainingSet:
         return self.x.shape[1]
 
 
-def build_training_set(sequences: Sequence[SeasonalSequence], target_weekday: int,
-                       tau: int, cutoff: date) -> TrainingSet:
-    """Pair each historical day of `target_weekday` with the day `tau`
-    days earlier, strictly before `cutoff`.
+def build_training_set(days: DayMatrix, target_weekday: int, tau: int,
+                       cutoff: date) -> TrainingSet:
+    """Pair each day of `target_weekday` strictly before `cutoff` with the
+    day `tau` days earlier, under the rule of `_pair_rows`.
 
-    Pairs are only formed when both days are present and exactly `tau`
-    calendar days apart; pairs with a constant input day are skipped and
-    counted. Raises `EmptyTrainingSet` when nothing is admissible.
+    x rows are the input days' patterns; y rows are the targets coded
+    with the input days' mean and dispersion. Pairs with a constant input
+    day are skipped and counted. Raises `EmptyTrainingSet` when nothing
+    is admissible.
     """
     if tau < 1:
         raise ParameterError(f"tau must be >= 1, got {tau}")
-    by_index = {s.index: s for s in sequences}
-    pairs = []
-    skipped = 0
-    for s in sequences:
-        if s.weekday != target_weekday or s.date >= cutoff:
-            continue
-        inp = by_index.get(s.index - tau)
-        if inp is None:
-            continue
-        try:
-            x, coding = encode_x(inp)
-        except DegenerateDispersion:
-            skipped += 1
-            continue
-        pairs.append(PatternPair(
-            x=x,
-            y=encode_y(s, coding),
-            coding=coding,
-            input_date=inp.date,
-            target_date=s.date,
-            target_weekday=s.weekday,
-        ))
-    if not pairs:
+    targets, inputs, skipped = _pair_rows(days, target_weekday, tau, cutoff)
+    if not targets.size:
         raise EmptyTrainingSet(
             f"no pairs for weekday {target_weekday}, tau {tau}, cutoff {cutoff}"
         )
-    return TrainingSet.from_pairs(pairs, n_skipped_degenerate=skipped)
-
-
-def first_targets(sequences: Sequence[SeasonalSequence], tau: int) -> dict:
-    """Earliest target date of each weekday that has an admissible pair.
-
-    A pair is admissible under the rule `build_training_set` applies: the
-    input day `tau` days earlier is present and not constant. So
-    `build_training_set(sequences, wd, tau, cutoff)` raises
-    `EmptyTrainingSet` exactly when weekday `wd` is missing from the
-    result or its date is not before `cutoff`.
-    """
-    by_index = {s.index: s for s in sequences}
-    first: dict = {}
-    for s in sorted(sequences, key=lambda s: s.index):
-        if s.weekday in first:
-            continue
-        inp = by_index.get(s.index - tau)
-        if inp is None:
-            continue
-        try:
-            encode_x(inp)
-        except DegenerateDispersion:
-            continue
-        first[s.weekday] = s.date
-    return first
-
-
-def write_pairs_csv(phi: TrainingSet, target) -> None:
-    """Dump pattern pairs for inspection: dates, x, y, coding variables."""
-    if phi.pairs is None:
-        raise ParameterError("training set has no pair provenance to export")
-    if hasattr(target, "write"):
-        _write_pairs(phi, target)
-    else:
-        with open(target, "w", newline="") as fh:
-            _write_pairs(phi, fh)
-
-
-def _write_pairs(phi: TrainingSet, fh) -> None:
-    n, p = phi.n, phi.y.shape[1]
-    writer = csv.writer(fh)
-    writer.writerow(
-        ["input_date", "target_date"]
-        + [f"x{i + 1}" for i in range(n)]
-        + [f"y{i + 1}" for i in range(p)]
-        + ["mean", "dispersion"]
-    )
-    for pair in phi.pairs:
-        writer.writerow(
-            [pair.input_date.isoformat(), pair.target_date.isoformat()]
-            + [repr(v) for v in pair.x.tolist()]
-            + [repr(v) for v in pair.y.tolist()]
-            + [repr(pair.coding.mean), repr(pair.coding.dispersion)]
-        )
+    y = (days.values[targets] - days.mean[inputs, None]) / days.dispersion[inputs, None]
+    return TrainingSet(days.x[inputs], y, n_skipped_degenerate=skipped)

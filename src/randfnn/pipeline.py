@@ -1,10 +1,14 @@
 """Rolling daily forecast experiment.
 
-For every test day a fresh, strictly causal training set is built from
-same-weekday history, a batch of independently seeded models is trained,
-and the decoded forecasts are scored against the actual day. Days that
-any configured method cannot handle are skipped for all methods, so
-cross-method comparisons stay paired.
+The series is encoded once into a day matrix (`encoding.encode_days`).
+For every test day a strictly causal training set is gathered from its
+rows: the same-weekday targets before the day, each with the day `tau`
+days earlier as input, under the one admissibility rule of
+`encoding._pair_rows`, which screening applies too. A batch of
+independently seeded models is trained, and the decoded forecasts are
+scored against the actual day. Days that any configured method cannot
+handle are skipped for all methods, so cross-method comparisons stay
+paired.
 
 All randomness is derived from the master seed, the method name, the day
 and the trial index, which makes reports reproducible and independent of
@@ -29,17 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import build_training_set, decode, encode_x, first_targets
-from .errors import (
-    DaySkipped,
-    DegenerateDispersion,
-    EmptyTrainingSet,
-    ExperimentError,
-    ParameterError,
-)
+from .encoding import CodingVars, DayMatrix, _pair_rows, build_training_set, decode, encode_days
+from .errors import DaySkipped, EmptyTrainingSet, ExperimentError, ParameterError
 from .evaluation import summarize, wilcoxon_signed_rank
-from .randnn import METHODS, HyperParams, derive_rng, fit, make_layer, predict
-from .timeseries import TimeSeries, exclude_days, load_csv, load_exclusions, split_seasonal
+from .randnn import METHODS, HyperParams, derive_rng, derive_seed, fit, make_layer, predict
+from .timeseries import TimeSeries, exclude_days, load_csv, load_exclusions
 from .tuning import Grid, default_grid, grid_search
 
 __all__ = [
@@ -57,11 +55,6 @@ NAIVE_PERIOD_DAYS = 7
 # stream tags keeping tuning and forecasting draws disjoint
 _TUNE_STREAM = 101
 _FORECAST_STREAM = 202
-
-
-def derive_seed(*keys: int) -> int:
-    """Collapse integer keys into one deterministic 32-bit seed."""
-    return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1)[0])
 
 
 def _method_tag(method: str) -> int:
@@ -131,16 +124,16 @@ class ExperimentReport:
     skipped: list  # (date, reason)
 
 
-def seasonal_naive(sequences, day: date, period_days: int = NAIVE_PERIOD_DAYS) -> np.ndarray:
+def seasonal_naive(days: DayMatrix, day: date,
+                   period_days: int = NAIVE_PERIOD_DAYS) -> np.ndarray:
     """Forecast: the same weekday one week earlier, verbatim."""
-    by_date = {s.date: s for s in sequences}
-    ref = by_date.get(day - timedelta(days=period_days))
+    ref = days.row(day - timedelta(days=period_days))
     if ref is None:
         raise DaySkipped(f"missing naive reference day {day - timedelta(days=period_days)}")
-    return ref.values.copy()
+    return days.values[ref].copy()
 
 
-def run_day(sequences, day: date, hp: HyperParams, trials: int, seed: int,
+def run_day(days: DayMatrix, day: date, hp: HyperParams, trials: int, seed: int,
             tau: int = 1) -> np.ndarray:
     """Train `trials` independently seeded models for one day and return
     the decoded forecasts, shape (trials, n).
@@ -149,24 +142,22 @@ def run_day(sequences, day: date, hp: HyperParams, trials: int, seed: int,
     the query pattern is the day `tau` days earlier. Raises `DaySkipped`
     when the input day is missing/degenerate or no history exists.
     """
-    by_date = {s.date: s for s in sequences}
-    input_seq = by_date.get(day - timedelta(days=tau))
-    if input_seq is None:
+    inp = days.row(day - timedelta(days=tau))
+    if inp is None:
         raise DaySkipped("missing input pattern")
+    if not days.valid[inp]:
+        raise DaySkipped("degenerate input pattern")
     try:
-        x_query, coding = encode_x(input_seq)
-    except DegenerateDispersion:
-        raise DaySkipped("degenerate input pattern") from None
-    try:
-        phi = build_training_set(sequences, day.weekday(), tau, cutoff=day)
+        phi = build_training_set(days, day.weekday(), tau, cutoff=day)
     except EmptyTrainingSet:
         raise DaySkipped("empty training set") from None
 
+    coding = CodingVars(float(days.mean[inp]), float(days.dispersion[inp]))
     out = np.empty((trials, phi.y.shape[1]))
     for t in range(trials):
         rng = derive_rng(seed, day.toordinal(), t)
         model = fit(make_layer(hp, phi, rng), phi)
-        out[t] = decode(predict(model, x_query), coding)
+        out[t] = decode(predict(model, days.x[inp]), coding)
     return out
 
 
@@ -179,36 +170,31 @@ def _load_series(config: ExperimentConfig) -> TimeSeries:
     return ts
 
 
-def _screen_day(day: date, by_date: dict, first_target: dict,
-                config: ExperimentConfig) -> str | None:
+def _screen_day(day: date, days: DayMatrix, config: ExperimentConfig) -> str | None:
     """Reason to skip `day`, or None if every configured method can run it.
 
-    `first_target` maps a weekday to its earliest target date with an
-    admissible pair (see `encoding.first_targets`): `day`'s training set
-    is empty unless that date is before `day`.
+    `day`'s training set is empty exactly when the admissibility rule
+    (`encoding._pair_rows`) finds no pair for its weekday before it.
     """
-    if day not in by_date:
+    if days.row(day) is None:
         return "missing or excluded actual day"
-    input_day = day - timedelta(days=config.tau)
-    if input_day not in by_date:
+    inp = days.row(day - timedelta(days=config.tau))
+    if inp is None:
         return "missing input pattern"
-    try:
-        encode_x(by_date[input_day])
-    except DegenerateDispersion:
+    if not days.valid[inp]:
         return "degenerate input pattern"
     if NAIVE in config.methods:
-        if day - timedelta(days=NAIVE_PERIOD_DAYS) not in by_date:
+        if days.row(day - timedelta(days=NAIVE_PERIOD_DAYS)) is None:
             return "missing naive reference"
     if config.model_methods:
-        first = first_target.get(day.weekday())
-        if first is None or first >= day:
+        if not _pair_rows(days, day.weekday(), config.tau, day)[0].size:
             return "empty training set"
     return None
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-_worker_sequences = None  # a pool worker's copy of the run's seasonal sequences
+_worker_days = None  # a pool worker's copy of the run's day matrix
 
 
 def _usable_cpus() -> int:
@@ -219,18 +205,18 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _init_worker(sequences, started) -> None:
-    global _worker_sequences
-    _worker_sequences = sequences
+def _init_worker(days, started) -> None:
+    global _worker_days
+    _worker_days = days
     started.wait()
 
 
 def _in_worker(fn, task):
-    return fn(_worker_sequences, task)
+    return fn(_worker_days, task)
 
 
 class _Stages:
-    """Runs each stage's tasks, `fn(sequences, task)` for a module-level
+    """Runs each stage's tasks, `fn(days, task)` for a module-level
     `fn`, and returns their results in submission order.
 
     A stage of at least two tasks runs in a spawn pool of
@@ -240,8 +226,8 @@ class _Stages:
     with its type and message.
     """
 
-    def __init__(self, sequences, most_tasks: int):
-        self.sequences = sequences
+    def __init__(self, days, most_tasks: int):
+        self.days = days
         self.workers = min(_usable_cpus(), most_tasks)
         self.pool = None
 
@@ -254,7 +240,7 @@ class _Stages:
 
     def map(self, fn, tasks: list) -> list:
         if self.workers < 2 or len(tasks) < 2:
-            return [fn(self.sequences, task) for task in tasks]
+            return [fn(self.days, task) for task in tasks]
         if self.pool is None:
             self._start_pool()
         return list(self.pool.map(_in_worker, [fn] * len(tasks), tasks))
@@ -266,7 +252,7 @@ class _Stages:
         ctx = multiprocessing.get_context("spawn")
         self.pool = ProcessPoolExecutor(
             self.workers, mp_context=ctx, initializer=_init_worker,
-            initargs=(self.sequences, ctx.Barrier(self.workers)))
+            initargs=(self.days, ctx.Barrier(self.workers)))
         # Workers inherit the environment they start in. Each submission
         # starts a worker while none is idle, and no worker is idle before
         # all have passed the barrier, so every worker starts here.
@@ -283,12 +269,12 @@ class _Stages:
                     os.environ[k] = v
 
 
-def _search_weekday(sequences, task):
+def _search_weekday(days, task):
     """`once` tuning task: one method's grid search on one weekday's
     history before `cutoff`; None when that history has no pairs."""
     config, method, wd, cutoff = task
     try:
-        phi = build_training_set(sequences, wd, config.tau, cutoff)
+        phi = build_training_set(days, wd, config.tau, cutoff)
     except EmptyTrainingSet:
         return None
     tune_seed = derive_seed(config.seed, _TUNE_STREAM, _method_tag(method), wd)
@@ -296,11 +282,11 @@ def _search_weekday(sequences, task):
                        config.trials_per_fold)
 
 
-def _search_day(sequences, task):
+def _search_day(days, task):
     """`per-day` tuning task: every model method's grid search on one
     test day's own training set, in config order."""
     config, day = task
-    phi = build_training_set(sequences, day.weekday(), config.tau, cutoff=day)
+    phi = build_training_set(days, day.weekday(), config.tau, cutoff=day)
     return [grid_search(phi, method, config.grid_for(method), config.cv_folds,
                         derive_seed(config.seed, _TUNE_STREAM, _method_tag(method),
                                     day.toordinal()),
@@ -308,17 +294,17 @@ def _search_day(sequences, task):
             for method in config.model_methods]
 
 
-def _forecast_day(sequences, task):
+def _forecast_day(days, task):
     """Forecast task: every method's (trials, n) forecasts for one test
     day, given each model method's hyperparameters."""
     config, day, hps = task
     per_method = {}
     for method in config.methods:
         if method == NAIVE:
-            per_method[method] = seasonal_naive(sequences, day)[None, :]
+            per_method[method] = seasonal_naive(days, day)[None, :]
         else:
             per_method[method] = run_day(
-                sequences, day, hps[method], config.trials,
+                days, day, hps[method], config.trials,
                 derive_seed(config.seed, _FORECAST_STREAM, _method_tag(method)),
                 tau=config.tau,
             )
@@ -328,6 +314,13 @@ def _forecast_day(sequences, task):
 def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> ExperimentReport:
     """Execute the full rolling evaluation and aggregate every reported
     quantity (summaries, paired Wilcoxon decisions, percentile bands).
+
+    `ts` (loaded from `config.data_path` when None) is encoded once into
+    a day matrix, which every stage reads. A candidate day is screened
+    out, with its reason, when it or its input day is missing, the input
+    day is constant, the naive reference is missing, or the
+    admissibility rule finds no training pair before it; every training
+    set is gathered from the day matrix under that same rule.
 
     Grid searches and test days run in a pool of spawned worker
     processes, one per usable CPU (the process's affinity mask; restrict
@@ -339,16 +332,14 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> Ex
     """
     if ts is None:
         ts = _load_series(config)
-    sequences = split_seasonal(ts)
-    by_date = {s.date: s for s in sequences}
-    first_target = first_targets(sequences, config.tau)
+    days = encode_days(ts)
 
     candidates = [config.test_start + timedelta(days=i)
                   for i in range((config.test_end - config.test_start).days + 1)]
     skipped = []
     test_days = []
     for day in candidates:
-        reason = _screen_day(day, by_date, first_target, config)
+        reason = _screen_day(day, days, config)
         if reason is None:
             test_days.append(day)
         else:
@@ -357,7 +348,7 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> Ex
     weekday_searches = 0
     if config.tuning == "once":
         weekday_searches = len(config.model_methods) * len({d.weekday() for d in test_days})
-    with _Stages(sequences, max(len(test_days), weekday_searches)) as stages:
+    with _Stages(days, max(len(test_days), weekday_searches)) as stages:
         tuned, tune_tables, hp_for = _resolve_tuning(config, test_days, stages)
         # tuning may rule out whole weekdays; re-filter
         runnable = []
@@ -374,7 +365,7 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> Ex
                  for d in test_days]
         results = dict(zip(test_days, stages.map(_forecast_day, tasks)))
 
-    actuals = {d: by_date[d].values for d in test_days}
+    actuals = {d: days.values[days.row(d)] for d in test_days}
     forecasts = {m: {d: results[d][m] for d in test_days} for m in config.methods}
 
     summaries, ape_by_key, ape_mean = {}, {}, {}

@@ -32,7 +32,6 @@ read-only inputs, and each component is still solved as its own
 single-column product.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,7 @@ __all__ = [
     "RandFnnModel",
     "HyperParams",
     "derive_rng",
+    "derive_seed",
     "gen_standard",
     "gen_ram",
     "gen_ralpham",
@@ -55,8 +55,6 @@ __all__ = [
     "hidden_output",
     "fit",
     "predict",
-    "model_to_json",
-    "model_from_json",
 ]
 
 METHODS = ("standard", "ram", "ralpham", "ddm")
@@ -71,6 +69,11 @@ _SMOOTHING_NAMES = {"standard": "u", "ram": "u", "ralpham": "alpha_max", "ddm": 
 def derive_rng(*keys: int) -> np.random.Generator:
     """Deterministic generator from a tuple of non-negative integer keys."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(keys))))
+
+
+def derive_seed(*keys: int) -> int:
+    """Collapse integer keys into one deterministic 32-bit seed."""
+    return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -328,43 +331,3 @@ def predict(model: RandFnnModel, x) -> np.ndarray:
     out = _rowwise(H, model.beta)
     return out[0] if single else out
 
-
-def _arr(a) -> list | None:
-    return None if a is None else a.tolist()
-
-
-def model_to_json(model: RandFnnModel) -> str:
-    """Serialize a model to JSON. Floats are written with full precision
-    (shortest round-trip repr), so deserialization is bit-exact."""
-    hp = model.params
-    doc = {
-        "method": model.hidden.method,
-        "m": model.hidden.m,
-        "smoothing": hp.smoothing if hp else None,
-        "seed": hp.seed if hp else None,
-        "weights": model.hidden.weights.tolist(),
-        "biases": model.hidden.biases.tolist(),
-        "beta": model.beta.tolist(),
-        "anchors": _arr(model.hidden.anchor_indices),
-        "angles": _arr(model.hidden.angles),
-        "output_components": _arr(model.hidden.output_components),
-    }
-    return json.dumps(doc)
-
-
-def model_from_json(text: str) -> RandFnnModel:
-    doc = json.loads(text)
-    layer = HiddenLayer(
-        method=doc["method"],
-        weights=np.array(doc["weights"], dtype=float),
-        biases=np.array(doc["biases"], dtype=float),
-        anchor_indices=None if doc["anchors"] is None else np.array(doc["anchors"]),
-        angles=None if doc.get("angles") is None else np.array(doc["angles"], dtype=float),
-        output_components=(None if doc.get("output_components") is None
-                           else np.array(doc["output_components"])),
-    )
-    params = None
-    if doc.get("smoothing") is not None and doc.get("seed") is not None:
-        params = HyperParams(doc["method"], doc["m"], doc["smoothing"], doc["seed"])
-    return RandFnnModel(hidden=layer, beta=np.array(doc["beta"], dtype=float),
-                        params=params)

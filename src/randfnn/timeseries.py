@@ -1,5 +1,5 @@
-"""Hourly time series ingestion, calendar exclusions, and slicing into
-seasonal (daily) sequences.
+"""Hourly time series ingestion, calendar exclusions, and a synthetic
+multi-seasonal generator.
 
 A `TimeSeries` holds only complete days: incomplete leading/trailing days
 are dropped at load time with a warning, while irregular timestamps inside
@@ -24,13 +24,11 @@ from .errors import (
 
 __all__ = [
     "TimeSeries",
-    "SeasonalSequence",
     "SynthSpec",
     "load_csv",
     "write_csv",
     "load_exclusions",
     "exclude_days",
-    "split_seasonal",
     "synth_generate",
 ]
 
@@ -76,25 +74,6 @@ class TimeSeries:
     @property
     def n_days(self) -> int:
         return len(self.dates)
-
-
-@dataclass(frozen=True)
-class SeasonalSequence:
-    """One seasonal cycle (a day): values, calendar tag, and series index.
-
-    `index` is the day offset from the first day of the series, so index
-    differences equal calendar-day differences even across gaps.
-    """
-
-    values: np.ndarray
-    date: date
-    weekday: int  # 0=Mon .. 6=Sun
-    index: int
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
 
 def _parse_timestamp(text: str, lineno: int) -> datetime:
@@ -245,20 +224,6 @@ def exclude_days(ts: TimeSeries, dates_to_exclude) -> TimeSeries:
         warnings.append(f"exclusion date {d} not in series")
     return TimeSeries(ts.dates, ts.values.copy(), excluded, n=ts.n,
                       warnings=tuple(warnings))
-
-
-def split_seasonal(ts: TimeSeries, n: int = HOURS_PER_DAY) -> list[SeasonalSequence]:
-    """One SeasonalSequence per complete, non-excluded day, in date order."""
-    if n != ts.n:
-        raise ParameterError(f"period {n} does not match series period {ts.n}")
-    if ts.n_days == 0:
-        return []
-    first = ts.dates[0]
-    return [
-        SeasonalSequence(ts.values[i], d, d.weekday(), (d - first).days)
-        for i, d in enumerate(ts.dates)
-        if not ts.excluded[i]
-    ]
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,27 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from randfnn.timeseries import SeasonalSequence
+from randfnn.encoding import encode_days
+from randfnn.timeseries import TimeSeries
 
 
-def make_sequences(start: date, days: int, n: int = 24, rng=None, omit=()):
-    """Toy daily sequences: distinct non-constant values per day, optional
-    omitted dates (simulating exclusions/gaps)."""
+def make_series(start: date, days: int, n: int = 24, rng=None, omit=(), flat=()):
+    """Toy series: distinct non-constant values per day, optional omitted
+    dates (absent from the series, simulating gaps) and dates whose values
+    are constant."""
     rng = rng or np.random.default_rng(0)
-    out = []
+    dates, rows = [], []
     for i in range(days):
         d = start + timedelta(days=i)
         if d in omit:
             continue
         values = 100.0 + 10.0 * i + 5.0 * np.sin(2 * np.pi * np.arange(n) / n) \
             + rng.normal(0, 0.5, n)
-        out.append(SeasonalSequence(values, d, d.weekday(), i))
-    return out
+        dates.append(d)
+        rows.append(np.full(n, 42.0) if d in flat else values)
+    return TimeSeries(tuple(dates), np.array(rows), np.zeros(len(dates), dtype=bool), n=n)
+
+
+def make_days(*args, **kwargs):
+    """The day matrix of `make_series(*args, **kwargs)`."""
+    return encode_days(make_series(*args, **kwargs))

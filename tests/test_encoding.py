@@ -1,4 +1,3 @@
-import io
 import math
 from datetime import date, timedelta
 
@@ -9,15 +8,17 @@ from hypothesis import given, settings, strategies as st
 from randfnn.encoding import (
     CodingVars,
     TrainingSet,
+    _pair_rows,
     build_training_set,
     decode,
+    encode_days,
     encode_x,
     encode_y,
-    write_pairs_csv,
 )
 from randfnn.errors import DegenerateDispersion, EmptyTrainingSet, ParameterError
+from randfnn.timeseries import SynthSpec, TimeSeries, exclude_days, synth_generate
 
-from conftest import make_sequences
+from conftest import make_days, make_series
 
 
 class TestEncodeX:
@@ -51,13 +52,6 @@ class TestEncodeX:
         x1, _ = encode_x(e)
         x2, _ = encode_x(3.5 * e + 40.0)
         np.testing.assert_allclose(x1, x2, atol=1e-10)
-
-    def test_accepts_sequence_object(self):
-        seq = make_sequences(date(2015, 1, 5), 1)[0]
-        x1, c1 = encode_x(seq)
-        x2, c2 = encode_x(seq.values)
-        np.testing.assert_array_equal(x1, x2)
-        assert c1 == c2
 
 
 class TestEncodeY:
@@ -105,77 +99,167 @@ def test_coding_vars_requires_positive_dispersion():
         CodingVars(0.0, -1.0)
 
 
+def pair_dates(days, weekday, tau, cutoff):
+    """Target and input dates of the admissible pairs, in row order."""
+    targets, inputs, _ = _pair_rows(days, weekday, tau, cutoff)
+    return ([date.fromordinal(o) for o in days.ordinals[targets].tolist()],
+            [date.fromordinal(o) for o in days.ordinals[inputs].tolist()])
+
+
 class TestBuildTrainingSet:
     # 2015-01-05 is a Monday; three full weeks starting there
     START = date(2015, 1, 5)
 
     def test_three_mondays(self):
-        seqs = make_sequences(self.START, 22)  # covers Mondays of weeks 2..4
+        days = make_days(self.START, 22)  # covers Mondays of weeks 2..4
         cutoff = self.START + timedelta(days=22)
-        phi = build_training_set(seqs, target_weekday=0, tau=1, cutoff=cutoff)
+        phi = build_training_set(days, target_weekday=0, tau=1, cutoff=cutoff)
         # manual enumeration: Mondays at offsets 7, 14, 21; inputs are Sundays
         assert len(phi) == 3
-        assert [p.target_date for p in phi.pairs] == [
-            self.START + timedelta(days=o) for o in (7, 14, 21)]
-        assert all(p.input_date.weekday() == 6 for p in phi.pairs)
-        assert all(p.target_weekday == 0 for p in phi.pairs)
-        assert phi.target_weekday == 0
+        targets, inputs = pair_dates(days, 0, 1, cutoff)
+        assert targets == [self.START + timedelta(days=o) for o in (7, 14, 21)]
+        assert all(d.weekday() == 6 for d in inputs)
 
     def test_excluded_input_day_drops_pair(self):
         omit = {self.START + timedelta(days=13)}  # Sunday of week 2
-        seqs = make_sequences(self.START, 22, omit=omit)
-        phi = build_training_set(seqs, 0, 1, self.START + timedelta(days=22))
+        days = make_days(self.START, 22, omit=omit)
+        cutoff = self.START + timedelta(days=22)
+        phi = build_training_set(days, 0, 1, cutoff)
         assert len(phi) == 2
-        assert self.START + timedelta(days=14) not in [p.target_date for p in phi.pairs]
+        assert self.START + timedelta(days=14) not in pair_dates(days, 0, 1, cutoff)[0]
 
     def test_cutoff_before_first_target(self):
-        seqs = make_sequences(self.START, 22)
+        days = make_days(self.START, 22)
         with pytest.raises(EmptyTrainingSet):
-            build_training_set(seqs, 0, 1, self.START + timedelta(days=7))
+            build_training_set(days, 0, 1, self.START + timedelta(days=7))
 
     def test_anti_leakage(self):
-        seqs = make_sequences(self.START, 40)
+        days = make_days(self.START, 40)
         cutoff = self.START + timedelta(days=25)
-        phi = build_training_set(seqs, 3, 1, cutoff)
-        assert all(p.target_date < cutoff for p in phi.pairs)
-        assert all(p.input_date < cutoff for p in phi.pairs)
+        targets, inputs = pair_dates(days, 3, 1, cutoff)
+        assert len(build_training_set(days, 3, 1, cutoff)) == len(targets) == 4
+        assert all(d < cutoff for d in targets + inputs)
 
     def test_pair_coding_comes_from_input_day(self):
-        seqs = make_sequences(self.START, 22)
-        by_date = {s.date: s for s in seqs}
-        phi = build_training_set(seqs, 0, 1, self.START + timedelta(days=22))
-        for p in phi.pairs:
-            x, coding = encode_x(by_date[p.input_date])
-            np.testing.assert_array_equal(p.x, x)
-            assert p.coding == coding
+        ts = make_series(self.START, 22)
+        days = encode_days(ts)
+        cutoff = self.START + timedelta(days=22)
+        phi = build_training_set(days, 0, 1, cutoff)
+        for k, (target, inp) in enumerate(zip(*pair_dates(days, 0, 1, cutoff))):
+            x, coding = encode_x(ts.values[ts.dates.index(inp)])
+            np.testing.assert_array_equal(phi.x[k], x)
             np.testing.assert_array_equal(
-                p.y, encode_y(by_date[p.target_date], coding))
+                phi.y[k], encode_y(ts.values[ts.dates.index(target)], coding))
 
     def test_tau_two_uses_exact_gap(self):
-        seqs = make_sequences(self.START, 22)
-        phi = build_training_set(seqs, 0, 2, self.START + timedelta(days=22))
-        assert all((p.target_date - p.input_date).days == 2 for p in phi.pairs)
-        assert all(p.input_date.weekday() == 5 for p in phi.pairs)
+        days = make_days(self.START, 22)
+        targets, inputs = pair_dates(days, 0, 2, self.START + timedelta(days=22))
+        assert targets and all((t - i).days == 2 for t, i in zip(targets, inputs))
+        assert all(i.weekday() == 5 for i in inputs)
 
     def test_degenerate_input_counted(self):
-        seqs = make_sequences(self.START, 22)
-        flat = np.full(24, 42.0)
-        seqs = [s if s.date != self.START + timedelta(days=13)
-                else type(s)(flat, s.date, s.weekday, s.index) for s in seqs]
-        phi = build_training_set(seqs, 0, 1, self.START + timedelta(days=22))
+        days = make_days(self.START, 22, flat={self.START + timedelta(days=13)})
+        phi = build_training_set(days, 0, 1, self.START + timedelta(days=22))
         assert len(phi) == 2
         assert phi.n_skipped_degenerate == 1
 
     def test_bad_tau(self):
         with pytest.raises(ParameterError):
-            build_training_set(make_sequences(self.START, 22), 0, 0, self.START)
+            build_training_set(make_days(self.START, 22), 0, 0, self.START)
+
+
+def reference_training_set(ts, weekday, tau, cutoff):
+    """Per-pair reference for `build_training_set`: walk the dates and
+    encode each pair's input and target days one vector at a time.
+    Returns (x rows, y rows, number of constant input days)."""
+    by_date = {d: v for d, v, e in zip(ts.dates, ts.values, ts.excluded) if not e}
+    xs, ys, skipped = [], [], 0
+    for d in sorted(by_date):
+        inp = d - timedelta(days=tau)
+        if d.weekday() != weekday or d >= cutoff or inp not in by_date:
+            continue
+        try:
+            x, coding = encode_x(by_date[inp])
+        except DegenerateDispersion:
+            skipped += 1
+            continue
+        xs.append(x)
+        ys.append(encode_y(by_date[d], coding))
+    return xs, ys, skipped
+
+
+def awkward_series(seed):
+    """Four years of synth days with gaps, excluded days and constant or
+    near-constant days."""
+    ts = synth_generate(SynthSpec(days=1461), seed)
+    values = ts.values.copy()
+    values[[9, 400, 401]] = 7.0
+    values[700] = 1e6 + 1e-9 * np.arange(24)  # below the dispersion floor
+    keep = np.ones(ts.n_days, dtype=bool)
+    keep[[30, 31, 32, 900]] = False
+    dates = tuple(d for d, k in zip(ts.dates, keep) if k)
+    ts = TimeSeries(dates, values[keep], np.zeros(len(dates), dtype=bool))
+    return exclude_days(ts, [date(2012, 3, 5), date(2013, 7, 1), date(2014, 12, 25)])
+
+
+class TestEncodeDays:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_match_encode_x(self, seed):
+        ts = awkward_series(seed)
+        days = encode_days(ts)
+        kept = [i for i in range(ts.n_days) if not ts.excluded[i]]
+        assert days.ordinals.tolist() == [ts.dates[i].toordinal() for i in kept]
+        np.testing.assert_array_equal(days.values, ts.values[kept])
+        for row, i in enumerate(kept):
+            try:
+                x, coding = encode_x(ts.values[i])
+            except DegenerateDispersion:
+                assert not days.valid[row]
+                continue
+            assert days.valid[row]
+            assert days.x[row].tobytes() == x.tobytes()
+            assert (days.mean[row], days.dispersion[row]) == (coding.mean, coding.dispersion)
+        assert np.count_nonzero(~days.valid) == 4
+
+    def test_training_sets_match_per_pair_reference(self):
+        ts = awkward_series(0)
+        days = encode_days(ts)
+        cutoffs = [date(2012, 1, 1) + timedelta(days=i) for i in range(0, 1462, 53)]
+        for tau in (1, 2, 7):
+            for weekday in range(7):
+                full = None
+                for cutoff in reversed(cutoffs):
+                    xs, ys, skipped = reference_training_set(ts, weekday, tau, cutoff)
+                    if not xs:
+                        with pytest.raises(EmptyTrainingSet):
+                            build_training_set(days, weekday, tau, cutoff)
+                        continue
+                    phi = build_training_set(days, weekday, tau, cutoff)
+                    assert phi.x.tobytes() == np.array(xs).tobytes()
+                    assert phi.y.tobytes() == np.array(ys).tobytes()
+                    assert phi.n_skipped_degenerate == skipped
+                    # every set is a row prefix of the weekday's latest set
+                    full = full or phi
+                    assert full.x[:len(phi)].tobytes() == phi.x.tobytes()
+
+    def test_row_lookup(self):
+        start = date(2015, 1, 5)
+        days = make_days(start, 10, omit={start + timedelta(days=4)})
+        assert days.row(start) == 0
+        assert days.row(start + timedelta(days=5)) == 4
+        for absent in (4, -1, 10):
+            assert days.row(start + timedelta(days=absent)) is None
+
+    def test_arrays_read_only(self):
+        days = make_days(date(2015, 1, 5), 3)
+        with pytest.raises(ValueError):
+            days.x[0, 0] = 9.0
 
 
 class TestTrainingSet:
     def test_from_arrays(self):
         phi = TrainingSet.from_arrays(np.ones((3, 4)), np.zeros((3, 2)))
         assert len(phi) == 3 and phi.n == 4
-        assert phi.pairs is None
 
     def test_rejects_empty_and_mismatch(self):
         with pytest.raises(EmptyTrainingSet):
@@ -187,20 +271,3 @@ class TestTrainingSet:
         phi = TrainingSet.from_arrays(np.ones((2, 3)), np.ones((2, 3)))
         with pytest.raises(ValueError):
             phi.x[0, 0] = 9.0
-
-
-def test_write_pairs_csv_round_readable():
-    seqs = make_sequences(date(2015, 1, 5), 22)
-    phi = build_training_set(seqs, 0, 1, date(2015, 1, 27))
-    buf = io.StringIO()
-    write_pairs_csv(phi, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 1 + len(phi)
-    header = lines[0].split(",")
-    assert header[:2] == ["input_date", "target_date"]
-    assert header[-2:] == ["mean", "dispersion"]
-    row = lines[1].split(",")
-    assert float(row[2]) == pytest.approx(phi.pairs[0].x[0])
-    phi_arrays = TrainingSet.from_arrays(phi.x, phi.y)
-    with pytest.raises(ParameterError):
-        write_pairs_csv(phi_arrays, io.StringIO())

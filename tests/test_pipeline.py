@@ -6,18 +6,12 @@ import numpy as np
 import pytest
 
 from randfnn import pipeline
-from randfnn.encoding import build_training_set, first_targets
+from randfnn.encoding import _pair_rows, build_training_set, encode_days
 from randfnn.errors import EmptyTrainingSet, ExperimentError, ParameterError
 from randfnn.evaluation import summarize
 from randfnn.pipeline import ExperimentConfig, run_experiment, write_report_bundle
 from randfnn.randnn import HyperParams
-from randfnn.timeseries import (
-    SeasonalSequence,
-    SynthSpec,
-    exclude_days,
-    split_seasonal,
-    synth_generate,
-)
+from randfnn.timeseries import SynthSpec, TimeSeries, exclude_days, synth_generate
 from randfnn.tuning import Grid
 
 BUNDLE = ("forecasts.csv", "ape_records.csv", "tuning.csv", "report.json")
@@ -110,7 +104,7 @@ def test_worker_parameter_error_reaches_the_caller(two_years, monkeypatch):
     assert errors[0][0] is ParameterError and "k=60" in errors[0][1]
 
 
-def worker_environ(sequences, key):
+def worker_environ(days, key):
     return os.environ.get(key)
 
 
@@ -149,28 +143,28 @@ def test_missing_naive_reference_skips_the_day_for_every_method(two_years, tmp_p
 def test_screen_matches_build_training_set():
     # 2012-01-01 is a Sunday. Mondays 01-02 (constant), 01-09 (excluded)
     # and 01-16 (gap) leave Tuesday targets without a usable input day.
-    ts = exclude_days(synth_generate(SynthSpec(days=42), 3), [date(2012, 1, 4), date(2012, 1, 9)])
-    sequences = [s if s.date != date(2012, 1, 2)
-                 else SeasonalSequence(np.full(24, 7.0), s.date, s.weekday, s.index)
-                 for s in split_seasonal(ts) if s.date not in (date(2012, 1, 5), date(2012, 1, 16))]
-    by_date = {s.date: s for s in sequences}
-    days = [date(2012, 1, 1) + timedelta(days=i) for i in range(45)]
+    synth = synth_generate(SynthSpec(days=42), 3)
+    values = synth.values.copy()
+    values[1] = 7.0
+    keep = [i for i, d in enumerate(synth.dates) if d not in (date(2012, 1, 5), date(2012, 1, 16))]
+    ts = TimeSeries(tuple(synth.dates[i] for i in keep), values[keep], np.zeros(len(keep), bool))
+    days = encode_days(exclude_days(ts, [date(2012, 1, 4), date(2012, 1, 9)]))
+    candidates = [date(2012, 1, 1) + timedelta(days=i) for i in range(45)]
     reasons = set()
     for tau in (1, 2, 7):
-        first = first_targets(sequences, tau)
         config = short_config(methods=("ram",), tau=tau, tuning="fixed", fixed_params=FIXED)
-        for day in days:
+        for day in candidates:
             try:
-                build_training_set(sequences, day.weekday(), tau, cutoff=day)
+                build_training_set(days, day.weekday(), tau, cutoff=day)
                 empty = False
             except EmptyTrainingSet:
                 empty = True
-            assert (day.weekday() not in first or first[day.weekday()] >= day) == empty
-            reason = pipeline._screen_day(day, by_date, first, config)
+            reason = pipeline._screen_day(day, days, config)
             reasons.add(reason)
             if reason in (None, "empty training set"):
                 assert (reason is not None) == empty
-    assert first_targets(sequences, 1)[1] == date(2012, 1, 24)
+    first_tuesday = _pair_rows(days, 1, 1, date(2012, 2, 12))[0][0]
+    assert days.ordinals[first_tuesday] == date(2012, 1, 24).toordinal()
     assert {None, "empty training set", "missing input pattern",
             "degenerate input pattern", "missing or excluded actual day"} <= reasons
 

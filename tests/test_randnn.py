@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -19,8 +18,6 @@ from randfnn.randnn import (
     gen_standard,
     hidden_output,
     make_layer,
-    model_from_json,
-    model_to_json,
     predict,
 )
 
@@ -393,30 +390,3 @@ class TestMakeLayerAndDeterminism:
             HyperParams("ralpham", 5, 95.0)
         with pytest.raises(ParameterError):
             HyperParams("ddm", 5, 2.5)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("method,smoothing", [
-        ("standard", 0.37), ("ram", 0.61), ("ralpham", 24.0), ("ddm", 6.0)])
-    def test_round_trip_bit_exact(self, method, smoothing):
-        phi = random_phi(seed=23)
-        hp = HyperParams(method, 7, smoothing, seed=99)
-        model = fit(make_layer(hp, phi), phi, params=hp)
-        text = model_to_json(model)
-        again = model_from_json(text)
-        np.testing.assert_array_equal(again.hidden.weights, model.hidden.weights)
-        np.testing.assert_array_equal(again.hidden.biases, model.hidden.biases)
-        np.testing.assert_array_equal(again.beta, model.beta)
-        assert again.params == hp
-        assert again.hidden.method == method
-        if model.hidden.anchor_indices is not None:
-            np.testing.assert_array_equal(again.hidden.anchor_indices,
-                                          model.hidden.anchor_indices)
-        assert model_to_json(again) == text
-
-    def test_document_fields(self):
-        phi = random_phi(seed=24)
-        hp = HyperParams("ram", 3, 0.2, seed=1)
-        doc = json.loads(model_to_json(fit(make_layer(hp, phi), phi, params=hp)))
-        assert {"method", "m", "smoothing", "seed", "weights", "biases",
-                "beta", "anchors"} <= set(doc)

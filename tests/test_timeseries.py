@@ -4,6 +4,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from randfnn.encoding import encode_days
 from randfnn.errors import (
     DuplicateTimestampError,
     ParameterError,
@@ -16,7 +17,6 @@ from randfnn.timeseries import (
     exclude_days,
     load_csv,
     load_exclusions,
-    split_seasonal,
     synth_clean,
     synth_generate,
     write_csv,
@@ -146,37 +146,35 @@ def test_load_exclusions_with_comments(tmp_path):
 
 
 class TestSplitSeasonal:
+    """A series splits into its seasonal (daily) cycles as the rows of its
+    day matrix."""
+
     def test_full_week(self):
         ts = load_csv(csv_for(7, start=date(2015, 1, 5)))  # a Monday
-        seqs = split_seasonal(ts)
-        assert len(seqs) == 7
-        assert [s.weekday for s in seqs] == [0, 1, 2, 3, 4, 5, 6]
-        assert [s.index for s in seqs] == list(range(7))
+        days = encode_days(ts)
+        assert [date.fromordinal(o) for o in days.ordinals.tolist()] == list(ts.dates)
+        assert [date.fromordinal(o).weekday() for o in days.ordinals.tolist()] == list(range(7))
+        np.testing.assert_array_equal(days.values, ts.values)
 
     def test_excluded_day_leaves_index_gap(self):
         # manual oracle: days 0..6, Wednesday (index 2) excluded
         ts = load_csv(csv_for(7, start=date(2015, 1, 5)))
         ts = exclude_days(ts, {date(2015, 1, 7)})
-        seqs = split_seasonal(ts)
-        assert len(seqs) == 6
-        assert [s.index for s in seqs] == [0, 1, 3, 4, 5, 6]
-        np.testing.assert_array_equal(seqs[2].values, ts.values[3])
+        days = encode_days(ts)
+        assert (days.ordinals - days.ordinals[0]).tolist() == [0, 1, 3, 4, 5, 6]
+        np.testing.assert_array_equal(days.values[2], ts.values[3])
+        assert days.row(date(2015, 1, 7)) is None
+        assert days.row(date(2015, 1, 8)) == 2
 
     def test_25_hours_gives_one_sequence_and_warning(self):
         ts = load_csv(csv_for(2, hours_last_day=1))
-        seqs = split_seasonal(ts)
-        assert len(seqs) == 1
+        assert encode_days(ts).ordinals.size == 1
         assert any("incomplete" in w for w in ts.warnings)
-
-    def test_period_mismatch(self):
-        ts = load_csv(csv_for(2))
-        with pytest.raises(ParameterError):
-            split_seasonal(ts, n=12)
 
     def test_sequence_count_invariant(self):
         ts = load_csv(csv_for(14))
         ts = exclude_days(ts, {date(2015, 1, 6), date(2015, 1, 11)})
-        assert len(split_seasonal(ts)) == ts.n_days - int(ts.excluded.sum())
+        assert encode_days(ts).ordinals.size == ts.n_days - int(ts.excluded.sum())
 
 
 class TestSynth:
