@@ -1,8 +1,20 @@
 """Command-line interface: synth | tune | forecast | evaluate | compare.
 
 Exit codes: 0 success, 1 runtime/IO failure, 2 usage error. Every command
-is deterministic given --seed; forecast embeds the seed and the full
-configuration in report.json for replay.
+is deterministic given --seed. tune and forecast print the series' load
+warnings (partial days dropped, exclusion dates not in the series) on
+stderr as `warning: ...`.
+
+`forecast --config FILE` reads a JSON object keyed by `ExperimentConfig`
+field names: methods, test_start, test_end, trials, tau, seed, tuning,
+fixed_params, grids, cv_folds, trials_per_fold, alpha, data_path and
+exclusions_path. Any other key is a usage error. Flags override the
+file: --data sets data_path, --exclude exclusions_path, --folds
+cv_folds, and every other flag the field of its own name; --out-dir,
+--grid-m and --grid-smoothing are flags only. report.json holds the
+run's `config` object in this form, so a run replays by saving that
+object to a file and passing it to --config: the bundle comes out
+byte-identical.
 """
 
 import argparse
@@ -10,6 +22,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
@@ -41,6 +54,7 @@ from .timeseries import (
 from .tuning import Grid, default_grid, grid_search, write_tuning_csv
 
 WEEKDAYS = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def main(argv=None) -> int:
@@ -94,8 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="run the rolling daily experiment")
     p.add_argument("--config", help="JSON config; flags override its fields")
-    p.add_argument("--data")
-    p.add_argument("--exclude")
+    p.add_argument("--data", dest="data_path")
+    p.add_argument("--exclude", dest="exclusions_path")
     p.add_argument("--methods", help="comma list from ram,ralpham,ddm,standard,naive")
     p.add_argument("--tau", type=int)
     p.add_argument("--seed", type=int)
@@ -103,12 +117,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-start", type=date.fromisoformat)
     p.add_argument("--test-end", type=date.fromisoformat)
     p.add_argument("--tuning", choices=("once", "per-day", "fixed"))
-    p.add_argument("--folds", type=int)
+    p.add_argument("--folds", type=int, dest="cv_folds")
     p.add_argument("--trials-per-fold", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--grid-m", help="restrict node grid for all methods")
     p.add_argument("--grid-smoothing", help="restrict smoothing grid for all methods")
-    p.add_argument("--out-dir")
+    p.add_argument("--out-dir", default="randfnn-out")
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("evaluate", help="recompute metrics from forecasts.csv")
@@ -163,18 +177,22 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_days(data_path, exclude_path):
+def _load_series(data_path, exclude_path):
+    """The series with its excluded days flagged; its load warnings
+    (dropped partial days, exclusion dates not in it) go to stderr."""
     ts = load_csv(data_path)
     if exclude_path:
         ts = exclude_days(ts, load_exclusions(exclude_path))
-    return encode_days(ts)
+    for warning in ts.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return ts
 
 
 def cmd_tune(args) -> int:
     """Tune each requested weekday on its pairs before the cutoff. A
     weekday without pairs is reported on stderr and the others are still
     tuned and written; the exit code is then 1."""
-    days = _load_days(args.data, args.exclude)
+    days = encode_days(_load_series(args.data, args.exclude))
     grid = default_grid(args.method)
     if args.grid_m:
         grid = Grid(_parse_int_list(args.grid_m), grid.smoothing_values)
@@ -221,75 +239,59 @@ def _append_tuning(fh, result, context, header):
     fh.writelines(lines if header else lines[1:])
 
 
-def cmd_forecast(args) -> int:
+def _forecast_config(args) -> ExperimentConfig:
+    """The --config file's fields, overridden by the flags given."""
     cfg = {}
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ParameterError(f"{args.config}: not a JSON object")
+        unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+        if unknown:
+            raise ParameterError(f"{args.config}: unknown config keys {unknown}")
+    cfg.update({k: getattr(args, k) for k in CONFIG_KEYS if getattr(args, k, None) is not None})
 
-    def pick(key, default=None):
-        v = getattr(args, key.replace("-", "_"), None)
-        if v is not None:
-            return v
-        return cfg.get(key, default)
-
-    methods = pick("methods")
-    if isinstance(methods, str):
-        methods = tuple(m.strip() for m in methods.split(","))
-    if not methods:
+    if isinstance(cfg.get("methods"), str):
+        cfg["methods"] = [m.strip() for m in cfg["methods"].split(",")]
+    if not cfg.get("methods"):
         raise ParameterError("no methods given (--methods or config)")
-    data = pick("data")
-    if not data:
+    cfg["methods"] = tuple(cfg["methods"])
+    if not cfg.get("data_path"):
         raise ParameterError("no data file given (--data or config)")
-    test_start, test_end = pick("test-start"), pick("test-end")
-    if isinstance(test_start, str):
-        test_start = date.fromisoformat(test_start)
-    if isinstance(test_end, str):
-        test_end = date.fromisoformat(test_end)
-    if test_start is None or test_end is None:
-        raise ParameterError("--test-start and --test-end are required")
+    for key in ("test_start", "test_end"):
+        if cfg.get(key) is None:
+            raise ParameterError("--test-start and --test-end are required")
+        if isinstance(cfg[key], str):
+            cfg[key] = date.fromisoformat(cfg[key])
+    for key in ("trials", "tau", "seed", "cv_folds", "trials_per_fold"):
+        if key in cfg:
+            cfg[key] = int(cfg[key])
+    if "alpha" in cfg:
+        cfg["alpha"] = float(cfg["alpha"])
 
-    grids = {}
-    for method, g in (cfg.get("grids") or {}).items():
-        grids[method] = Grid(tuple(g["m_values"]), tuple(g["smoothing_values"]))
-    grid_m = pick("grid-m")
-    grid_s = pick("grid-smoothing")
-    if grid_m or grid_s:
-        for method in methods:
+    grids = {m: Grid(tuple(g["m_values"]), tuple(g["smoothing_values"]))
+             for m, g in (cfg.get("grids") or {}).items()}
+    if args.grid_m or args.grid_smoothing:
+        for method in cfg["methods"]:
             if method == NAIVE:
                 continue
             base = grids.get(method, default_grid(method))
-            m_values = _parse_int_list(grid_m) if isinstance(grid_m, str) else base.m_values
-            s_values = (_parse_float_list(grid_s) if isinstance(grid_s, str)
-                        else base.smoothing_values)
-            grids[method] = Grid(m_values, s_values)
+            grids[method] = Grid(
+                _parse_int_list(args.grid_m) if args.grid_m else base.m_values,
+                _parse_float_list(args.grid_smoothing) if args.grid_smoothing
+                else base.smoothing_values)
+    cfg["grids"] = grids or None
+    cfg["fixed_params"] = {m: HyperParams(m, int(v["m"]), float(v["smoothing"]),
+                                          int(v.get("seed", 0)))
+                           for m, v in (cfg.get("fixed_params") or {}).items()} or None
+    return ExperimentConfig(**cfg)
 
-    fixed = None
-    if cfg.get("fixed_params"):
-        fixed = {m: HyperParams(m, int(v["m"]), float(v["smoothing"]),
-                                int(v.get("seed", 0)))
-                 for m, v in cfg["fixed_params"].items()}
 
-    config = ExperimentConfig(
-        methods=tuple(methods),
-        test_start=test_start,
-        test_end=test_end,
-        trials=int(pick("trials", 100)),
-        tau=int(pick("tau", 1)),
-        seed=int(pick("seed", 0)),
-        tuning=pick("tuning", "once"),
-        fixed_params=fixed,
-        grids=grids or None,
-        cv_folds=int(pick("folds", 5)),
-        trials_per_fold=int(pick("trials-per-fold", 3)),
-        alpha=float(pick("alpha", 0.05)),
-        data_path=data,
-        exclusions_path=pick("exclude"),
-    )
-    out_dir = pick("out-dir", "randfnn-out")
-
-    report = run_experiment(config)
-    write_report_bundle(report, out_dir)
+def cmd_forecast(args) -> int:
+    config = _forecast_config(args)
+    report = run_experiment(config, _load_series(config.data_path, config.exclusions_path))
+    write_report_bundle(report, args.out_dir)
 
     print(f"forecast days: {len(report.test_days)}, skipped: {len(report.skipped)}")
     for method in config.methods:
@@ -298,7 +300,7 @@ def cmd_forecast(args) -> int:
               f"RMSE={s.rmse:.4f}  MPE={s.mpe:.4f}  Std(PE)={s.std_pe:.4f}")
     for (a, b), r in report.wilcoxon.items():
         print(f"{a} vs {b}: p={r.p_value:.4g} -> {r.decision}")
-    print(f"report bundle in {out_dir}/")
+    print(f"report bundle in {args.out_dir}/")
 
     if report.skipped:
         print("skipped days:", file=sys.stderr)

@@ -10,6 +10,11 @@ scored against the actual day. Days that any configured method cannot
 handle are skipped for all methods, so cross-method comparisons stay
 paired.
 
+The report keeps whole arrays in test-day order: the actual days, each
+method's `(days, trials, n)` forecasts and its `(days, n)` trial-mean
+APE. The percentile bands and the tuned hyperparameters that
+report.json lists are computed when the bundle is written.
+
 All randomness is derived from the master seed, the method name, the day
 and the trial index, which makes reports reproducible and independent of
 worker scheduling.
@@ -27,7 +32,7 @@ a script that calls `run_experiment` must do so under an
 import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -111,25 +116,30 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
+    """One run's results as whole arrays, indexed in `test_days` order.
+
+    The percentile bands and the `tuned` section of report.json are not
+    kept: `write_report_bundle` derives them from `forecasts`,
+    `tune_tables` and the config.
+    """
+
     config: ExperimentConfig
     test_days: list[date]
-    actuals: dict  # date -> (n,) array
-    forecasts: dict  # method -> {date -> (trials, n) array}
+    actual: np.ndarray  # (days, n)
+    forecasts: dict  # method -> (days, trials, n) array; naive has one trial
+    ape: dict  # method -> (days, n) APE, mean over trials
     summaries: dict  # method -> MetricsSummary
-    ape_by_key: dict  # method -> {(date, hour) -> mean APE over trials}
     wilcoxon: dict  # (method_a, method_b) -> WilcoxonResult
-    tuned: dict  # method -> {scope label -> HyperParams}
     tune_tables: list  # (method, scope label, TuneResult)
-    bands: dict  # method -> {date -> {"p05"|"p50"|"p95": (n,) array}}
     skipped: list  # (date, reason)
 
 
-def seasonal_naive(days: DayMatrix, day: date,
-                   period_days: int = NAIVE_PERIOD_DAYS) -> np.ndarray:
+def seasonal_naive(days: DayMatrix, day: date) -> np.ndarray:
     """Forecast: the same weekday one week earlier, verbatim."""
-    ref = days.row(day - timedelta(days=period_days))
+    ref_day = day - timedelta(days=NAIVE_PERIOD_DAYS)
+    ref = days.row(ref_day)
     if ref is None:
-        raise DaySkipped(f"missing naive reference day {day - timedelta(days=period_days)}")
+        raise DaySkipped(f"missing naive reference day {ref_day}")
     return days.values[ref].copy()
 
 
@@ -312,15 +322,18 @@ def _forecast_day(days, task):
 
 
 def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> ExperimentReport:
-    """Execute the full rolling evaluation and aggregate every reported
-    quantity (summaries, paired Wilcoxon decisions, percentile bands).
+    """Execute the full rolling evaluation and score it: summaries and
+    paired Wilcoxon decisions, from whole `(days, trials, n)` arrays in
+    test-day order. Percentile bands are left to `write_report_bundle`.
 
     `ts` (loaded from `config.data_path` when None) is encoded once into
     a day matrix, which every stage reads. A candidate day is screened
     out, with its reason, when it or its input day is missing, the input
     day is constant, the naive reference is missing, or the
     admissibility rule finds no training pair before it; every training
-    set is gathered from the day matrix under that same rule.
+    set is gathered from the day matrix under that same rule. A day
+    whose tuning selects no hyperparameters for some method is skipped
+    after the screened days.
 
     Grid searches and test days run in a pool of spawned worker
     processes, one per usable CPU (the process's affinity mask; restrict
@@ -336,8 +349,7 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> Ex
 
     candidates = [config.test_start + timedelta(days=i)
                   for i in range((config.test_end - config.test_start).days + 1)]
-    skipped = []
-    test_days = []
+    skipped, test_days = [], []
     for day in candidates:
         reason = _screen_day(day, days, config)
         if reason is None:
@@ -349,133 +361,76 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> Ex
     if config.tuning == "once":
         weekday_searches = len(config.model_methods) * len({d.weekday() for d in test_days})
     with _Stages(days, max(len(test_days), weekday_searches)) as stages:
-        tuned, tune_tables, hp_for = _resolve_tuning(config, test_days, stages)
-        # tuning may rule out whole weekdays; re-filter
-        runnable = []
-        for d in test_days:
-            if all(hp_for(m, d) is not None for m in config.model_methods):
-                runnable.append(d)
+        tune_tables, hps = _resolve_tuning(config, test_days, stages)
+        tasks = []
+        for day, hp in zip(test_days, hps):
+            if None in hp.values():
+                skipped.append((day, "empty tuning history"))
             else:
-                skipped.append((d, "empty tuning history"))
-        test_days = runnable
-        if not test_days:
+                tasks.append((config, day, hp))
+        if not tasks:
             raise ExperimentError("all test days were skipped: "
                                   + "; ".join(f"{d}: {r}" for d, r in skipped[:5]))
-        tasks = [(config, d, {m: hp_for(m, d) for m in config.model_methods})
-                 for d in test_days]
-        results = dict(zip(test_days, stages.map(_forecast_day, tasks)))
+        results = stages.map(_forecast_day, tasks)
 
-    actuals = {d: days.values[days.row(d)] for d in test_days}
-    forecasts = {m: {d: results[d][m] for d in test_days} for m in config.methods}
-
-    summaries, ape_by_key, ape_mean = {}, {}, {}
-    actual = np.stack([actuals[d] for d in test_days])[:, None, :]  # (days, 1, n)
-    for method in config.methods:
-        block = np.stack([forecasts[method][d] for d in test_days])  # (days, trials, n)
-        summaries[method] = summarize(actual, block)
-        ape_mean[method] = np.abs(100.0 * (actual - block) / actual).mean(axis=1)
-        ape_by_key[method] = {(d, h): v for d, row in zip(test_days, ape_mean[method].tolist())
-                              for h, v in enumerate(row)}
+    test_days = [day for _, day, _ in tasks]
+    actual = days.values[[days.row(d) for d in test_days]]
+    forecasts = {m: np.stack([r[m] for r in results]) for m in config.methods}
+    summaries, ape = {}, {}
+    a = actual[:, None, :]  # (days, 1, n), against each (days, trials, n) block
+    for method, block in forecasts.items():
+        summaries[method] = summarize(a, block)
+        ape[method] = np.abs(100.0 * (a - block) / a).mean(axis=1)
 
     wilcoxon = {}
     for i, ma in enumerate(config.methods):
         for mb in config.methods[i + 1:]:
-            wilcoxon[(ma, mb)] = wilcoxon_signed_rank(ape_mean[ma], ape_mean[mb],
-                                                      alpha=config.alpha)
-
-    bands = {
-        m: {
-            d: {
-                "p05": np.percentile(forecasts[m][d], 5, axis=0),
-                "p50": np.percentile(forecasts[m][d], 50, axis=0),
-                "p95": np.percentile(forecasts[m][d], 95, axis=0),
-            }
-            for d in test_days
-        }
-        for m in config.methods
-    }
+            wilcoxon[(ma, mb)] = wilcoxon_signed_rank(ape[ma], ape[mb], alpha=config.alpha)
 
     return ExperimentReport(
-        config=config, test_days=test_days, actuals=actuals, forecasts=forecasts,
-        summaries=summaries, ape_by_key=ape_by_key, wilcoxon=wilcoxon,
-        tuned=tuned, tune_tables=tune_tables, bands=bands, skipped=skipped,
+        config=config, test_days=test_days, actual=actual, forecasts=forecasts, ape=ape,
+        summaries=summaries, wilcoxon=wilcoxon, tune_tables=tune_tables, skipped=skipped,
     )
 
 
 def _resolve_tuning(config, test_days, stages):
-    """Build the (method, day) -> HyperParams lookup for the tuning mode.
+    """Hyperparameters for every test day under the tuning mode.
 
-    Returns (tuned, tune_tables, hp_for). In `once` mode hyperparameters
-    are tuned per weekday on history before the first test day and
-    reused; `per-day` re-tunes on each day's own training set; `fixed`
-    bypasses search. A weekday (or day) whose tuning set is empty, or on
-    which no gridpoint fits, maps to None and its days are skipped.
+    Returns (tune_tables, hps): the searches' tables, and for each test
+    day a `{method: HyperParams | None}` over the model methods. In
+    `once` mode hyperparameters are tuned per weekday on history before
+    the first test day and reused; `per-day` re-tunes on each day's own
+    training set; `fixed` bypasses search. A weekday (or day) whose
+    tuning set is empty, or on which no gridpoint fits, gets None.
     Searches run as `stages` tasks; their results are collected in
     submission order, so tuning.csv does not depend on workers.
     """
-    tuned: dict = {m: {} for m in config.model_methods}
-    tune_tables: list = []
-
+    methods = config.model_methods
     if config.tuning == "fixed":
-        fixed = config.fixed_params or {}
-
-        def hp_for(method, day):
-            return fixed[method]
-
-        for method in config.model_methods:
-            tuned[method]["fixed"] = fixed[method]
-        return tuned, tune_tables, hp_for
+        return [], [{m: config.fixed_params[m] for m in methods}] * len(test_days)
 
     if config.tuning == "once":
-        weekdays = sorted({d.weekday() for d in test_days})
-        keys = [(method, wd) for method in config.model_methods for wd in weekdays]
-        results = stages.map(_search_weekday, [(config, method, wd, test_days[0])
-                                               for method, wd in keys])
-        chosen: dict = {}  # a weekday without pairs stays out
-        for (method, wd), result in zip(keys, results):
-            if result is not None:
-                chosen[(method, wd)] = result.best
-                tuned[method][f"weekday={wd}"] = result.best
-                tune_tables.append((method, f"weekday={wd}", result))
-
-        def hp_for(method, day):
-            return chosen.get((method, day.weekday()))
-
-        return tuned, tune_tables, hp_for
+        keys = [(m, wd) for m in methods for wd in sorted({d.weekday() for d in test_days})]
+        results = stages.map(_search_weekday, [(config, m, wd, test_days[0]) for m, wd in keys])
+        found = [(key, r) for key, r in zip(keys, results) if r is not None]  # None: no pairs
+        best = {key: r.best for key, r in found}
+        return ([(m, f"weekday={wd}", r) for (m, wd), r in found],
+                [{m: best.get((m, d.weekday())) for m in methods} for d in test_days])
 
     # per-day: strict protocol, a fresh search for every forecasted day
-    chosen = {}
-    for day, results in zip(test_days, stages.map(_search_day,
-                                                  [(config, d) for d in test_days])):
-        for method, result in zip(config.model_methods, results):
-            chosen[(method, day)] = result.best
-            tuned[method][day.isoformat()] = result.best
-            tune_tables.append((method, day.isoformat(), result))
-    return tuned, tune_tables, lambda method, day: chosen[(method, day)]
+    results = stages.map(_search_day, [(config, d) for d in test_days])
+    tables = [(m, d.isoformat(), r) for d, rs in zip(test_days, results)
+              for m, r in zip(methods, rs)]
+    return tables, [{m: r.best for m, r in zip(methods, rs)} for rs in results]
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
-    def hp_dict(hp: HyperParams):
-        return {"method": hp.method, "m": hp.m, "smoothing": hp.smoothing, "seed": hp.seed}
-
-    return {
-        "methods": list(config.methods),
-        "test_start": config.test_start.isoformat(),
-        "test_end": config.test_end.isoformat(),
-        "trials": config.trials,
-        "tau": config.tau,
-        "seed": config.seed,
-        "tuning": config.tuning,
-        "fixed_params": {m: hp_dict(hp) for m, hp in (config.fixed_params or {}).items()} or None,
-        "grids": {m: {"m_values": list(g.m_values),
-                      "smoothing_values": list(g.smoothing_values)}
-                  for m, g in (config.grids or {}).items()} or None,
-        "cv_folds": config.cv_folds,
-        "trials_per_fold": config.trials_per_fold,
-        "alpha": config.alpha,
-        "data_path": config.data_path,
-        "exclusions_path": config.exclusions_path,
-    }
+    """The config as JSON, keyed by field name, as `randfnn forecast
+    --config` reads it back."""
+    doc = asdict(config)  # hyperparameters and grids become dicts too
+    doc.update(test_start=config.test_start.isoformat(), test_end=config.test_end.isoformat(),
+               fixed_params=doc["fixed_params"] or None, grids=doc["grids"] or None)
+    return doc
 
 
 def write_report_bundle(report: ExperimentReport, out_dir) -> None:
@@ -490,11 +445,11 @@ def write_report_bundle(report: ExperimentReport, out_dir) -> None:
 
     with open(out / "forecasts.csv", "w", newline="") as fh:
         fh.write("method,date,trial,hour,forecast,actual\n")
+        actuals = [[repr(v) for v in row] for row in report.actual.tolist()]
         for method in config.methods:
-            for d in report.test_days:
+            for d, actual, block in zip(report.test_days, actuals, report.forecasts[method]):
                 prefix = f"{method},{d.isoformat()},"
-                actual = [repr(v) for v in report.actuals[d].tolist()]
-                for trial, row in enumerate(report.forecasts[method][d].tolist()):
+                for trial, row in enumerate(block.tolist()):
                     head = f"{prefix}{trial},"
                     fh.writelines(f"{head}{h},{v!r},{a}\n"
                                   for h, (v, a) in enumerate(zip(row, actual)))
@@ -502,21 +457,28 @@ def write_report_bundle(report: ExperimentReport, out_dir) -> None:
     with open(out / "ape_records.csv", "w", newline="") as fh:
         fh.write("method,date,hour,ape\n")
         for method in config.methods:
-            for (d, h) in sorted(report.ape_by_key[method]):
-                fh.write(f"{method},{d.isoformat()},{h},{report.ape_by_key[method][(d, h)]!r}\n")
+            for d, row in zip(report.test_days, report.ape[method].tolist()):
+                fh.writelines(f"{method},{d.isoformat()},{h},{v!r}\n" for h, v in enumerate(row))
 
+    tuned = {m: {} for m in config.model_methods}  # method -> {scope -> HyperParams | None}
     with open(out / "tuning.csv", "w", newline="") as fh:
         fh.write("method,scope,m,smoothing,mean_error,std_error,selected\n")
         for method, scope, result in report.tune_tables:
-            best = result.best
+            best = tuned[method][scope] = result.best
             for p in result.table:
                 sel = int(best is not None and p.m == best.m and p.smoothing == best.smoothing)
                 errors = ",".join("" if e is None else repr(e) for e in (p.mean_error, p.std_error))
                 fh.write(f"{method},{scope},{p.m},{p.smoothing!r},{errors},{sel}\n")
-        for method in report.tuned:
-            for scope, hp in report.tuned[method].items():
-                if scope == "fixed" and hp is not None:
-                    fh.write(f"{method},fixed,{hp.m},{hp.smoothing!r},,,1\n")
+        if config.tuning == "fixed":
+            for method in config.model_methods:
+                hp = tuned[method]["fixed"] = config.fixed_params[method]
+                fh.write(f"{method},fixed,{hp.m},{hp.smoothing!r},,,1\n")
+
+    bands = {}
+    for method in config.methods:
+        p05, p50, p95 = np.percentile(report.forecasts[method], [5, 50, 95], axis=1).tolist()
+        bands[method] = {d.isoformat(): {"p05": a, "p50": b, "p95": c}
+                         for d, a, b, c in zip(report.test_days, p05, p50, p95)}
 
     doc = {
         "config": _config_dict(config),
@@ -540,15 +502,9 @@ def write_report_bundle(report: ExperimentReport, out_dir) -> None:
             m: {scope: None if hp is None else
                 {"m": hp.m, "smoothing": hp.smoothing}
                 for scope, hp in scopes.items()}
-            for m, scopes in report.tuned.items()
+            for m, scopes in tuned.items()
         },
-        "bands": {
-            m: {
-                d.isoformat(): {k: v.tolist() for k, v in report.bands[m][d].items()}
-                for d in report.test_days
-            }
-            for m in config.methods
-        },
+        "bands": bands,
         "skipped_days": [{"date": d.isoformat(), "reason": r} for d, r in report.skipped],
         "test_days": [d.isoformat() for d in report.test_days],
     }

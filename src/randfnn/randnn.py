@@ -118,7 +118,6 @@ class HiddenLayer:
 class RandFnnModel:
     hidden: HiddenLayer
     beta: np.ndarray  # (m, p)
-    params: "HyperParams | None" = None
 
     def __post_init__(self):
         beta = np.array(self.beta, dtype=float)
@@ -126,14 +125,6 @@ class RandFnnModel:
             raise ShapeError(f"beta has {beta.shape[0]} rows for {self.hidden.m} nodes")
         beta.flags.writeable = False
         object.__setattr__(self, "beta", beta)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.hidden.n_inputs
-
-    @property
-    def n_outputs(self) -> int:
-        return self.beta.shape[1]
 
 
 @dataclass(frozen=True)
@@ -308,12 +299,11 @@ def hidden_output(layer: HiddenLayer, x_patterns) -> np.ndarray:
     return sigmoid(X @ layer.weights.T + layer.biases)
 
 
-def fit(layer: HiddenLayer, phi: TrainingSet,
-        params: HyperParams | None = None) -> RandFnnModel:
+def fit(layer: HiddenLayer, phi: TrainingSet) -> RandFnnModel:
     """Closed-form output weights: the minimum-norm least-squares solution
     of hidden_output(layer, X) @ beta = Y."""
     beta = pinv_solve(hidden_output(layer, phi.x), phi.y)
-    return RandFnnModel(hidden=layer, beta=beta, params=params)
+    return RandFnnModel(hidden=layer, beta=beta)
 
 
 def predict(model: RandFnnModel, x) -> np.ndarray:

@@ -52,7 +52,6 @@ class GridPoint:
 class TuneResult:
     best: HyperParams | None
     table: tuple[GridPoint, ...]
-    folds: int
 
 
 _M_VALUES = tuple(range(5, 55, 5))
@@ -142,7 +141,7 @@ def grid_search(phi: TrainingSet, method: str, grid: Grid, k_folds: int, seed: i
         if p.mean_error is not None and p.mean_error < best_error:
             best_error = p.mean_error
             best = HyperParams(method, p.m, p.smoothing, seed=seed)
-    return TuneResult(best=best, table=table, folds=k_folds)
+    return TuneResult(best=best, table=table)
 
 
 def write_tuning_csv(result: TuneResult, target, context: dict | None = None) -> None:

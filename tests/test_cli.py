@@ -181,7 +181,7 @@ def test_forecast_flag_beats_config_field(month_csv, tmp_path, capsys, monkeypat
     config.write_text(json.dumps({
         "methods": "ram,naive", "trials": 3, "seed": 4, "tau": 1, "tuning": "fixed",
         "fixed_params": {"ram": {"m": 5, "smoothing": 0.4}},
-        "test-start": "2012-01-23", "test-end": "2012-01-24"}))
+        "test_start": "2012-01-23", "test_end": "2012-01-24"}))
     out = tmp_path / "out"
     assert main(["forecast", "--config", str(config), "--data", str(month_csv),
                  "--trials", "2", "--test-end", "2012-01-23", "--out-dir", str(out)]) == 0
@@ -191,6 +191,53 @@ def test_forecast_flag_beats_config_field(month_csv, tmp_path, capsys, monkeypat
     assert report["test_days"] == ["2012-01-23"]
     rows = (out / "forecasts.csv").read_text().splitlines()[1:]
     assert sorted({r.split(",")[2] for r in rows if r.startswith("ram,")}) == ["0", "1"]
+
+
+BUNDLE = ("forecasts.csv", "ape_records.csv", "tuning.csv", "report.json")
+
+
+def test_forecast_replays_from_report_config(month_csv, tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    exclude = tmp_path / "exclude.txt"
+    exclude.write_text("2012-01-10\n")
+    first = tmp_path / "first"
+    assert main(forecast_argv(month_csv, first, "--test-start", "2012-01-23",
+                              "--test-end", "2012-01-25", "--exclude", str(exclude),
+                              "--seed", "3")) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(json.loads((first / "report.json").read_text())["config"]))
+    again = tmp_path / "again"
+    assert main(["forecast", "--config", str(config), "--out-dir", str(again)]) == 0
+    for name in BUNDLE:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_forecast_unknown_config_key_exits_2(month_csv, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"methods": ["naive"], "test-start": "2012-01-23"}))
+    code = main(["forecast", "--config", str(config), "--data", str(month_csv),
+                 "--test-start", "2012-01-23", "--test-end", "2012-01-24",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "unknown config keys ['test-start']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_warnings_reach_stderr(month_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    lines = month_csv.read_text().splitlines(keepends=True)
+    partial = tmp_path / "partial.csv"
+    # the header, the first day, hours 0-4 of 2012-01-02, then the rest
+    partial.write_text("".join(lines[:1 + 24 + 5] + lines[1 + 48:]))
+    exclude = tmp_path / "exclude.txt"
+    exclude.write_text("2011-12-25\n")
+    expected = ["warning: day 2012-01-02: incomplete (5/24 rows), dropped",
+                "warning: exclusion date 2011-12-25 not in series"]
+    assert main(tune_argv(partial, tmp_path / "t.csv", "--exclude", str(exclude))) == 0
+    assert capsys.readouterr().err.splitlines() == expected
+    assert main(forecast_argv(partial, tmp_path / "out", "--exclude", str(exclude),
+                              "--test-start", "2012-01-23", "--test-end", "2012-01-24")) == 0
+    assert capsys.readouterr().err.splitlines() == expected
 
 
 def write_ape(path, rows):

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 from datetime import date, timedelta
 
@@ -197,15 +198,47 @@ def test_scores_match_per_trial_reference(two_years):
     config = short_config(methods=("ram", "naive"), test_end=date(2013, 1, 5), trials=4,
                           tuning="fixed", fixed_params={"ram": HyperParams("ram", 10, 0.4)})
     report = run_experiment(config, two_years)
+    assert report.actual.shape == (len(report.test_days), 24)
     for method in config.methods:
         actual, forecast = [], []
-        for d in report.test_days:
-            for row in report.forecasts[method][d]:
-                actual.append(report.actuals[d])
+        for i, d in enumerate(report.test_days):
+            assert (report.actual[i] == two_years.values[two_years.dates.index(d)]).all()
+            block = report.forecasts[method][i]
+            for row in block:
+                actual.append(report.actual[i])
                 forecast.append(row)
-            block = report.forecasts[method][d]
-            ape = np.abs(100.0 * (report.actuals[d] - block) / report.actuals[d]).mean(axis=0)
-            for h, v in enumerate(ape):
-                assert report.ape_by_key[method][(d, h)] == v
+            ape = np.abs(100.0 * (report.actual[i] - block) / report.actual[i]).mean(axis=0)
+            assert report.ape[method][i].tobytes() == ape.tobytes()
         assert report.summaries[method] == summarize(np.concatenate(actual),
                                                      np.concatenate(forecast))
+
+
+@pytest.mark.parametrize("tuning", ["fixed", "once", "per-day"])
+def test_bundle_bands_and_tuned_match_per_day_references(two_years, tmp_path, monkeypatch,
+                                                         tuning):
+    config = short_config(methods=("ddm", "ram", "naive"), test_end=date(2013, 1, 3), trials=5,
+                          tuning=tuning, grids=GRIDS, fixed_params=FIXED)
+    report, _ = run_with_cpus(monkeypatch, 1, config, two_years)
+    write_report_bundle(report, tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    for method in config.methods:
+        assert list(doc["bands"][method]) == [d.isoformat() for d in report.test_days]
+        for i, d in enumerate(report.test_days):
+            band = doc["bands"][method][d.isoformat()]
+            for key, q in (("p05", 5), ("p50", 50), ("p95", 95)):
+                reference = np.percentile(report.forecasts[method][i], q, axis=0)
+                assert np.array(band[key]).tobytes() == reference.tobytes()
+
+    selected = {}  # method -> {scope -> selected (m, smoothing) or None}
+    with open(tmp_path / "tuning.csv", newline="") as fh:
+        for r in csv.DictReader(fh):
+            scopes = selected.setdefault(r["method"], {})
+            scopes.setdefault(r["scope"], None)
+            if r["selected"] == "1":
+                assert scopes[r["scope"]] is None
+                scopes[r["scope"]] = {"m": int(r["m"]), "smoothing": float(r["smoothing"])}
+    assert doc["tuned"] == selected
+    expected_scopes = {"fixed": ["fixed"], "once": ["weekday=1", "weekday=2", "weekday=3"],
+                       "per-day": ["2013-01-01", "2013-01-02", "2013-01-03"]}[tuning]
+    assert {m: sorted(s) for m, s in selected.items()} == {
+        m: expected_scopes for m in config.model_methods}
