@@ -5,10 +5,16 @@ is deterministic given --seed. tune and forecast print the series' load
 warnings (partial days dropped, exclusion dates not in the series) on
 stderr as `warning: ...`.
 
+`tune` seeds each weekday's search with `pipeline.tune_seed`, as
+`forecast --tuning once` does, and writes the bundle's tuning.csv format
+(scope `weekday=N`, Monday 0): the header and the method's rows of a
+`once` run whose first test day is the cutoff.
+
 `forecast --config FILE` reads a JSON object keyed by `ExperimentConfig`
 field names: methods, test_start, test_end, trials, tau, seed, tuning,
 fixed_params, grids, cv_folds, trials_per_fold, alpha, data_path and
-exclusions_path. Any other key is a usage error. Flags override the
+exclusions_path. Any other key, invalid JSON, or a field that cannot be
+read as its type is a usage error naming the file. Flags override the
 file: --data sets data_path, --exclude exclusions_path, --folds
 cv_folds, and every other flag the field of its own name; --out-dir,
 --grid-m and --grid-smoothing are flags only. report.json holds the
@@ -19,7 +25,6 @@ byte-identical.
 
 import argparse
 import csv
-import io
 import json
 import sys
 from dataclasses import fields
@@ -40,6 +45,7 @@ from .pipeline import (
     NAIVE,
     ExperimentConfig,
     run_experiment,
+    tune_seed,
     write_report_bundle,
 )
 from .randnn import METHODS, HyperParams
@@ -154,6 +160,13 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
         raise ParameterError(f"bad number list {text!r}") from None
 
 
+def _flag_grid(args, base: Grid) -> Grid:
+    """`base` with the values of --grid-m and --grid-smoothing, where given."""
+    return Grid(_parse_int_list(args.grid_m) if args.grid_m else base.m_values,
+                _parse_float_list(args.grid_smoothing) if args.grid_smoothing
+                else base.smoothing_values)
+
+
 def cmd_synth(args) -> int:
     fields = {}
     if args.spec:
@@ -189,15 +202,13 @@ def _load_series(data_path, exclude_path):
 
 
 def cmd_tune(args) -> int:
-    """Tune each requested weekday on its pairs before the cutoff. A
-    weekday without pairs is reported on stderr and the others are still
-    tuned and written; the exit code is then 1."""
+    """Tune each requested weekday on its pairs before the cutoff, with
+    the seed `forecast --tuning once` uses for that weekday, and write
+    the tables in the bundle's tuning.csv format. A weekday without
+    pairs is reported on stderr and the others are still tuned and
+    written; the exit code is then 1."""
     days = encode_days(_load_series(args.data, args.exclude))
-    grid = default_grid(args.method)
-    if args.grid_m:
-        grid = Grid(_parse_int_list(args.grid_m), grid.smoothing_values)
-    if args.grid_smoothing:
-        grid = Grid(grid.m_values, _parse_float_list(args.grid_smoothing))
+    grid = _flag_grid(args, default_grid(args.method))
     # default: every day loaded; with none left, no weekday has pairs
     cutoff = args.cutoff or date.fromordinal(int(days.ordinals.max(initial=0)) + 1)
 
@@ -208,17 +219,16 @@ def cmd_tune(args) -> int:
     else:
         raise ParameterError(f"unknown weekday {args.weekday!r}")
 
-    no_pairs = False
+    tables = []
     with open(args.out, "w", newline="") as fh:
         for wd in weekdays:
             try:
                 phi = build_training_set(days, wd, args.tau, cutoff)
             except EmptyTrainingSet as exc:
                 print(f"error: {WEEKDAYS[wd]}: {exc}", file=sys.stderr)
-                no_pairs = True
                 continue
-            result = grid_search(phi, args.method, grid, args.folds, args.seed,
-                                 args.trials_per_fold)
+            result = grid_search(phi, args.method, grid, args.folds,
+                                 tune_seed(args.seed, args.method, wd), args.trials_per_fold)
             best = result.best
             if best is None:
                 print(f"{WEEKDAYS[wd]}: no gridpoint fits (N={len(phi)})")
@@ -226,25 +236,23 @@ def cmd_tune(args) -> int:
                 cv_error = min(p.mean_error for p in result.table if p.mean_error is not None)
                 print(f"{WEEKDAYS[wd]}: m={best.m} {best.smoothing_name}={best.smoothing} "
                       f"(N={len(phi)}, cv_error={cv_error:.6g})")
-            _append_tuning(fh, result, {"method": args.method, "weekday": WEEKDAYS[wd]},
-                           header=fh.tell() == 0)
+            tables.append((args.method, f"weekday={wd}", result))
+        write_tuning_csv(tables, fh)
     print(f"wrote {args.out}")
-    return 1 if no_pairs else 0
-
-
-def _append_tuning(fh, result, context, header):
-    buf = io.StringIO()
-    write_tuning_csv(result, buf, context=context)
-    lines = buf.getvalue().splitlines(keepends=True)
-    fh.writelines(lines if header else lines[1:])
+    return 0 if len(tables) == len(weekdays) else 1
 
 
 def _forecast_config(args) -> ExperimentConfig:
-    """The --config file's fields, overridden by the flags given."""
+    """The --config file's fields, overridden by the flags given. A file
+    that is not a JSON object, or a field that cannot be read, is a
+    usage error naming the file and the field."""
     cfg = {}
     if args.config:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:
+                raise ParameterError(f"{args.config}: not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise ParameterError(f"{args.config}: not a JSON object")
         unknown = sorted(set(cfg) - set(CONFIG_KEYS))
@@ -252,39 +260,44 @@ def _forecast_config(args) -> ExperimentConfig:
             raise ParameterError(f"{args.config}: unknown config keys {unknown}")
     cfg.update({k: getattr(args, k) for k in CONFIG_KEYS if getattr(args, k, None) is not None})
 
+    def convert(key, fn):
+        # flags arrive parsed, so a value that fails here came from the file
+        try:
+            cfg[key] = fn(cfg[key])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParameterError(f"{args.config}: bad {key}: {exc}") from None
+
     if isinstance(cfg.get("methods"), str):
         cfg["methods"] = [m.strip() for m in cfg["methods"].split(",")]
     if not cfg.get("methods"):
         raise ParameterError("no methods given (--methods or config)")
-    cfg["methods"] = tuple(cfg["methods"])
+    convert("methods", tuple)
     if not cfg.get("data_path"):
         raise ParameterError("no data file given (--data or config)")
     for key in ("test_start", "test_end"):
         if cfg.get(key) is None:
             raise ParameterError("--test-start and --test-end are required")
-        if isinstance(cfg[key], str):
-            cfg[key] = date.fromisoformat(cfg[key])
+        convert(key, lambda v: v if isinstance(v, date) else date.fromisoformat(v))
     for key in ("trials", "tau", "seed", "cv_folds", "trials_per_fold"):
         if key in cfg:
-            cfg[key] = int(cfg[key])
+            convert(key, int)
     if "alpha" in cfg:
-        cfg["alpha"] = float(cfg["alpha"])
+        convert("alpha", float)
 
-    grids = {m: Grid(tuple(g["m_values"]), tuple(g["smoothing_values"]))
-             for m, g in (cfg.get("grids") or {}).items()}
+    cfg["grids"] = cfg.get("grids") or {}
+    convert("grids", lambda gs: {m: Grid(tuple(g["m_values"]), tuple(g["smoothing_values"]))
+                                 for m, g in gs.items()})
     if args.grid_m or args.grid_smoothing:
         for method in cfg["methods"]:
             if method == NAIVE:
                 continue
-            base = grids.get(method, default_grid(method))
-            grids[method] = Grid(
-                _parse_int_list(args.grid_m) if args.grid_m else base.m_values,
-                _parse_float_list(args.grid_smoothing) if args.grid_smoothing
-                else base.smoothing_values)
-    cfg["grids"] = grids or None
-    cfg["fixed_params"] = {m: HyperParams(m, int(v["m"]), float(v["smoothing"]),
-                                          int(v.get("seed", 0)))
-                           for m, v in (cfg.get("fixed_params") or {}).items()} or None
+            cfg["grids"][method] = _flag_grid(
+                args, cfg["grids"].get(method, default_grid(method)))
+    cfg["grids"] = cfg["grids"] or None
+    cfg["fixed_params"] = cfg.get("fixed_params") or {}
+    convert("fixed_params", lambda ps: {
+        m: HyperParams(m, int(v["m"]), float(v["smoothing"]), int(v.get("seed", 0)))
+        for m, v in ps.items()} or None)
     return ExperimentConfig(**cfg)
 
 
@@ -343,7 +356,8 @@ def cmd_evaluate(args) -> int:
               f"RMSE={s.rmse:.4f}  MPE={s.mpe:.4f}  Std(PE)={s.std_pe:.4f}  "
               f"N={s.n_records}")
     if args.out:
-        write_metrics_csv(summaries, args.out)
+        with open(args.out, "w", newline="") as fh:
+            write_metrics_csv(summaries, fh)
         print(f"wrote {args.out}")
     return 0
 

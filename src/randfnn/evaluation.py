@@ -89,8 +89,6 @@ class WilcoxonResult:
     statistic: float  # min(W+, W-)
     p_value: float
     decision: str
-    w_plus: float
-    w_minus: float
     n_effective: int
 
 
@@ -133,18 +131,15 @@ def _normal_p(ranks: np.ndarray, t_obs: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def wilcoxon_signed_rank(ape_a, ape_b, alpha: float = 0.05,
-                         method: str = "auto") -> WilcoxonResult:
+def wilcoxon_signed_rank(ape_a, ape_b, alpha: float = 0.05) -> WilcoxonResult:
     """Two-sided paired signed-rank test on absolute percentage errors.
 
     Zero differences are dropped. The p-value is exact (full sign-pattern
     distribution) for up to 12 effective pairs, otherwise a normal
-    approximation with continuity and tie corrections; `method` can force
-    either branch. When p < alpha the decision names the input with the
-    smaller APE sum, otherwise the pair is indistinguishable.
+    approximation with continuity and tie corrections. When p < alpha the
+    decision names the input with the smaller APE sum, otherwise the pair
+    is indistinguishable.
     """
-    if method not in ("auto", "exact", "normal"):
-        raise ParameterError(f"unknown method {method!r}")
     a = np.asarray(ape_a, dtype=float).ravel()
     b = np.asarray(ape_b, dtype=float).ravel()
     if a.shape != b.shape:
@@ -153,19 +148,13 @@ def wilcoxon_signed_rank(ape_a, ape_b, alpha: float = 0.05,
     d = d[d != 0.0]
     n_eff = d.size
     if n_eff == 0:
-        return WilcoxonResult(0.0, 1.0, INDISTINGUISHABLE, 0.0, 0.0, 0)
+        return WilcoxonResult(0.0, 1.0, INDISTINGUISHABLE, 0)
     if n_eff < 5:
         raise ParameterError(f"need >= 5 nonzero differences, got {n_eff}")
 
     ranks = _midranks(np.abs(d))
-    w_plus = float(ranks[d > 0].sum())
-    w_minus = float(ranks[d < 0].sum())
-    t_obs = min(w_plus, w_minus)
-
-    if method == "exact" or (method == "auto" and n_eff <= 12):
-        p = _exact_p(ranks, t_obs)
-    else:
-        p = _normal_p(ranks, t_obs)
+    t_obs = min(float(ranks[d > 0].sum()), float(ranks[d < 0].sum()))
+    p = _exact_p(ranks, t_obs) if n_eff <= 12 else _normal_p(ranks, t_obs)
 
     decision = INDISTINGUISHABLE
     if p < alpha:
@@ -174,10 +163,10 @@ def wilcoxon_signed_rank(ape_a, ape_b, alpha: float = 0.05,
             decision = A_BETTER
         elif sum_b < sum_a:
             decision = B_BETTER
-    return WilcoxonResult(t_obs, p, decision, w_plus, w_minus, n_eff)
+    return WilcoxonResult(t_obs, p, decision, n_eff)
 
 
-def write_metrics_csv(summaries: dict[str, MetricsSummary], target) -> None:
+def write_metrics_csv(summaries: dict[str, MetricsSummary], fh) -> None:
     """Metric-by-method table (one row per metric, one column per method)."""
     rows = [
         ("MAPE", "mape"),
@@ -187,15 +176,7 @@ def write_metrics_csv(summaries: dict[str, MetricsSummary], target) -> None:
         ("Std(PE)", "std_pe"),
     ]
     methods = list(summaries)
-
-    def _write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["metric"] + methods)
-        for label, attr in rows:
-            writer.writerow([label] + [repr(getattr(summaries[m], attr)) for m in methods])
-
-    if hasattr(target, "write"):
-        _write(target)
-    else:
-        with open(target, "w", newline="") as fh:
-            _write(fh)
+    writer = csv.writer(fh)
+    writer.writerow(["metric"] + methods)
+    for label, attr in rows:
+        writer.writerow([label] + [repr(getattr(summaries[m], attr)) for m in methods])

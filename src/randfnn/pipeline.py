@@ -17,7 +17,8 @@ report.json lists are computed when the bundle is written.
 
 All randomness is derived from the master seed, the method name, the day
 and the trial index, which makes reports reproducible and independent of
-worker scheduling.
+worker scheduling. Each tuning decision is one grid search task
+(`_search`) seeded by `tune_seed`, which `randfnn tune` shares.
 
 Grid searches and test days run in a pool of worker processes, one per
 CPU this process may run on (`os.sched_getaffinity`) but no more than
@@ -42,8 +43,8 @@ from .encoding import CodingVars, DayMatrix, _pair_rows, build_training_set, dec
 from .errors import DaySkipped, EmptyTrainingSet, ExperimentError, ParameterError
 from .evaluation import summarize, wilcoxon_signed_rank
 from .randnn import METHODS, HyperParams, derive_rng, derive_seed, fit, make_layer, predict
-from .timeseries import TimeSeries, exclude_days, load_csv, load_exclusions
-from .tuning import Grid, default_grid, grid_search
+from .timeseries import TimeSeries
+from .tuning import Grid, GridPoint, TuneResult, default_grid, grid_search, write_tuning_csv
 
 __all__ = [
     "ExperimentConfig",
@@ -51,6 +52,7 @@ __all__ = [
     "run_day",
     "run_experiment",
     "seasonal_naive",
+    "tune_seed",
     "write_report_bundle",
 ]
 
@@ -64,6 +66,13 @@ _FORECAST_STREAM = 202
 
 def _method_tag(method: str) -> int:
     return zlib.crc32(method.encode())
+
+
+def tune_seed(seed: int, method: str, key: int) -> int:
+    """The seed of one tuning decision's grid search: `key` is the
+    weekday for `once` tuning and `randfnn tune`, and the test day's
+    ordinal for `per-day` tuning."""
+    return derive_seed(seed, _TUNE_STREAM, _method_tag(method), key)
 
 
 @dataclass(frozen=True)
@@ -119,8 +128,8 @@ class ExperimentReport:
     """One run's results as whole arrays, indexed in `test_days` order.
 
     The percentile bands and the `tuned` section of report.json are not
-    kept: `write_report_bundle` derives them from `forecasts`,
-    `tune_tables` and the config.
+    kept: `write_report_bundle` derives them from `forecasts` and
+    `tune_tables`.
     """
 
     config: ExperimentConfig
@@ -169,15 +178,6 @@ def run_day(days: DayMatrix, day: date, hp: HyperParams, trials: int, seed: int,
         model = fit(make_layer(hp, phi, rng), phi)
         out[t] = decode(predict(model, days.x[inp]), coding)
     return out
-
-
-def _load_series(config: ExperimentConfig) -> TimeSeries:
-    if config.data_path is None:
-        raise ParameterError("config has no data path and no series was passed")
-    ts = load_csv(config.data_path)
-    if config.exclusions_path:
-        ts = exclude_days(ts, load_exclusions(config.exclusions_path))
-    return ts
 
 
 def _screen_day(day: date, days: DayMatrix, config: ExperimentConfig) -> str | None:
@@ -279,29 +279,17 @@ class _Stages:
                     os.environ[k] = v
 
 
-def _search_weekday(days, task):
-    """`once` tuning task: one method's grid search on one weekday's
-    history before `cutoff`; None when that history has no pairs."""
-    config, method, wd, cutoff = task
+def _search(days, task):
+    """Tuning task: one method's grid search on one weekday's pairs
+    before `cutoff`, seeded by `tune_seed(config.seed, method, key)`;
+    None when there are no such pairs."""
+    config, method, weekday, cutoff, key = task
     try:
-        phi = build_training_set(days, wd, config.tau, cutoff)
+        phi = build_training_set(days, weekday, config.tau, cutoff)
     except EmptyTrainingSet:
         return None
-    tune_seed = derive_seed(config.seed, _TUNE_STREAM, _method_tag(method), wd)
-    return grid_search(phi, method, config.grid_for(method), config.cv_folds, tune_seed,
-                       config.trials_per_fold)
-
-
-def _search_day(days, task):
-    """`per-day` tuning task: every model method's grid search on one
-    test day's own training set, in config order."""
-    config, day = task
-    phi = build_training_set(days, day.weekday(), config.tau, cutoff=day)
-    return [grid_search(phi, method, config.grid_for(method), config.cv_folds,
-                        derive_seed(config.seed, _TUNE_STREAM, _method_tag(method),
-                                    day.toordinal()),
-                        config.trials_per_fold)
-            for method in config.model_methods]
+    return grid_search(phi, method, config.grid_for(method), config.cv_folds,
+                       tune_seed(config.seed, method, key), config.trials_per_fold)
 
 
 def _forecast_day(days, task):
@@ -321,15 +309,17 @@ def _forecast_day(days, task):
     return per_method
 
 
-def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, ts: TimeSeries) -> ExperimentReport:
     """Execute the full rolling evaluation and score it: summaries and
     paired Wilcoxon decisions, from whole `(days, trials, n)` arrays in
     test-day order. Percentile bands are left to `write_report_bundle`.
 
-    `ts` (loaded from `config.data_path` when None) is encoded once into
-    a day matrix, which every stage reads. A candidate day is screened
-    out, with its reason, when it or its input day is missing, the input
-    day is constant, the naive reference is missing, or the
+    `ts` is the loaded series with its exclusions applied;
+    `config.data_path` and `config.exclusions_path` only record where it
+    came from, so that report.json replays the run. It is encoded once
+    into a day matrix, which every stage reads. A candidate day is
+    screened out, with its reason, when it or its input day is missing,
+    the input day is constant, the naive reference is missing, or the
     admissibility rule finds no training pair before it; every training
     set is gathered from the day matrix under that same rule. A day
     whose tuning selects no hyperparameters for some method is skipped
@@ -343,8 +333,6 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> Ex
     runs them. Because workers are spawned, a script calling this must
     do so under an `if __name__ == "__main__":` guard.
     """
-    if ts is None:
-        ts = _load_series(config)
     days = encode_days(ts)
 
     candidates = [config.test_start + timedelta(days=i)
@@ -357,10 +345,11 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> Ex
         else:
             skipped.append((day, reason))
 
-    weekday_searches = 0
-    if config.tuning == "once":
-        weekday_searches = len(config.model_methods) * len({d.weekday() for d in test_days})
-    with _Stages(days, max(len(test_days), weekday_searches)) as stages:
+    searches = 0
+    if config.tuning != "fixed":
+        keys = {d.weekday() for d in test_days} if config.tuning == "once" else test_days
+        searches = len(config.model_methods) * len(keys)
+    with _Stages(days, max(len(test_days), searches)) as stages:
         tune_tables, hps = _resolve_tuning(config, test_days, stages)
         tasks = []
         for day, hp in zip(test_days, hps):
@@ -396,32 +385,40 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries | None = None) -> Ex
 def _resolve_tuning(config, test_days, stages):
     """Hyperparameters for every test day under the tuning mode.
 
-    Returns (tune_tables, hps): the searches' tables, and for each test
-    day a `{method: HyperParams | None}` over the model methods. In
-    `once` mode hyperparameters are tuned per weekday on history before
-    the first test day and reused; `per-day` re-tunes on each day's own
-    training set; `fixed` bypasses search. A weekday (or day) whose
-    tuning set is empty, or on which no gridpoint fits, gets None.
-    Searches run as `stages` tasks; their results are collected in
-    submission order, so tuning.csv does not depend on workers.
+    Returns (tune_tables, hps): `(method, scope, TuneResult)` tables in
+    tuning.csv order, and for each test day a `{method: HyperParams |
+    None}` over the model methods. Each search is one `_search` task;
+    `stages` returns them in submission order, so workers do not matter.
+    `once` searches per method, then weekday, before the first test day
+    (key and scope: the weekday); `per-day` per test day, then method,
+    on the day's own training set (key: its ordinal, scope: its date).
+    `fixed` searches nothing: each model method's table is one selected
+    row, scope `fixed`, holding its fixed hyperparameters. A search
+    without pairs gives no table; it, or one where no gridpoint fits,
+    leaves its days with None.
     """
     methods = config.model_methods
     if config.tuning == "fixed":
-        return [], [{m: config.fixed_params[m] for m in methods}] * len(test_days)
+        hps = {m: config.fixed_params[m] for m in methods}
+        tables = [(m, "fixed", TuneResult(hp, (GridPoint(hp.m, hp.smoothing, None, None),)))
+                  for m, hp in hps.items()]
+        return tables, [hps] * len(test_days)
 
     if config.tuning == "once":
-        keys = [(m, wd) for m in methods for wd in sorted({d.weekday() for d in test_days})]
-        results = stages.map(_search_weekday, [(config, m, wd, test_days[0]) for m, wd in keys])
-        found = [(key, r) for key, r in zip(keys, results) if r is not None]  # None: no pairs
-        best = {key: r.best for key, r in found}
-        return ([(m, f"weekday={wd}", r) for (m, wd), r in found],
-                [{m: best.get((m, d.weekday())) for m in methods} for d in test_days])
-
-    # per-day: strict protocol, a fresh search for every forecasted day
-    results = stages.map(_search_day, [(config, d) for d in test_days])
-    tables = [(m, d.isoformat(), r) for d, rs in zip(test_days, results)
-              for m, r in zip(methods, rs)]
-    return tables, [{m: r.best for m, r in zip(methods, rs)} for rs in results]
+        weekdays = sorted({d.weekday() for d in test_days})
+        tasks = [(config, m, wd, test_days[0], wd) for m in methods for wd in weekdays]
+        scopes = [f"weekday={wd}" for wd in weekdays] * len(methods)
+        day_key = date.weekday
+    else:
+        tasks = [(config, m, d.weekday(), d, d.toordinal()) for d in test_days for m in methods]
+        scopes = [d.isoformat() for d in test_days for _ in methods]
+        day_key = date.toordinal
+    results = stages.map(_search, tasks)
+    best = {(m, key): None if r is None else r.best
+            for (_, m, _, _, key), r in zip(tasks, results)}
+    tables = [(m, scope, r) for (_, m, *_), scope, r in zip(tasks, scopes, results)
+              if r is not None]
+    return tables, [{m: best[m, day_key(d)] for m in methods} for d in test_days]
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
@@ -460,19 +457,12 @@ def write_report_bundle(report: ExperimentReport, out_dir) -> None:
             for d, row in zip(report.test_days, report.ape[method].tolist()):
                 fh.writelines(f"{method},{d.isoformat()},{h},{v!r}\n" for h, v in enumerate(row))
 
-    tuned = {m: {} for m in config.model_methods}  # method -> {scope -> HyperParams | None}
     with open(out / "tuning.csv", "w", newline="") as fh:
-        fh.write("method,scope,m,smoothing,mean_error,std_error,selected\n")
-        for method, scope, result in report.tune_tables:
-            best = tuned[method][scope] = result.best
-            for p in result.table:
-                sel = int(best is not None and p.m == best.m and p.smoothing == best.smoothing)
-                errors = ",".join("" if e is None else repr(e) for e in (p.mean_error, p.std_error))
-                fh.write(f"{method},{scope},{p.m},{p.smoothing!r},{errors},{sel}\n")
-        if config.tuning == "fixed":
-            for method in config.model_methods:
-                hp = tuned[method]["fixed"] = config.fixed_params[method]
-                fh.write(f"{method},fixed,{hp.m},{hp.smoothing!r},,,1\n")
+        write_tuning_csv(report.tune_tables, fh)
+    tuned = {m: {} for m in config.model_methods}  # method -> {scope -> selection | None}
+    for method, scope, result in report.tune_tables:
+        hp = result.best
+        tuned[method][scope] = None if hp is None else {"m": hp.m, "smoothing": hp.smoothing}
 
     bands = {}
     for method in config.methods:
@@ -498,12 +488,7 @@ def write_report_bundle(report: ExperimentReport, out_dir) -> None:
             }
             for (a, b), r in report.wilcoxon.items()
         ],
-        "tuned": {
-            m: {scope: None if hp is None else
-                {"m": hp.m, "smoothing": hp.smoothing}
-                for scope, hp in scopes.items()}
-            for m, scopes in tuned.items()
-        },
+        "tuned": tuned,
         "bands": bands,
         "skipped_days": [{"date": d.isoformat(), "reason": r} for d, r in report.skipped],
         "test_days": [d.isoformat() for d in report.test_days],

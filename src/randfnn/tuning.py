@@ -6,7 +6,6 @@ predicted and true target patterns), which keeps tuning independent of
 the coding variables used for decoding.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,21 +143,15 @@ def grid_search(phi: TrainingSet, method: str, grid: Grid, k_folds: int, seed: i
     return TuneResult(best=best, table=table)
 
 
-def write_tuning_csv(result: TuneResult, target, context: dict | None = None) -> None:
-    """One row per gridpoint: optional context columns, m, smoothing,
-    mean and std of the validation error (empty where it did not fit)."""
-    context = context or {}
-
-    def _write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(list(context) + ["m", "smoothing", "mean_error", "std_error"])
-        ctx = [str(v) for v in context.values()]
+def write_tuning_csv(tables, fh) -> None:
+    """tuning.csv: a header, then one row per gridpoint of each
+    `(method, scope, TuneResult)` in `tables`, in order: m, smoothing,
+    the mean and std of the validation error (empty where the gridpoint
+    did not fit) and 1 on the selected gridpoint, else 0."""
+    fh.write("method,scope,m,smoothing,mean_error,std_error,selected\n")
+    for method, scope, result in tables:
+        best = result.best
         for p in result.table:
-            writer.writerow(ctx + [p.m, repr(p.smoothing)]
-                            + ["" if e is None else repr(e) for e in (p.mean_error, p.std_error)])
-
-    if hasattr(target, "write"):
-        _write(target)
-    else:
-        with open(target, "w", newline="") as fh:
-            _write(fh)
+            sel = int(best is not None and p.m == best.m and p.smoothing == best.smoothing)
+            errors = ",".join("" if e is None else repr(e) for e in (p.mean_error, p.std_error))
+            fh.write(f"{method},{scope},{p.m},{p.smoothing!r},{errors},{sel}\n")

@@ -126,7 +126,7 @@ def test_tune_exit_codes(month_csv, tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert main(tune_argv(month_csv, out)) == 0
     assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == [
-        "mon", "tue", "wed", "thu", "fri", "sat", "sun"]
+        f"weekday={wd}" for wd in range(7)]
     assert main(tune_argv(month_csv, out, "--weekday", "someday")) == 2
     assert main(tune_argv(month_csv, out, "--grid-m", "five")) == 2
     assert main(tune_argv(tmp_path / "missing.csv", out)) == 1
@@ -147,11 +147,29 @@ def test_tune_weekday_without_pairs_does_not_stop_the_others(month_csv, tmp_path
         f"error: {name}: no pairs for weekday {wd}, tau 1, cutoff 2012-01-04"
         for wd, name in enumerate(("mon", "tue", "wed", "thu", "fri", "sat", "sun")) if wd >= 2]
     whole = out.read_text().splitlines()
-    for name in ("mon", "tue"):
+    for wd, name in enumerate(("mon", "tue")):
         alone = tmp_path / f"{name}.csv"
         assert main(tune_argv(month_csv, alone, "--cutoff", "2012-01-04", "--weekday", name)) == 0
-        assert alone.read_text().splitlines()[1:] == [r for r in whole if f",{name}," in r]
+        assert alone.read_text().splitlines()[1:] == [r for r in whole if f",weekday={wd}," in r]
     assert len(whole) == 3
+
+
+def test_tune_writes_the_rows_of_forecast_once(month_csv, tmp_path, monkeypatch):
+    # a test week from 2012-01-23 tunes every weekday on the pairs before it
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    grid = ["--grid-m", "5,10", "--grid-smoothing", "0.2,0.4", "--folds", "2",
+            "--trials-per-fold", "2", "--seed", "3"]
+    out = tmp_path / "out"
+    assert main(["forecast", "--data", str(month_csv), "--methods", "ram,naive", "--trials", "1",
+                 "--tuning", "once", "--test-start", "2012-01-23", "--test-end", "2012-01-29",
+                 "--out-dir", str(out), *grid]) == 0
+    tuned = tmp_path / "tune.csv"
+    assert main(["tune", "--data", str(month_csv), "--method", "ram", "--cutoff", "2012-01-23",
+                 "--out", str(tuned), *grid]) == 0
+    lines = (out / "tuning.csv").read_bytes().splitlines(keepends=True)
+    assert tuned.read_bytes() == b"".join(
+        [lines[0]] + [line for line in lines[1:] if line.startswith(b"ram,")])
+    assert len(lines) == 1 + 7 * 4
 
 
 def forecast_argv(data, out_dir, *extra):
@@ -220,6 +238,27 @@ def test_forecast_unknown_config_key_exits_2(month_csv, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "unknown config keys ['test-start']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, field", [
+    ('{"methods": ["naive"],', "not valid JSON"),
+    ({"test_start": "2012-13-01"}, "test_start"),
+    ({"trials": "many"}, "trials"),
+    ({"tuning": "fixed", "fixed_params": {"ram": {"m": "x", "smoothing": 0.4}}},
+     "fixed_params"),
+    ({"grids": {"ram": {"m_values": [5]}}}, "grids"),
+], ids=["json", "date", "int", "fixed_params", "grids"])
+def test_forecast_malformed_config_exits_2(month_csv, tmp_path, capsys, doc, field):
+    config = tmp_path / "config.json"
+    config.write_text(doc if isinstance(doc, str) else json.dumps(
+        {"test_start": "2012-01-23", "test_end": "2012-01-24", **doc}))
+    code = main(["forecast", "--config", str(config), "--data", str(month_csv),
+                 "--methods", "ram,naive", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {config}: ")
+    assert field in err
     assert not (tmp_path / "out").exists()
 
 

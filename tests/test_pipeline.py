@@ -13,7 +13,7 @@ from randfnn.evaluation import summarize
 from randfnn.pipeline import ExperimentConfig, run_experiment, write_report_bundle
 from randfnn.randnn import HyperParams
 from randfnn.timeseries import SynthSpec, TimeSeries, exclude_days, synth_generate
-from randfnn.tuning import Grid
+from randfnn.tuning import Grid, GridPoint, TuneResult
 
 BUNDLE = ("forecasts.csv", "ape_records.csv", "tuning.csv", "report.json")
 
@@ -192,6 +192,17 @@ def test_fewer_pairs_than_folds_skips_the_weekday(sixty_days, tmp_path, tuning):
     with open(tmp_path / "tuning.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert sorted(r["selected"] for r in rows) == ["0", "0", "0", "0", "1"]
+
+
+def test_fixed_tables_select_the_fixed_params(two_years, tmp_path):
+    config = short_config(methods=("ddm", "ram", "naive"), tuning="fixed", fixed_params=FIXED)
+    report = run_experiment(config, two_years)
+    assert report.tune_tables == [
+        (m, "fixed", TuneResult(hp, (GridPoint(hp.m, hp.smoothing, None, None),)))
+        for m, hp in FIXED.items()]
+    write_report_bundle(report, tmp_path)
+    assert (tmp_path / "tuning.csv").read_text().splitlines()[1:] == [
+        "ddm,fixed,5,9.0,,,1", "ram,fixed,10,0.4,,,1"]
 
 
 def test_scores_match_per_trial_reference(two_years):

@@ -74,8 +74,8 @@ def test_ddm_gridpoints_too_large_for_a_fold_are_skipped():
     assert result.best.smoothing in (5.0, 15.0)
 
     buf = io.StringIO()
-    write_tuning_csv(result, buf)
-    assert "3,16.0,,\r\n" in buf.getvalue()
+    write_tuning_csv([("ddm", "weekday=0", result)], buf)
+    assert "ddm,weekday=0,3,16.0,,,0\n" in buf.getvalue()
 
 
 def test_ddm_nothing_fits():
