@@ -5,10 +5,13 @@ is deterministic given --seed. tune and forecast print the series' load
 warnings (partial days dropped, exclusion dates not in the series) on
 stderr as `warning: ...`.
 
-`tune` seeds each weekday's search with `pipeline.tune_seed`, as
-`forecast --tuning once` does, and writes the bundle's tuning.csv format
-(scope `weekday=N`, Monday 0): the header and the method's rows of a
-`once` run whose first test day is the cutoff.
+`tune` runs each weekday's search as the `pipeline._search` task that
+`forecast --tuning once` runs, with the same seed, and writes the
+bundle's tuning.csv format (scope `weekday=N`, Monday 0): the header and
+the method's rows of a `once` run whose first test day is the cutoff.
+Its weekdays run in the same spawn pool as `forecast`'s stages when two
+or more CPUs are usable, so a script that calls `main` with `tune` or
+`forecast` must do so under an `if __name__ == "__main__":` guard.
 
 `forecast --config FILE` reads a JSON object keyed by `ExperimentConfig`
 field names: methods, test_start, test_end, trials, tau, seed, tuning,
@@ -26,14 +29,14 @@ byte-identical.
 import argparse
 import csv
 import json
+import operator
 import sys
 from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
-from .encoding import build_training_set, encode_days
+from .encoding import _pair_rows, encode_days
 from .errors import (
-    EmptyTrainingSet,
     MetricError,
     PairingError,
     ParameterError,
@@ -44,8 +47,9 @@ from .evaluation import summarize, wilcoxon_signed_rank, write_metrics_csv
 from .pipeline import (
     NAIVE,
     ExperimentConfig,
+    _search,
+    _stages,
     run_experiment,
-    tune_seed,
     write_report_bundle,
 )
 from .randnn import METHODS, HyperParams
@@ -57,7 +61,7 @@ from .timeseries import (
     synth_generate,
     write_csv,
 )
-from .tuning import Grid, default_grid, grid_search, write_tuning_csv
+from .tuning import Grid, default_grid, write_tuning_csv
 
 WEEKDAYS = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
@@ -202,11 +206,12 @@ def _load_series(data_path, exclude_path):
 
 
 def cmd_tune(args) -> int:
-    """Tune each requested weekday on its pairs before the cutoff, with
-    the seed `forecast --tuning once` uses for that weekday, and write
-    the tables in the bundle's tuning.csv format. A weekday without
-    pairs is reported on stderr and the others are still tuned and
-    written; the exit code is then 1."""
+    """Tune each requested weekday on its pairs before the cutoff, as
+    `forecast --tuning once --test-start <cutoff>` does: one `_search`
+    task per weekday, with that run's config and seeds, through the same
+    stage runner. Write the tables in the bundle's tuning.csv format. A
+    weekday without pairs is reported on stderr and the others are
+    still tuned and written; the exit code is then 1."""
     days = encode_days(_load_series(args.data, args.exclude))
     grid = _flag_grid(args, default_grid(args.method))
     # default: every day loaded; with none left, no weekday has pairs
@@ -218,28 +223,40 @@ def cmd_tune(args) -> int:
         weekdays = [WEEKDAYS.index(args.weekday)]
     else:
         raise ParameterError(f"unknown weekday {args.weekday!r}")
+    config = ExperimentConfig(
+        methods=(args.method,), test_start=cutoff, test_end=cutoff, tau=args.tau,
+        seed=args.seed, grids={args.method: grid}, cv_folds=args.folds,
+        trials_per_fold=args.trials_per_fold)
 
     tables = []
     with open(args.out, "w", newline="") as fh:
-        for wd in weekdays:
-            try:
-                phi = build_training_set(days, wd, args.tau, cutoff)
-            except EmptyTrainingSet as exc:
-                print(f"error: {WEEKDAYS[wd]}: {exc}", file=sys.stderr)
+        with _stages(days, len(weekdays)) as run:
+            results = run(_search, [(config, args.method, wd, cutoff, wd) for wd in weekdays])
+        for wd, result in zip(weekdays, results):
+            if result is None:
+                print(f"error: {WEEKDAYS[wd]}: no pairs for weekday {wd}, tau {args.tau}, "
+                      f"cutoff {cutoff}", file=sys.stderr)
                 continue
-            result = grid_search(phi, args.method, grid, args.folds,
-                                 tune_seed(args.seed, args.method, wd), args.trials_per_fold)
+            n_pairs = _pair_rows(days, wd, args.tau, cutoff)[0].size
             best = result.best
             if best is None:
-                print(f"{WEEKDAYS[wd]}: no gridpoint fits (N={len(phi)})")
+                print(f"{WEEKDAYS[wd]}: no gridpoint fits (N={n_pairs})")
             else:
                 cv_error = min(p.mean_error for p in result.table if p.mean_error is not None)
                 print(f"{WEEKDAYS[wd]}: m={best.m} {best.smoothing_name}={best.smoothing} "
-                      f"(N={len(phi)}, cv_error={cv_error:.6g})")
+                      f"(N={n_pairs}, cv_error={cv_error:.6g})")
             tables.append((args.method, f"weekday={wd}", result))
         write_tuning_csv(tables, fh)
     print(f"wrote {args.out}")
     return 0 if len(tables) == len(weekdays) else 1
+
+
+def _integer(value) -> int:
+    """`value` as an int, when it is one: 2.7 and True are rejected, not
+    truncated or read as 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
 
 
 def _forecast_config(args) -> ExperimentConfig:
@@ -280,13 +297,14 @@ def _forecast_config(args) -> ExperimentConfig:
         convert(key, lambda v: v if isinstance(v, date) else date.fromisoformat(v))
     for key in ("trials", "tau", "seed", "cv_folds", "trials_per_fold"):
         if key in cfg:
-            convert(key, int)
+            convert(key, _integer)
     if "alpha" in cfg:
         convert("alpha", float)
 
     cfg["grids"] = cfg.get("grids") or {}
-    convert("grids", lambda gs: {m: Grid(tuple(g["m_values"]), tuple(g["smoothing_values"]))
-                                 for m, g in gs.items()})
+    convert("grids", lambda gs: {
+        m: Grid(tuple(map(_integer, g["m_values"])), tuple(g["smoothing_values"]))
+        for m, g in gs.items()})
     if args.grid_m or args.grid_smoothing:
         for method in cfg["methods"]:
             if method == NAIVE:
@@ -296,7 +314,7 @@ def _forecast_config(args) -> ExperimentConfig:
     cfg["grids"] = cfg["grids"] or None
     cfg["fixed_params"] = cfg.get("fixed_params") or {}
     convert("fixed_params", lambda ps: {
-        m: HyperParams(m, int(v["m"]), float(v["smoothing"]), int(v.get("seed", 0)))
+        m: HyperParams(m, _integer(v["m"]), float(v["smoothing"]), _integer(v.get("seed", 0)))
         for m, v in ps.items()} or None)
     return ExperimentConfig(**cfg)
 
@@ -370,8 +388,12 @@ def _read_ape_records(path) -> dict:
         if not needed <= set(reader.fieldnames or ()):
             raise ParameterError(f"{path} lacks columns {sorted(needed)}")
         for row in reader:
-            key = (row["date"], int(row["hour"]))
-            series.setdefault(row["method"], {})[key] = float(row["ape"])
+            try:
+                key = (row["date"], int(row["hour"]))
+                series.setdefault(row["method"], {})[key] = float(row["ape"])
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}:{reader.line_num}: bad or missing hour or "
+                                 "ape value") from None
     if not series:
         raise ParameterError(f"{path} has no rows")
     return series

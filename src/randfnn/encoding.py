@@ -172,10 +172,6 @@ class TrainingSet:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    @classmethod
-    def from_arrays(cls, x, y) -> "TrainingSet":
-        return cls(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
     def __len__(self) -> int:
         return self.x.shape[0]
 

@@ -17,22 +17,25 @@ report.json lists are computed when the bundle is written.
 
 All randomness is derived from the master seed, the method name, the day
 and the trial index, which makes reports reproducible and independent of
-worker scheduling. Each tuning decision is one grid search task
-(`_search`) seeded by `tune_seed`, which `randfnn tune` shares.
+worker scheduling. Each tuning decision is one grid search task,
+`_search`, which `randfnn tune` runs too.
 
-Grid searches and test days run in a pool of worker processes, one per
-CPU this process may run on (`os.sched_getaffinity`) but no more than
-the largest stage has tasks, each with one BLAS thread; run under
-`taskset` to use fewer. With one usable CPU, or a stage of fewer than
-two tasks, the tasks run in this process instead.
-Workers are started with `spawn`, which imports the main module again:
-a script that calls `run_experiment` must do so under an
-`if __name__ == "__main__":` guard.
+Grid searches and test days run in one pool of worker processes for
+the whole run, one per CPU this process may run on
+(`os.sched_getaffinity`) but no more than the largest stage has tasks;
+run under `taskset` to use fewer. The BLAS thread variables are held at
+one while the pool lives, so each worker runs one BLAS thread. When
+fewer than two workers are usable, every task runs in this process
+instead; there is no per-stage rule. `randfnn tune` runs its weekday
+searches through the same runner. Workers are started with `spawn`,
+which imports the main module again: a script that calls
+`run_experiment` must do so under an `if __name__ == "__main__":` guard.
 """
 
 import json
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -52,7 +55,6 @@ __all__ = [
     "run_day",
     "run_experiment",
     "seasonal_naive",
-    "tune_seed",
     "write_report_bundle",
 ]
 
@@ -66,13 +68,6 @@ _FORECAST_STREAM = 202
 
 def _method_tag(method: str) -> int:
     return zlib.crc32(method.encode())
-
-
-def tune_seed(seed: int, method: str, key: int) -> int:
-    """The seed of one tuning decision's grid search: `key` is the
-    weekday for `once` tuning and `randfnn tune`, and the test day's
-    ordinal for `per-day` tuning."""
-    return derive_seed(seed, _TUNE_STREAM, _method_tag(method), key)
 
 
 @dataclass(frozen=True)
@@ -215,81 +210,64 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _init_worker(days, started) -> None:
+def _init_worker(days) -> None:
     global _worker_days
     _worker_days = days
-    started.wait()
 
 
 def _in_worker(fn, task):
     return fn(_worker_days, task)
 
 
-class _Stages:
-    """Runs each stage's tasks, `fn(days, task)` for a module-level
-    `fn`, and returns their results in submission order.
+@contextmanager
+def _stages(days, most_tasks: int):
+    """Yields `run(fn, tasks)`, which returns `[fn(days, task) for task
+    in tasks]` in task order, for a module-level `fn`.
 
-    A stage of at least two tasks runs in a spawn pool of
-    `min(usable CPUs, most_tasks)` workers, started on first use and
-    reused by later stages; with fewer than two workers or tasks, the
-    tasks run in this process. A task's exception reaches the caller
-    with its type and message.
+    With `min(usable CPUs, most_tasks)` of at least two, every call runs
+    in one spawn pool of that many workers, which gets `days` once. The
+    executor starts workers on demand, in any call, so the BLAS thread
+    variables are held at one for the pool's lifetime: every worker
+    starts with one BLAS thread. Otherwise the tasks run in this process. A task's exception reaches the caller with its type
+    and message, and a killed worker raises `BrokenProcessPool`.
     """
+    workers = min(_usable_cpus(), most_tasks)
+    if workers < 2:
+        yield lambda fn, tasks: [fn(days, task) for task in tasks]
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    def __init__(self, days, most_tasks: int):
-        self.days = days
-        self.workers = min(_usable_cpus(), most_tasks)
-        self.pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.pool is not None:
-            self.pool.shutdown(cancel_futures=True)
-
-    def map(self, fn, tasks: list) -> list:
-        if self.workers < 2 or len(tasks) < 2:
-            return [fn(self.days, task) for task in tasks]
-        if self.pool is None:
-            self._start_pool()
-        return list(self.pool.map(_in_worker, [fn] * len(tasks), tasks))
-
-    def _start_pool(self) -> None:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        ctx = multiprocessing.get_context("spawn")
-        self.pool = ProcessPoolExecutor(
-            self.workers, mp_context=ctx, initializer=_init_worker,
-            initargs=(self.days, ctx.Barrier(self.workers)))
-        # Workers inherit the environment they start in. Each submission
-        # starts a worker while none is idle, and no worker is idle before
-        # all have passed the barrier, so every worker starts here.
-        saved = {k: os.environ.get(k) for k in _BLAS_THREADS}
-        os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    saved = {k: os.environ.get(k) for k in _BLAS_THREADS}
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    try:
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
+                                   initializer=_init_worker, initargs=(days,))
         try:
-            for f in [self.pool.submit(int) for _ in range(self.workers)]:
-                f.result()
+            yield lambda fn, tasks: list(pool.map(_in_worker, [fn] * len(tasks), tasks))
         finally:
-            for k, v in saved.items():
-                if v is None:
-                    del os.environ[k]
-                else:
-                    os.environ[k] = v
+            pool.shutdown(cancel_futures=True)
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                del os.environ[k]
+            else:
+                os.environ[k] = v
 
 
 def _search(days, task):
     """Tuning task: one method's grid search on one weekday's pairs
-    before `cutoff`, seeded by `tune_seed(config.seed, method, key)`;
-    None when there are no such pairs."""
+    before `cutoff`, seeded from `config.seed`, the method and `key`: the
+    weekday for `once` tuning and `randfnn tune`, the test day's ordinal
+    for `per-day` tuning. None when there are no such pairs."""
     config, method, weekday, cutoff, key = task
     try:
         phi = build_training_set(days, weekday, config.tau, cutoff)
     except EmptyTrainingSet:
         return None
     return grid_search(phi, method, config.grid_for(method), config.cv_folds,
-                       tune_seed(config.seed, method, key), config.trials_per_fold)
+                       derive_seed(config.seed, _TUNE_STREAM, _method_tag(method), key),
+                       config.trials_per_fold)
 
 
 def _forecast_day(days, task):
@@ -325,13 +303,15 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries) -> ExperimentReport
     whose tuning selects no hyperparameters for some method is skipped
     after the screened days.
 
-    Grid searches and test days run in a pool of spawned worker
-    processes, one per usable CPU (the process's affinity mask; restrict
-    it with `taskset`) and no more than a stage has tasks, each worker
-    with one BLAS thread. On one CPU, or for a stage of fewer than two
-    tasks, they run in this process. Results do not depend on which path
-    runs them. Because workers are spawned, a script calling this must
-    do so under an `if __name__ == "__main__":` guard.
+    Grid searches and test days run in one pool of spawned worker
+    processes for the whole run, one per usable CPU (the process's
+    affinity mask; restrict it with `taskset`) and no more than the
+    largest stage has tasks, with the BLAS thread variables held at one
+    for the pool's lifetime. With fewer than two usable workers, every
+    stage runs in this process; a stage of one task runs in the pool
+    when the run has one. Results do not depend on which path runs
+    them. Because workers are spawned, a script calling this must do so
+    under an `if __name__ == "__main__":` guard.
     """
     days = encode_days(ts)
 
@@ -349,8 +329,8 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries) -> ExperimentReport
     if config.tuning != "fixed":
         keys = {d.weekday() for d in test_days} if config.tuning == "once" else test_days
         searches = len(config.model_methods) * len(keys)
-    with _Stages(days, max(len(test_days), searches)) as stages:
-        tune_tables, hps = _resolve_tuning(config, test_days, stages)
+    with _stages(days, max(len(test_days), searches)) as run:
+        tune_tables, hps = _resolve_tuning(config, test_days, run)
         tasks = []
         for day, hp in zip(test_days, hps):
             if None in hp.values():
@@ -360,7 +340,7 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries) -> ExperimentReport
         if not tasks:
             raise ExperimentError("all test days were skipped: "
                                   + "; ".join(f"{d}: {r}" for d, r in skipped[:5]))
-        results = stages.map(_forecast_day, tasks)
+        results = run(_forecast_day, tasks)
 
     test_days = [day for _, day, _ in tasks]
     actual = days.values[[days.row(d) for d in test_days]]
@@ -382,13 +362,13 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries) -> ExperimentReport
     )
 
 
-def _resolve_tuning(config, test_days, stages):
+def _resolve_tuning(config, test_days, run):
     """Hyperparameters for every test day under the tuning mode.
 
     Returns (tune_tables, hps): `(method, scope, TuneResult)` tables in
     tuning.csv order, and for each test day a `{method: HyperParams |
     None}` over the model methods. Each search is one `_search` task;
-    `stages` returns them in submission order, so workers do not matter.
+    `run` returns them in task order, so workers do not matter.
     `once` searches per method, then weekday, before the first test day
     (key and scope: the weekday); `per-day` per test day, then method,
     on the day's own training set (key: its ordinal, scope: its date).
@@ -413,7 +393,7 @@ def _resolve_tuning(config, test_days, stages):
         tasks = [(config, m, d.weekday(), d, d.toordinal()) for d in test_days for m in methods]
         scopes = [d.isoformat() for d in test_days for _ in methods]
         day_key = date.toordinal
-    results = stages.map(_search, tasks)
+    results = run(_search, tasks)
     best = {(m, key): None if r is None else r.best
             for (_, m, _, _, key), r in zip(tasks, results)}
     tables = [(m, scope, r) for (_, m, *_), scope, r in zip(tasks, scopes, results)

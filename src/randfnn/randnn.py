@@ -252,7 +252,7 @@ def gen_ddm(m: int, k: int, phi: TrainingSet, rng: np.random.Generator) -> Hidde
                        anchor_indices=anchors, output_components=components)
 
 
-def make_layer(hp: HyperParams, phi: TrainingSet | None = None,
+def make_layer(hp: HyperParams, phi: TrainingSet,
                rng: np.random.Generator | None = None) -> HiddenLayer:
     """Generate a hidden layer per `hp`, drawing data from `phi` as needed.
 
@@ -262,11 +262,7 @@ def make_layer(hp: HyperParams, phi: TrainingSet | None = None,
     if rng is None:
         rng = derive_rng(hp.seed)
     if hp.method == "standard":
-        if phi is None:
-            raise ParameterError("standard generation needs phi for the pattern length")
         return gen_standard(hp.m, phi.n, hp.smoothing, rng)
-    if phi is None:
-        raise ParameterError(f"{hp.method} generation needs a training set")
     if hp.method == "ram":
         return gen_ram(hp.m, hp.smoothing, phi.x, rng)
     if hp.method == "ralpham":

@@ -119,7 +119,7 @@ def grid_search(phi: TrainingSet, method: str, grid: Grid, k_folds: int, seed: i
         for held in kfold_split(len(phi), k_folds, seed):
             mask = np.ones(len(phi), dtype=bool)
             mask[held] = False
-            folds.append((TrainingSet.from_arrays(phi.x[mask], phi.y[mask]), held))
+            folds.append((TrainingSet(phi.x[mask], phi.y[mask]), held))
     max_k = min((len(phi_train) for phi_train, _ in folds), default=0) - 1
     points = {}
     # smoothing-major, so that ddm's per-k cache on each fold serves every m

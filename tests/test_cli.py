@@ -154,6 +154,33 @@ def test_tune_weekday_without_pairs_does_not_stop_the_others(month_csv, tmp_path
     assert len(whole) == 3
 
 
+def test_tune_same_in_process_and_in_pool(month_csv, tmp_path, capsys, monkeypatch):
+    # without the Fridays 2012-01-06 and 01-13, Friday and Saturday have
+    # no pairs before 2012-01-18; Wednesday, Thursday and Sunday have two,
+    # fewer than the folds, and Monday and Tuesday three
+    exclude = tmp_path / "exclude.txt"
+    exclude.write_text("2012-01-06\n2012-01-13\n")
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"{cpus}.csv"
+        code = main(tune_argv(month_csv, out, "--cutoff", "2012-01-18", "--folds", "3",
+                              "--grid-m", "5,10", "--grid-smoothing", "0.2,0.4",
+                              "--exclude", str(exclude)))
+        captured = capsys.readouterr()
+        outputs.append((code, out.read_bytes(), captured.out.replace(str(out), "OUT"),
+                        captured.err))
+    assert outputs[0] == outputs[1]
+    code, _, out, err = outputs[0]
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["mon", "tue", "wed", "thu", "sun",
+                                                      "wrote OUT"]
+    assert all("(N=3, cv_error=" in line for line in lines[:2])
+    assert lines[2:5] == [f"{d}: no gridpoint fits (N=2)" for d in ("wed", "thu", "sun")]
+    assert [line.split(":")[1] for line in err.splitlines()] == [" fri", " sat"]
+
+
 def test_tune_writes_the_rows_of_forecast_once(month_csv, tmp_path, monkeypatch):
     # a test week from 2012-01-23 tunes every weekday on the pairs before it
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
@@ -248,7 +275,13 @@ def test_forecast_unknown_config_key_exits_2(month_csv, tmp_path, capsys):
     ({"tuning": "fixed", "fixed_params": {"ram": {"m": "x", "smoothing": 0.4}}},
      "fixed_params"),
     ({"grids": {"ram": {"m_values": [5]}}}, "grids"),
-], ids=["json", "date", "int", "fixed_params", "grids"])
+    ({"trials": 2.7}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"tuning": "fixed", "fixed_params": {"ram": {"m": 5.9, "smoothing": 0.4}}},
+     "fixed_params"),
+    ({"grids": {"ram": {"m_values": [5.5], "smoothing_values": [0.4]}}}, "grids"),
+], ids=["json", "date", "int", "fixed_params", "grids", "trials_float", "trials_bool",
+        "fixed_m_float", "grid_m_float"])
 def test_forecast_malformed_config_exits_2(month_csv, tmp_path, capsys, doc, field):
     config = tmp_path / "config.json"
     config.write_text(doc if isinstance(doc, str) else json.dumps(
@@ -295,3 +328,12 @@ def test_compare_exit_codes(tmp_path, capsys):
     assert "differ on 1 record keys: 2015-01-05 h5" in capsys.readouterr().err
     assert main(["compare", a]) == 2
     assert main(["compare", a, b, "--labels", "one"]) == 2
+
+
+@pytest.mark.parametrize("row", [("ram", "2015-01-05", 1, "abc"), ("ram", "2015-01-05", "x", 1.0)],
+                         ids=["ape", "hour"])
+def test_compare_malformed_number_exits_1(tmp_path, capsys, row):
+    a = write_ape(tmp_path / "a.csv", [("ram", "2015-01-05", 0, 1.0)])
+    b = write_ape(tmp_path / "b.csv", [("ram", "2015-01-05", 0, 2.0), row])
+    assert main(["compare", a, b]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {b}:3: ")

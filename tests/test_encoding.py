@@ -258,16 +258,20 @@ class TestEncodeDays:
 
 class TestTrainingSet:
     def test_from_arrays(self):
-        phi = TrainingSet.from_arrays(np.ones((3, 4)), np.zeros((3, 2)))
+        # the constructor takes any array-like and keeps float copies
+        x, y = [[1, 2, 3, 4]] * 3, np.zeros((3, 2), dtype=np.float32)
+        phi = TrainingSet(x, y)
         assert len(phi) == 3 and phi.n == 4
+        assert phi.x.dtype == phi.y.dtype == np.float64
+        assert phi.x.tolist() == x and not np.shares_memory(phi.y, y)
 
     def test_rejects_empty_and_mismatch(self):
         with pytest.raises(EmptyTrainingSet):
-            TrainingSet.from_arrays(np.empty((0, 4)), np.empty((0, 4)))
+            TrainingSet(np.empty((0, 4)), np.empty((0, 4)))
         with pytest.raises(Exception):
-            TrainingSet.from_arrays(np.ones((3, 4)), np.ones((2, 4)))
+            TrainingSet(np.ones((3, 4)), np.ones((2, 4)))
 
     def test_arrays_read_only(self):
-        phi = TrainingSet.from_arrays(np.ones((2, 3)), np.ones((2, 3)))
+        phi = TrainingSet(np.ones((2, 3)), np.ones((2, 3)))
         with pytest.raises(ValueError):
             phi.x[0, 0] = 9.0

@@ -1,7 +1,13 @@
+import concurrent.futures
 import csv
 import json
+import multiprocessing
 import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,14 +65,14 @@ def run_with_cpus(monkeypatch, cpus, config, ts):
     """run_experiment with `cpus` usable CPUs; also returns the worker
     count of every pool it started."""
     starts = []
-    start_pool = pipeline._Stages._start_pool
+    executor = concurrent.futures.ProcessPoolExecutor
 
-    def counting_start(self):
-        starts.append(self.workers)
-        start_pool(self)
+    def counting_executor(workers, **kwargs):
+        starts.append(workers)
+        return executor(workers, **kwargs)
 
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(pipeline._Stages, "_start_pool", counting_start)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_executor)
     return run_experiment(config, ts), starts
 
 
@@ -105,20 +111,56 @@ def test_worker_parameter_error_reaches_the_caller(two_years, monkeypatch):
     assert errors[0][0] is ParameterError and "k=60" in errors[0][1]
 
 
-def worker_environ(days, key):
-    return os.environ.get(key)
+def worker_environ(rendezvous, task):
+    """The worker's pid and BLAS thread variables, once `task[1]` workers
+    have checked in under `rendezvous` (or after 60 s)."""
+    (Path(rendezvous) / str(os.getpid())).touch()
+    deadline = time.monotonic() + 60
+    while len(list(Path(rendezvous).iterdir())) < task[1] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return os.getpid(), [os.environ.get(k) for k in pipeline._BLAS_THREADS]
 
 
-def test_pool_workers_start_with_one_blas_thread(monkeypatch):
+def test_pool_workers_start_with_one_blas_thread(monkeypatch, tmp_path):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    with pipeline._Stages([], 2) as stages:
-        seen = stages.map(worker_environ, list(pipeline._BLAS_THREADS) * 2)
-        assert stages.pool is not None
-    assert seen == ["1"] * 6
+    with pipeline._stages(str(tmp_path), 2) as run:
+        # one task starts one worker; two waiting on each other need a second
+        first = run(worker_environ, [(0, 1)])
+        assert len(multiprocessing.active_children()) == 1
+        second = run(worker_environ, [(1, 2), (2, 2)])
+        assert len(multiprocessing.active_children()) == 2
+    assert first[0][0] in {pid for pid, _ in second}
+    assert len({pid for pid, _ in second}) == 2
+    assert [env for _, env in first + second] == [["1"] * 3] * 3
     assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
     assert "OMP_NUM_THREADS" not in os.environ
+    assert multiprocessing.active_children() == []
+
+
+def kill_own_worker(days, task):
+    if task:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task
+
+
+def raise_parameter_error(days, task):
+    if task:
+        raise ParameterError(f"bad task {task}")
+    return task
+
+
+@pytest.mark.parametrize("fn, error", [(kill_own_worker, BrokenProcessPool),
+                                       (raise_parameter_error, ParameterError)],
+                         ids=["killed", "exception"])
+def test_failed_task_leaves_no_worker_running(monkeypatch, fn, error):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    with pytest.raises(error):
+        with pipeline._stages(None, 2) as run:
+            assert run(fn, [0, 0]) == [0, 0]
+            run(fn, [0, 1, 0])
+    assert multiprocessing.active_children() == []
 
 
 def test_missing_naive_reference_skips_the_day_for_every_method(two_years, tmp_path,

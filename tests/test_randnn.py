@@ -27,7 +27,7 @@ def random_phi(n_pairs=30, n=24, p=24, seed=0):
     x = rng.normal(size=(n_pairs, n))
     x -= x.mean(axis=1, keepdims=True)
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return TrainingSet.from_arrays(x, rng.normal(size=(n_pairs, p)))
+    return TrainingSet(x, rng.normal(size=(n_pairs, p)))
 
 
 def linear_phi(n_pairs=40, n=8, seed=1):
@@ -36,7 +36,7 @@ def linear_phi(n_pairs=40, n=8, seed=1):
     c = rng.normal(size=n)
     d = rng.normal()
     x = rng.normal(size=(n_pairs, n))
-    return TrainingSet.from_arrays(x, (x @ c + d)[:, None]), c, d
+    return TrainingSet(x, (x @ c + d)[:, None]), c, d
 
 
 def anchor_deviation(layer, x_patterns):
@@ -223,7 +223,7 @@ class TestDdmCache:
         rng = np.random.default_rng(21)
         x = rng.normal(size=(25, 6))
         x[9] = x[4]  # knn drops only the first equal row, whichever is the anchor
-        phi = TrainingSet.from_arrays(x, rng.normal(size=(25, 3)))
+        phi = TrainingSet(x, rng.normal(size=(25, 3)))
         for t in range(20):
             assert_same_bits(gen_ddm(30, 6, phi, derive_rng(4, t)),
                              reference_ddm(30, 6, phi, derive_rng(4, t)))
@@ -282,7 +282,7 @@ class TestFitPredict:
         np.testing.assert_allclose(predict(model, phi.x), phi.y, atol=1e-6)
 
     def test_scalar_case(self):
-        phi = TrainingSet.from_arrays([[2.0]], [[3.0]])
+        phi = TrainingSet([[2.0]], [[3.0]])
         layer = HiddenLayer("standard", np.array([[1.0]]), np.array([0.0]))
         model = fit(layer, phi)
         h = sigmoid(2.0)
@@ -311,7 +311,7 @@ class TestFitPredict:
 
     def test_predict_zero_beta(self):
         layer = gen_standard(4, 6, 1.0, derive_rng(17))
-        model = fit(layer, TrainingSet.from_arrays(np.eye(6), np.zeros((6, 2))))
+        model = fit(layer, TrainingSet(np.eye(6), np.zeros((6, 2))))
         np.testing.assert_allclose(predict(model, np.ones(6)), 0.0, atol=1e-12)
 
     def test_predict_compositional_oracle(self):

@@ -16,7 +16,7 @@ def random_phi(n_pairs=20, n=6, p=4, seed=0):
     x = rng.normal(size=(n_pairs, n))
     x -= x.mean(axis=1, keepdims=True)
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return TrainingSet.from_arrays(x, rng.normal(size=(n_pairs, p)))
+    return TrainingSet(x, rng.normal(size=(n_pairs, p)))
 
 
 def reference_errors(phi, hp, k_folds, seed, trials_per_fold):
@@ -25,7 +25,7 @@ def reference_errors(phi, hp, k_folds, seed, trials_per_fold):
     for fold_idx, held in enumerate(kfold_split(len(phi), k_folds, seed)):
         mask = np.ones(len(phi), dtype=bool)
         mask[held] = False
-        train = TrainingSet.from_arrays(phi.x[mask], phi.y[mask])
+        train = TrainingSet(phi.x[mask], phi.y[mask])
         trials = []
         for trial in range(trials_per_fold):
             model = fit(make_layer(hp, train, derive_rng(seed, fold_idx, trial)), train)
