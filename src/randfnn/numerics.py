@@ -1,9 +1,10 @@
 """Shared numerical kernels: sigmoid, pseudoinverse least squares, kNN,
 local hyperplane fitting.
 
-All kernels operate on plain float64 numpy arrays. Inputs are validated
-for finiteness once at the boundary (`as_matrix`); NaN/Inf never enter
-the linear algebra.
+All kernels operate on plain float64 numpy arrays. Each public kernel
+checks its arguments with `as_matrix` (2-D, no NaN/Inf) on every call.
+`randnn.trial_predictions` checks nothing: it relies on the checks that
+`TrainingSet` and `HiddenLayer` made when they were built.
 """
 
 import numpy as np

@@ -45,7 +45,7 @@ import numpy as np
 from .encoding import CodingVars, DayMatrix, _pair_rows, build_training_set, decode, encode_days
 from .errors import DaySkipped, EmptyTrainingSet, ExperimentError, ParameterError
 from .evaluation import summarize, wilcoxon_signed_rank
-from .randnn import METHODS, HyperParams, derive_rng, derive_seed, fit, make_layer, predict
+from .randnn import METHODS, HyperParams, derive_rng, derive_seed, trial_predictions
 from .timeseries import TimeSeries
 from .tuning import Grid, GridPoint, TuneResult, default_grid, grid_search, write_tuning_csv
 
@@ -149,8 +149,9 @@ def seasonal_naive(days: DayMatrix, day: date) -> np.ndarray:
 
 def run_day(days: DayMatrix, day: date, hp: HyperParams, trials: int, seed: int,
             tau: int = 1) -> np.ndarray:
-    """Train `trials` independently seeded models for one day and return
-    the decoded forecasts, shape (trials, n).
+    """Train `trials` independently seeded models for one day, stacked in
+    `trial_predictions`, and return the decoded forecasts, shape
+    (trials, n); trial t draws from `derive_rng(seed, day, t)` alone.
 
     The training set pairs same-weekday history strictly before `day`;
     the query pattern is the day `tau` days earlier. Raises `DaySkipped`
@@ -167,12 +168,8 @@ def run_day(days: DayMatrix, day: date, hp: HyperParams, trials: int, seed: int,
         raise DaySkipped("empty training set") from None
 
     coding = CodingVars(float(days.mean[inp]), float(days.dispersion[inp]))
-    out = np.empty((trials, phi.y.shape[1]))
-    for t in range(trials):
-        rng = derive_rng(seed, day.toordinal(), t)
-        model = fit(make_layer(hp, phi, rng), phi)
-        out[t] = decode(predict(model, days.x[inp]), coding)
-    return out
+    rngs = [derive_rng(seed, day.toordinal(), t) for t in range(trials)]
+    return decode(trial_predictions(hp, phi, days.x[inp][None, :], rngs)[:, 0, :], coding)
 
 
 def _screen_day(day: date, days: DayMatrix, config: ExperimentConfig) -> str | None:

@@ -30,6 +30,11 @@ cached slope equals, bit for bit, what the uncached kNN +
 `fit_hyperplane` computation returns: the same kernels run on the same
 read-only inputs, and each component is still solved as its own
 single-column product.
+
+A forecast day or a cross-validation fold trains a batch of networks.
+`trial_predictions` solves the batch at once (one stacked `H`, one
+batched SVD); `fit` and `predict`, one network each, are the reference
+it matches bit for bit.
 """
 
 from dataclasses import dataclass
@@ -55,6 +60,7 @@ __all__ = [
     "hidden_output",
     "fit",
     "predict",
+    "trial_predictions",
 ]
 
 METHODS = ("standard", "ram", "ralpham", "ddm")
@@ -297,7 +303,7 @@ def hidden_output(layer: HiddenLayer, x_patterns) -> np.ndarray:
 
 def fit(layer: HiddenLayer, phi: TrainingSet) -> RandFnnModel:
     """Closed-form output weights: the minimum-norm least-squares solution
-    of hidden_output(layer, X) @ beta = Y."""
+    of hidden_output(layer, X) @ beta = Y; the reference of `trial_predictions`."""
     beta = pinv_solve(hidden_output(layer, phi.x), phi.y)
     return RandFnnModel(hidden=layer, beta=beta)
 
@@ -307,7 +313,7 @@ def predict(model: RandFnnModel, x) -> np.ndarray:
 
     Each output row is bitwise independent of the other rows in the
     batch: predicting a stack gives exactly the rows that predicting each
-    pattern alone gives.
+    pattern alone gives. The reference of `trial_predictions`.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -317,3 +323,22 @@ def predict(model: RandFnnModel, x) -> np.ndarray:
     out = _rowwise(H, model.beta)
     return out[0] if single else out
 
+
+def trial_predictions(hp: HyperParams, phi: TrainingSet, queries: np.ndarray,
+                      rngs) -> np.ndarray:
+    """Predictions (trials, queries, p) of one network per generator in
+    `rngs`, each trained on `phi` under `hp`: bitwise `predict(fit(
+    make_layer(hp, phi, rng), phi), queries)` per rng, since every stacked
+    product runs, per trial and query, the BLAS call of `fit` or
+    `predict`. `phi` and the layers were checked when built; nothing is
+    checked again here.
+    """
+    layers = [make_layer(hp, phi, rng) for rng in rngs]
+    Wt = np.stack([layer.weights for layer in layers]).transpose(0, 2, 1)  # (T, n, m)
+    b = np.stack([layer.biases for layer in layers])[:, None, :]  # (T, 1, m)
+    U, s, Vt = np.linalg.svd(sigmoid(phi.x @ Wt + b), full_matrices=False)
+    keep = s > max(len(phi), hp.m) * np.finfo(float).eps * s[:, :1]  # pinv_factor's cutoff
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    beta = Vt.transpose(0, 2, 1) @ (s_inv[:, :, None] * (U.transpose(0, 2, 1) @ phi.y))
+    H = sigmoid(np.matmul(queries[None, :, None, :], Wt[:, None])[:, :, 0, :] + b)
+    return np.matmul(H[:, :, None, :], beta[:, None])[:, :, 0, :]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .encoding import TrainingSet
 from .errors import ParameterError
-from .randnn import METHODS, HyperParams, derive_rng, fit, make_layer, predict
+from .randnn import METHODS, HyperParams, derive_rng, trial_predictions
 
 __all__ = [
     "Grid",
@@ -88,13 +88,10 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
 def _fold_errors(phi, folds, hp, seed, trials_per_fold) -> np.ndarray:
     fold_errors = np.empty(len(folds))
     for fold_idx, (phi_train, held) in enumerate(folds):
-        trial_errors = np.empty(trials_per_fold)
-        for trial in range(trials_per_fold):
-            rng = derive_rng(seed, fold_idx, trial)
-            model = fit(make_layer(hp, phi_train, rng), phi_train)
-            pred = predict(model, phi.x[held])
-            trial_errors[trial] = np.mean(np.abs(pred - phi.y[held]))
-        fold_errors[fold_idx] = trial_errors.mean()
+        rngs = [derive_rng(seed, fold_idx, trial) for trial in range(trials_per_fold)]
+        errors = np.abs(trial_predictions(hp, phi_train, phi.x[held], rngs) - phi.y[held])
+        # each trial's MAE over its own (Q, p) block, then the mean over trials
+        fold_errors[fold_idx] = np.mean([e.mean() for e in errors])
     return fold_errors
 
 

@@ -1,4 +1,6 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -218,6 +220,24 @@ def test_forecast_exit_codes(month_csv, tmp_path, capsys, monkeypatch):
     assert main(forecast_argv(month_csv, out, "--test-start", "2012-01-23")) == 2
     assert main(forecast_argv(month_csv, out, "--test-start", "2012-01-23",
                               "--test-end", "2012-01-25", "--methods", "ram,bogus")) == 2
+
+
+def test_forecast_dead_worker_exits_1(month_csv, tmp_path, capsys, monkeypatch):
+    @contextmanager
+    def broken_stages(days, most_tasks):
+        def run(fn, tasks):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+        yield run
+
+    monkeypatch.setattr(pipeline, "_stages", broken_stages)
+    assert main(forecast_argv(month_csv, tmp_path / "out", "--test-start", "2012-01-23",
+                              "--test-end", "2012-01-25")) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: a worker process died "
+        "(A process in the process pool was terminated abruptly)"]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_forecast_flag_beats_config_field(month_csv, tmp_path, capsys, monkeypatch):

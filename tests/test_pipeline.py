@@ -247,6 +247,15 @@ def test_fixed_tables_select_the_fixed_params(two_years, tmp_path):
         "ddm,fixed,5,9.0,,,1", "ram,fixed,10,0.4,,,1"]
 
 
+@pytest.mark.parametrize("hp", [HyperParams("ram", 20, 0.4), HyperParams("ddm", 20, 31.0)])
+def test_trial_forecast_does_not_depend_on_the_batch_size(two_years, hp):
+    days = encode_days(two_years)
+    few = pipeline.run_day(days, date(2013, 1, 2), hp, 7, seed=5)
+    many = pipeline.run_day(days, date(2013, 1, 2), hp, 100, seed=5)
+    assert few.shape == (7, 24)
+    assert few.tobytes() == many[:7].tobytes()
+
+
 def test_scores_match_per_trial_reference(two_years):
     config = short_config(methods=("ram", "naive"), test_end=date(2013, 1, 5), trials=4,
                           tuning="fixed", fixed_params={"ram": HyperParams("ram", 10, 0.4)})

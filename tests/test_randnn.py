@@ -1,9 +1,10 @@
 import math
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from randfnn.encoding import TrainingSet
+from randfnn.encoding import TrainingSet, build_training_set, encode_days
 from randfnn.errors import ParameterError, ShapeError
 from randfnn.numerics import fit_hyperplane, knn, sigmoid
 from randfnn.randnn import (
@@ -19,7 +20,9 @@ from randfnn.randnn import (
     hidden_output,
     make_layer,
     predict,
+    trial_predictions,
 )
+from randfnn.timeseries import SynthSpec, synth_generate
 
 
 def random_phi(n_pairs=30, n=24, p=24, seed=0):
@@ -390,3 +393,35 @@ class TestMakeLayerAndDeterminism:
             HyperParams("ralpham", 5, 95.0)
         with pytest.raises(ParameterError):
             HyperParams("ddm", 5, 2.5)
+
+
+@pytest.fixture(scope="module")
+def wednesdays():
+    """Synth Wednesdays before 2013 (tau 1) and the x-patterns of the 30
+    days that follow: a forecast-sized training set and its queries."""
+    days = encode_days(synth_generate(SynthSpec(days=760), 0))
+    phi = build_training_set(days, 2, 1, date(2013, 1, 1))
+    rows = [days.row(date(2013, 1, 1) + timedelta(days=i)) for i in range(30)]
+    return phi, days.x[rows]
+
+
+class TestTrialPredictions:
+    @pytest.mark.parametrize("method,m,smoothing", [
+        ("standard", 20, 0.4), ("ram", 20, 0.4), ("ralpham", 20, 30.0), ("ddm", 20, 31.0),
+        ("ram", 50, 0.02)])
+    @pytest.mark.parametrize("trials", [1, 100])
+    @pytest.mark.parametrize("n_queries", [1, 30])
+    def test_matches_per_trial_reference(self, wednesdays, method, m, smoothing, trials,
+                                         n_queries):
+        phi, queries = wednesdays
+        hp = HyperParams(method, m, smoothing)
+        q = queries[:n_queries]
+        rngs = [derive_rng(7, 2013, t) for t in range(trials)]
+        layers = [make_layer(hp, phi, r) for r in rngs]
+        reference = np.stack([predict(fit(layer, phi), q) for layer in layers])
+        rngs = [derive_rng(7, 2013, t) for t in range(trials)]
+        np.testing.assert_array_equal(trial_predictions(hp, phi, q, rngs), reference)
+        if smoothing == 0.02:
+            # ill-conditioned: here forecasts move with the summation order,
+            # so equal bits mean the stacked products kept the per-trial calls
+            assert np.linalg.cond(hidden_output(layers[0], phi.x)) > 1e10
