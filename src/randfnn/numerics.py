@@ -28,10 +28,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def sigmoid(z):
     """Logistic sigmoid 1/(1+exp(-z)), elementwise.
 
-    Accepts scalars or arrays; saturates gracefully for large |z|.
+    Accepts scalars or arrays; saturates gracefully for large |z|. Works
+    in one new array: on a (trials, N, m) stack, temporaries cost more than
+    the arithmetic.
     """
-    z = np.clip(z, -500.0, 500.0)  # prevent exp overflow
-    return 1.0 / (1.0 + np.exp(-z))
+    h = np.empty(np.shape(z))
+    np.clip(z, -500.0, 500.0, out=h)  # prevent exp overflow
+    np.add(np.exp(np.negative(h, out=h), out=h), 1.0, out=h)
+    return np.divide(1.0, h, out=h)[()]
 
 
 def pinv_factor(H, tol: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

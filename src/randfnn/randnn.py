@@ -31,10 +31,9 @@ cached slope equals, bit for bit, what the uncached kNN +
 read-only inputs, and each component is still solved as its own
 single-column product.
 
-A forecast day or a cross-validation fold trains a batch of networks.
-`trial_predictions` solves the batch at once (one stacked `H`, one
-batched SVD); `fit` and `predict`, one network each, are the reference
-it matches bit for bit.
+`trial_predictions` trains a forecast day's or a fold's batch of networks
+at once (one stacked `H`, one batched SVD); `fit` and `predict`, one
+network each, are the reference it matches bit for bit.
 """
 
 from dataclasses import dataclass
@@ -328,15 +327,16 @@ def trial_predictions(hp: HyperParams, phi: TrainingSet, queries: np.ndarray,
                       rngs) -> np.ndarray:
     """Predictions (trials, queries, p) of one network per generator in
     `rngs`, each trained on `phi` under `hp`: bitwise `predict(fit(
-    make_layer(hp, phi, rng), phi), queries)` per rng, since every stacked
-    product runs, per trial and query, the BLAS call of `fit` or
-    `predict`. `phi` and the layers were checked when built; nothing is
-    checked again here.
+    make_layer(hp, phi, rng), phi), queries)` per rng, since each stacked
+    product runs, per trial and query, the BLAS call of `fit` or `predict`.
+    `phi` and the layers were checked when built, so nothing is checked here.
     """
     layers = [make_layer(hp, phi, rng) for rng in rngs]
     Wt = np.stack([layer.weights for layer in layers]).transpose(0, 2, 1)  # (T, n, m)
     b = np.stack([layer.biases for layer in layers])[:, None, :]  # (T, 1, m)
-    U, s, Vt = np.linalg.svd(sigmoid(phi.x @ Wt + b), full_matrices=False)
+    Z = phi.x @ Wt
+    Z += b
+    U, s, Vt = np.linalg.svd(sigmoid(Z), full_matrices=False)
     keep = s > max(len(phi), hp.m) * np.finfo(float).eps * s[:, :1]  # pinv_factor's cutoff
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     beta = Vt.transpose(0, 2, 1) @ (s_inv[:, :, None] * (U.transpose(0, 2, 1) @ phi.y))

@@ -90,7 +90,7 @@ def _fold_errors(phi, folds, hp, seed, trials_per_fold) -> np.ndarray:
     for fold_idx, (phi_train, held) in enumerate(folds):
         rngs = [derive_rng(seed, fold_idx, trial) for trial in range(trials_per_fold)]
         errors = np.abs(trial_predictions(hp, phi_train, phi.x[held], rngs) - phi.y[held])
-        # each trial's MAE over its own (Q, p) block, then the mean over trials
+        # one mean per trial, then over trials: one mean over all sums in another order
         fold_errors[fold_idx] = np.mean([e.mean() for e in errors])
     return fold_errors
 
