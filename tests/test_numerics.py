@@ -51,6 +51,17 @@ class TestSigmoid:
         assert out.shape == z.shape
         assert out[0, 0] == 0.5
 
+    def test_bits_of_the_textbook_formula_and_input_kept(self):
+        z = np.random.default_rng(0).normal(scale=200.0, size=(3, 40, 7))
+        z[0, 0, :3] = (-1e4, 1e4, -0.0)
+        kept = z.copy()
+        expected = 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+        assert sigmoid(z).tobytes() == expected.tobytes()
+        assert z.tobytes() == kept.tobytes()
+        for v in (0.3, -2, np.float64(7.5)):
+            assert type(sigmoid(v)) is np.float64
+            assert sigmoid(v) == 1.0 / (1.0 + np.exp(-np.float64(v)))
+
 
 class TestPinvSolve:
     def test_identity(self):
