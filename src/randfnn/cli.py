@@ -1,9 +1,10 @@
 """Command-line interface: synth | tune | forecast | evaluate | compare.
 
 Exit codes: 0 success, 1 runtime/IO failure or a dead worker process, 2
-usage error. Every command is deterministic given --seed. tune and
-forecast print the series' load warnings (partial days dropped, exclusion
-dates not in the series) on stderr as `warning: ...`.
+usage error, 130 interrupted (Ctrl-C). Every command is deterministic
+given --seed. tune and forecast print the series' load warnings (partial
+days dropped, exclusion dates not in the series) on stderr as
+`warning: ...`.
 
 `tune` runs each weekday's search as the `pipeline._search` task that
 `forecast --tuning once` runs, with the same seed, and writes the
@@ -77,6 +78,9 @@ def main(argv=None) -> int:
     except (RandfnnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # the runner has shut its pool down on the way out
+        print("interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:
         from concurrent.futures.process import BrokenProcessPool  # loaded by a broken pool
         if not isinstance(exc, BrokenProcessPool):

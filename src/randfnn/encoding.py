@@ -150,7 +150,8 @@ class TrainingSet:
 
     `x` and `y` are read-only copies, so values derived from them stay
     valid for the set's lifetime: `memo` keeps such values (ddm's
-    neighborhood fits, see `randnn.gen_ddm`) and dies with the set.
+    neighborhood fits, see the `randnn` module docstring) and dies with
+    the set.
     """
 
     x: np.ndarray  # (N, n)

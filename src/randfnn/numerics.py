@@ -3,8 +3,9 @@ local hyperplane fitting.
 
 All kernels operate on plain float64 numpy arrays. Each public kernel
 checks its arguments with `as_matrix` (2-D, no NaN/Inf) on every call.
-`randnn.trial_predictions` checks nothing: it relies on the checks that
-`TrainingSet` and `HiddenLayer` made when they were built.
+`randnn.trial_predictions` checks nothing: its training set was checked
+when `TrainingSet` built it, and its stacked layers once per stack by
+`randnn.draw_layers`.
 """
 
 import numpy as np

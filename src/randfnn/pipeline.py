@@ -45,7 +45,8 @@ import numpy as np
 from .encoding import CodingVars, DayMatrix, _pair_rows, build_training_set, decode, encode_days
 from .errors import DaySkipped, EmptyTrainingSet, ExperimentError, ParameterError
 from .evaluation import summarize, wilcoxon_signed_rank
-from .randnn import METHODS, HyperParams, derive_rng, derive_seed, trial_predictions
+from .randnn import (METHODS, HyperParams, derive_rng, derive_seed, draw_layers,
+                     trial_predictions)
 from .timeseries import TimeSeries
 from .tuning import Grid, GridPoint, TuneResult, default_grid, grid_search, write_tuning_csv
 
@@ -149,9 +150,10 @@ def seasonal_naive(days: DayMatrix, day: date) -> np.ndarray:
 
 def run_day(days: DayMatrix, day: date, hp: HyperParams, trials: int, seed: int,
             tau: int = 1) -> np.ndarray:
-    """Train `trials` independently seeded models for one day, stacked in
-    `trial_predictions`, and return the decoded forecasts, shape
-    (trials, n); trial t draws from `derive_rng(seed, day, t)` alone.
+    """Train `trials` independently seeded models for one day, drawn by
+    `draw_layers` and stacked in `trial_predictions`, and return the
+    decoded forecasts, shape (trials, n); trial t draws from
+    `derive_rng(seed, day, t)` alone.
 
     The training set pairs same-weekday history strictly before `day`;
     the query pattern is the day `tau` days earlier. Raises `DaySkipped`
@@ -169,7 +171,8 @@ def run_day(days: DayMatrix, day: date, hp: HyperParams, trials: int, seed: int,
 
     coding = CodingVars(float(days.mean[inp]), float(days.dispersion[inp]))
     rngs = [derive_rng(seed, day.toordinal(), t) for t in range(trials)]
-    return decode(trial_predictions(hp, phi, days.x[inp][None, :], rngs)[:, 0, :], coding)
+    layers = draw_layers(hp.method, hp.m, [hp.smoothing], phi, rngs)
+    return decode(trial_predictions(*layers, phi, days.x[inp][None, :])[:, 0, :], coding)
 
 
 def _screen_day(day: date, days: DayMatrix, config: ExperimentConfig) -> str | None:

@@ -20,6 +20,14 @@ All generators draw from a single `numpy.random.Generator` in a fixed
 order (weight block first, then per-node index draws), so a layer is
 reproducible from its seed alone.
 
+`draw_layers` stacks layers over smoothing values and generators, and
+draws each generator's stream once for all the values. This is bitwise
+a draw per value: numpy's `uniform(low, high)` is ``low + (high - low)·U``
+with U the stream's next double, so with ``d = rng.random(shape)`` each
+``-u + (u - -u)·d`` (ralpham: ``0 + alpha·d``) is that value's weight or
+angle block, and what follows the block does not depend on the value.
+`make_layer` and the ``gen_*`` functions are its one-layer view.
+
 A ddm node's neighborhood and the SVD of its hyperplane design depend
 only on the training set, k and the anchor, and its slopes also on the
 target component. So ``ddm`` computes each of them once per training set
@@ -31,9 +39,10 @@ cached slope equals, bit for bit, what the uncached kNN +
 read-only inputs, and each component is still solved as its own
 single-column product.
 
-`trial_predictions` trains a forecast day's or a fold's batch of networks
-at once (one stacked `H`, one batched SVD); `fit` and `predict`, one
-network each, are the reference it matches bit for bit.
+`trial_predictions` trains a stack of drawn layers at once (one stacked
+`H`, one batched SVD): a forecast day's trials, or a fold's trials at
+every smoothing value of a grid. `fit` and `predict`, one network each,
+are the reference it matches bit for bit.
 """
 
 from dataclasses import dataclass
@@ -56,6 +65,7 @@ __all__ = [
     "gen_ralpham",
     "gen_ddm",
     "make_layer",
+    "draw_layers",
     "hidden_output",
     "fit",
     "predict",
@@ -83,20 +93,14 @@ def derive_seed(*keys: int) -> int:
 
 @dataclass(frozen=True)
 class HiddenLayer:
-    """m hidden-node weight vectors and biases, plus generation provenance.
-
-    `anchor_indices` records which training pattern each node's bias was
-    anchored to (methods other than ``standard``), `angles` the unsigned
-    slope angles for ``ralpham``, and `output_components` the target
-    component each ``ddm`` node's hyperplane was fitted to.
-    """
+    """m hidden-node weight vectors and biases; `anchor_indices` records
+    which training pattern each node's bias was anchored to (methods
+    other than ``standard``)."""
 
     method: str
     weights: np.ndarray  # (m, n)
     biases: np.ndarray  # (m,)
     anchor_indices: np.ndarray | None = None
-    angles: np.ndarray | None = None
-    output_components: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
@@ -161,49 +165,66 @@ class HyperParams:
 
 def _anchored_biases(weights: np.ndarray, anchors: np.ndarray, x_patterns: np.ndarray) -> np.ndarray:
     # b_j = -a_j . x*_j puts each sigmoid's inflection point on its anchor
-    return -np.einsum("ij,ij->i", weights, x_patterns[anchors])
+    return -np.einsum("...j,...j->...", weights, x_patterns[anchors])
 
 
-def gen_standard(m: int, n: int, u: float, rng: np.random.Generator) -> HiddenLayer:
-    """Weights and biases i.i.d. uniform on [-u, u] for n-dimensional inputs."""
-    if u <= 0:
-        raise ParameterError(f"u must be positive, got {u}")
-    weights = rng.uniform(-u, u, size=(m, n))
-    biases = rng.uniform(-u, u, size=m)
-    return HiddenLayer("standard", weights, biases)
+def _uniform(d: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    # (S, *d.shape): rng.uniform(low[s], high[s], d.shape) for every s, bitwise,
+    # from d = rng.random(d.shape) drawn once (numpy: low + (high - low) * U)
+    shape = (-1,) + (1,) * d.ndim
+    return low.reshape(shape) + (high - low).reshape(shape) * d
 
 
-def gen_ram(m: int, u: float, x_patterns, rng: np.random.Generator) -> HiddenLayer:
-    """Uniform weights on [-u, u]; biases anchored on random training patterns."""
-    if u <= 0:
-        raise ParameterError(f"u must be positive, got {u}")
+def _stack(draws) -> list[np.ndarray]:
+    # per-generator tuples of draws -> one (T, ...) array per draw
+    return [np.stack(d) for d in zip(*draws)]
+
+
+def _positive(u) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    bad = u[~(u > 0)]
+    if bad.size:
+        raise ParameterError(f"u must be positive, got {bad[0]}")
+    return u
+
+
+def _nonempty(x_patterns) -> np.ndarray:
     X = np.asarray(x_patterns, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ParameterError("x_patterns must be a nonempty 2-D array")
-    weights = rng.uniform(-u, u, size=(m, X.shape[1]))
-    anchors = rng.integers(0, X.shape[0], size=m)
-    return HiddenLayer("ram", weights, _anchored_biases(weights, anchors, X),
-                       anchor_indices=anchors)
+    return X
 
 
-def gen_ralpham(m: int, alpha_max: float, x_patterns, rng: np.random.Generator) -> HiddenLayer:
-    """Slope angles uniform on (0, alpha_max) degrees; a = +/- 4 tan(alpha).
+# The _draw_* functions return (S, T, m, n) weights, (S, T, m) biases and
+# (T, m) anchors (None for standard) for S smoothing values and T generators.
 
-    Raw angle-derived weights are non-negative, which would only allow
-    sigmoids increasing along every axis; an independent random sign per
-    weight removes that bias. Biases are anchored as in `gen_ram`.
-    """
-    if not 0 < alpha_max < 90:
-        raise ParameterError(f"alpha_max must be in (0, 90) degrees, got {alpha_max}")
-    X = np.asarray(x_patterns, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ParameterError("x_patterns must be a nonempty 2-D array")
-    angles = rng.uniform(0.0, alpha_max, size=(m, X.shape[1]))
-    signs = rng.integers(0, 2, size=(m, X.shape[1])) * 2 - 1
-    anchors = rng.integers(0, X.shape[0], size=m)
+def _draw_standard(m: int, n: int, u, rngs):
+    u = _positive(u)
+    unit_w, unit_b = _stack((rng.random((m, n)), rng.random(m)) for rng in rngs)
+    return _uniform(unit_w, -u, u), _uniform(unit_b, -u, u), None
+
+
+def _draw_ram(m: int, u, x_patterns, rngs):
+    u, X = _positive(u), _nonempty(x_patterns)
+    unit, anchors = _stack((rng.random((m, X.shape[1])), rng.integers(0, X.shape[0], size=m))
+                           for rng in rngs)
+    weights = _uniform(unit, -u, u)
+    return weights, _anchored_biases(weights, anchors, X), anchors
+
+
+def _draw_ralpham(m: int, alpha_max, x_patterns, rngs):
+    alpha = np.asarray(alpha_max, dtype=float)
+    bad = alpha[~((0 < alpha) & (alpha < 90))]
+    if bad.size:
+        raise ParameterError(f"alpha_max must be in (0, 90) degrees, got {bad[0]}")
+    X = _nonempty(x_patterns)
+    shape = (m, X.shape[1])
+    unit, signs, anchors = _stack(
+        (rng.random(shape), rng.integers(0, 2, size=shape) * 2 - 1,
+         rng.integers(0, X.shape[0], size=m)) for rng in rngs)
+    angles = _uniform(unit, np.zeros_like(alpha), alpha)
     weights = signs * 4.0 * np.tan(np.radians(angles))
-    return HiddenLayer("ralpham", weights, _anchored_biases(weights, anchors, X),
-                       anchor_indices=anchors, angles=angles)
+    return weights, _anchored_biases(weights, anchors, X), anchors
 
 
 class _HyperplaneFits:
@@ -227,52 +248,104 @@ class _HyperplaneFits:
         return self.slopes[key]
 
 
+def _draw_ddm(m: int, ks, phi: TrainingSet, rngs):
+    N = len(phi)
+    if N < 2:
+        raise ParameterError(f"need at least 2 training pairs, got {N}")
+    for k in ks:
+        if not 1 <= k <= N - 1:
+            raise ParameterError(f"k={k} not in [1, {N - 1}]")
+    X, Y = phi.x, phi.y
+    anchors, components = _stack(
+        (rng.integers(0, N, size=m), rng.integers(0, Y.shape[1], size=m)) for rng in rngs)
+    weights = np.empty((len(ks), *anchors.shape, X.shape[1]))
+    for s, k in enumerate(ks):
+        fits = phi.memo.get("ddm")
+        if fits is None or fits.k != k:
+            fits = phi.memo["ddm"] = _HyperplaneFits(X, Y, k)
+        slopes = [fits.slope(a, c) for a, c in zip(anchors.ravel().tolist(),
+                                                   components.ravel().tolist())]
+        weights[s] = 4.0 * np.reshape(slopes, weights.shape[1:])
+    return weights, _anchored_biases(weights, anchors, X), anchors
+
+
+def _draw(method: str, m: int, smoothing, phi: TrainingSet, rngs):
+    # the 90-degree ralpham label is drawn at MAX_ALPHA_DEG
+    if method == "standard":
+        return _draw_standard(m, phi.n, smoothing, rngs)
+    if method == "ram":
+        return _draw_ram(m, smoothing, phi.x, rngs)
+    if method == "ralpham":
+        return _draw_ralpham(m, np.minimum(smoothing, MAX_ALPHA_DEG), phi.x, rngs)
+    return _draw_ddm(m, [int(k) for k in smoothing], phi, rngs)
+
+
+def draw_layers(method: str, m: int, smoothing, phi: TrainingSet,
+                rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden layers of `method` with m nodes for every smoothing value
+    (outer) and generator in `rngs` (inner): weights (S·T, m, n) and
+    biases (S·T, m), entry s·T + t bitwise `make_layer(HyperParams(method,
+    m, smoothing[s]), phi, rngs[t])`. Each generator is drawn once for all
+    of `smoothing` (see the module docstring). This is where layers are
+    checked: a non-finite weight or bias raises `ParameterError`.
+    """
+    weights, biases, _ = _draw(method, m, smoothing, phi, rngs)
+    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
+        raise ParameterError("layer parameters must be finite")
+    return weights.reshape(-1, m, phi.n), biases.reshape(-1, m)
+
+
+def _layer(method: str, weights, biases, anchors) -> HiddenLayer:
+    # the one layer of a one-value, one-generator draw
+    return HiddenLayer(method, weights[0, 0], biases[0, 0],
+                       None if anchors is None else anchors[0])
+
+
+def gen_standard(m: int, n: int, u: float, rng: np.random.Generator) -> HiddenLayer:
+    """Weights and biases i.i.d. uniform on [-u, u] for n-dimensional inputs."""
+    return _layer("standard", *_draw_standard(m, n, [u], [rng]))
+
+
+def gen_ram(m: int, u: float, x_patterns, rng: np.random.Generator) -> HiddenLayer:
+    """Uniform weights on [-u, u]; biases anchored on random training patterns."""
+    return _layer("ram", *_draw_ram(m, [u], x_patterns, [rng]))
+
+
+def gen_ralpham(m: int, alpha_max: float, x_patterns, rng: np.random.Generator) -> HiddenLayer:
+    """Slope angles uniform on (0, alpha_max) degrees; a = +/- 4 tan(alpha).
+
+    Raw angle-derived weights are non-negative, which would only allow
+    sigmoids increasing along every axis; an independent random sign per
+    weight removes that bias. Biases are anchored as in `gen_ram`.
+    """
+    return _layer("ralpham", *_draw_ralpham(m, [alpha_max], x_patterns, [rng]))
+
+
 def gen_ddm(m: int, k: int, phi: TrainingSet, rng: np.random.Generator) -> HiddenLayer:
     """Weights from local hyperplane slopes, scaled by 4; anchored biases.
 
     For each node a random training pattern is chosen; a hyperplane is
     fitted to one randomly chosen target component over that pattern and
     its k nearest neighbors, and the node's weights are 4x its slopes.
-    The fitted component index is recorded per node.
 
     Neighborhoods, design factors and slopes are cached on `phi` for the
     last k used, so repeated layers on one set (trials, node counts) reuse
     them; the layer is bitwise the one the uncached fits would give.
     """
-    N = len(phi)
-    if N < 2:
-        raise ParameterError(f"need at least 2 training pairs, got {N}")
-    if not 1 <= k <= N - 1:
-        raise ParameterError(f"k={k} not in [1, {N - 1}]")
-    X, Y = phi.x, phi.y
-    anchors = rng.integers(0, N, size=m)
-    components = rng.integers(0, Y.shape[1], size=m)
-    fits = phi.memo.get("ddm")
-    if fits is None or fits.k != k:
-        fits = phi.memo["ddm"] = _HyperplaneFits(X, Y, k)
-    weights = np.empty((m, X.shape[1]))
-    for j in range(m):
-        weights[j] = 4.0 * fits.slope(int(anchors[j]), int(components[j]))
-    return HiddenLayer("ddm", weights, _anchored_biases(weights, anchors, X),
-                       anchor_indices=anchors, output_components=components)
+    return _layer("ddm", *_draw_ddm(m, [k], phi, [rng]))
 
 
 def make_layer(hp: HyperParams, phi: TrainingSet,
                rng: np.random.Generator | None = None) -> HiddenLayer:
-    """Generate a hidden layer per `hp`, drawing data from `phi` as needed.
+    """Generate a hidden layer per `hp`, drawing data from `phi` as needed:
+    the one-layer view of `draw_layers`.
 
     The 90-degree grid label for ``ralpham`` is generated at an effective
     89.9 degrees (tangent singularity); reports keep the original label.
     """
     if rng is None:
         rng = derive_rng(hp.seed)
-    if hp.method == "standard":
-        return gen_standard(hp.m, phi.n, hp.smoothing, rng)
-    if hp.method == "ram":
-        return gen_ram(hp.m, hp.smoothing, phi.x, rng)
-    if hp.method == "ralpham":
-        return gen_ralpham(hp.m, min(hp.smoothing, MAX_ALPHA_DEG), phi.x, rng)
-    return gen_ddm(hp.m, int(hp.smoothing), phi, rng)
+    return _layer(hp.method, *_draw(hp.method, hp.m, [hp.smoothing], phi, [rng]))
 
 
 def _patterns(layer: HiddenLayer, x_patterns) -> np.ndarray:
@@ -323,21 +396,22 @@ def predict(model: RandFnnModel, x) -> np.ndarray:
     return out[0] if single else out
 
 
-def trial_predictions(hp: HyperParams, phi: TrainingSet, queries: np.ndarray,
-                      rngs) -> np.ndarray:
-    """Predictions (trials, queries, p) of one network per generator in
-    `rngs`, each trained on `phi` under `hp`: bitwise `predict(fit(
-    make_layer(hp, phi, rng), phi), queries)` per rng, since each stacked
-    product runs, per trial and query, the BLAS call of `fit` or `predict`.
-    `phi` and the layers were checked when built, so nothing is checked here.
+def trial_predictions(weights: np.ndarray, biases: np.ndarray, phi: TrainingSet,
+                      queries: np.ndarray) -> np.ndarray:
+    """Predictions (L, queries, p) of the L networks with hidden layers
+    `weights` (L, m, n) and `biases` (L, m), each trained on `phi`:
+    bitwise `predict(fit(layer, phi), queries)` per layer, since each
+    stacked product runs, per layer and query, the BLAS call of `fit` or
+    `predict`. `phi` was checked when built and the layers by
+    `draw_layers`, so nothing is checked here.
     """
-    layers = [make_layer(hp, phi, rng) for rng in rngs]
-    Wt = np.stack([layer.weights for layer in layers]).transpose(0, 2, 1)  # (T, n, m)
-    b = np.stack([layer.biases for layer in layers])[:, None, :]  # (T, 1, m)
+    Wt = weights.transpose(0, 2, 1)  # (L, n, m)
+    b = biases[:, None, :]  # (L, 1, m)
     Z = phi.x @ Wt
     Z += b
     U, s, Vt = np.linalg.svd(sigmoid(Z), full_matrices=False)
-    keep = s > max(len(phi), hp.m) * np.finfo(float).eps * s[:, :1]  # pinv_factor's cutoff
+    # pinv_factor's cutoff
+    keep = s > max(len(phi), weights.shape[1]) * np.finfo(float).eps * s[:, :1]
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     beta = Vt.transpose(0, 2, 1) @ (s_inv[:, :, None] * (U.transpose(0, 2, 1) @ phi.y))
     H = sigmoid(np.matmul(queries[None, :, None, :], Wt[:, None])[:, :, 0, :] + b)

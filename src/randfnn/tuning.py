@@ -12,7 +12,7 @@ import numpy as np
 
 from .encoding import TrainingSet
 from .errors import ParameterError
-from .randnn import METHODS, HyperParams, derive_rng, trial_predictions
+from .randnn import METHODS, HyperParams, derive_rng, draw_layers, trial_predictions
 
 __all__ = [
     "Grid",
@@ -85,14 +85,19 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     return list(np.array_split(perm, k))
 
 
-def _fold_errors(phi, folds, hp, seed, trials_per_fold) -> np.ndarray:
-    fold_errors = np.empty(len(folds))
+def _group_errors(phi, folds, method, m, group, seed, trials_per_fold) -> np.ndarray:
+    """Held-out errors (len(group), len(folds)) of m-node networks at each
+    smoothing value of `group`: one kernel call per fold, each trial's
+    generator drawn once for the whole group."""
+    errors = np.empty((len(group), len(folds)))
     for fold_idx, (phi_train, held) in enumerate(folds):
         rngs = [derive_rng(seed, fold_idx, trial) for trial in range(trials_per_fold)]
-        errors = np.abs(trial_predictions(hp, phi_train, phi.x[held], rngs) - phi.y[held])
-        # one mean per trial, then over trials: one mean over all sums in another order
-        fold_errors[fold_idx] = np.mean([e.mean() for e in errors])
-    return fold_errors
+        layers = draw_layers(method, m, group, phi_train, rngs)
+        trials = np.abs(trial_predictions(*layers, phi_train, phi.x[held]) - phi.y[held])
+        for i, trial_errors in enumerate(np.split(trials, len(group))):
+            # one mean per trial, then over trials: one mean over all sums in another order
+            errors[i, fold_idx] = np.mean([e.mean() for e in trial_errors])
+    return errors
 
 
 def grid_search(phi: TrainingSet, method: str, grid: Grid, k_folds: int, seed: int,
@@ -103,13 +108,19 @@ def grid_search(phi: TrainingSet, method: str, grid: Grid, k_folds: int, seed: i
     Each gridpoint's error is the mean held-out pattern-space MAE over the
     folds, each fold averaging `trials_per_fold` independently seeded
     layers. The folds and their training sets are built once and shared
-    by every gridpoint. A ddm gridpoint whose k exceeds the smallest fold
-    training set less one cannot be generated: it stays in the table with
-    no error and is never selected. With fewer pairs than folds no
-    gridpoint fits. `best` is None when nothing fits.
+    by every gridpoint. The search runs smoothing group, then m, then
+    fold, one kernel call each. A group is the whole smoothing grid, whose
+    layers share each trial's draw (bitwise, see `randnn`), except for
+    ddm: its per-fold cache holds one k, so its groups are one k each. A
+    ddm gridpoint whose k exceeds the smallest fold training set less one
+    cannot be generated: it stays in the table with no error and is never
+    selected. With fewer pairs than folds no gridpoint fits. `best` is
+    None when nothing fits.
     """
     if trials_per_fold < 1:
         raise ParameterError(f"trials_per_fold must be >= 1, got {trials_per_fold}")
+    hps = {(m, s): HyperParams(method, m, s, seed=seed)  # rejects a bad gridpoint
+           for m in grid.m_values for s in grid.smoothing_values}
     folds = []
     # too few pairs to split: no fold set, so no gridpoint fits
     if len(phi) >= k_folds:
@@ -118,25 +129,26 @@ def grid_search(phi: TrainingSet, method: str, grid: Grid, k_folds: int, seed: i
             mask[held] = False
             folds.append((TrainingSet(phi.x[mask], phi.y[mask]), held))
     max_k = min((len(phi_train) for phi_train, _ in folds), default=0) - 1
-    points = {}
-    # smoothing-major, so that ddm's per-k cache on each fold serves every m
-    for s in grid.smoothing_values:
+    fitting = [s for s in grid.smoothing_values if folds and (method != "ddm" or s <= max_k)]
+    if method == "ddm":
+        groups = [[s] for s in fitting]
+    else:
+        groups = [fitting] if fitting else []
+    points = {(m, s): GridPoint(m, s, None, None) for m, s in hps}  # in table order
+    for group in groups:
         for m in grid.m_values:
-            hp = HyperParams(method, m, s, seed=seed)
-            if not folds or (method == "ddm" and s > max_k):
-                points[m, s] = GridPoint(m, s, None, None)
-                continue
-            errors = _fold_errors(phi, folds, hp, seed, trials_per_fold)
-            std = float(errors.std(ddof=1)) if errors.size > 1 else 0.0
-            points[m, s] = GridPoint(m, s, float(errors.mean()), std)
-    table = tuple(points[m, s] for m in grid.m_values for s in grid.smoothing_values)
+            errors = _group_errors(phi, folds, method, m, group, seed, trials_per_fold)
+            for s, e in zip(group, errors):
+                std = float(e.std(ddof=1)) if e.size > 1 else 0.0
+                points[m, s] = GridPoint(m, s, float(e.mean()), std)
+    table = tuple(points.values())
     best = None
     best_error = np.inf
     for p in table:
         # strict: earlier (simpler) point wins ties
         if p.mean_error is not None and p.mean_error < best_error:
             best_error = p.mean_error
-            best = HyperParams(method, p.m, p.smoothing, seed=seed)
+            best = hps[p.m, p.smoothing]
     return TuneResult(best=best, table=table)
 
 

@@ -240,6 +240,20 @@ def test_forecast_dead_worker_exits_1(month_csv, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_forecast_interrupt_exits_130(month_csv, tmp_path, capsys, monkeypatch):
+    @contextmanager
+    def interrupted_stages(days, most_tasks):
+        def run(fn, tasks):
+            raise KeyboardInterrupt
+        yield run
+
+    monkeypatch.setattr(pipeline, "_stages", interrupted_stages)
+    assert main(forecast_argv(month_csv, tmp_path / "out", "--test-start", "2012-01-23",
+                              "--test-end", "2012-01-25")) == 130
+    assert capsys.readouterr().err.splitlines() == ["interrupted"]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_forecast_flag_beats_config_field(month_csv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
     config = tmp_path / "config.json"

@@ -12,6 +12,7 @@ from randfnn.randnn import (
     HyperParams,
     RandFnnModel,
     derive_rng,
+    draw_layers,
     fit,
     gen_ddm,
     gen_ralpham,
@@ -23,6 +24,7 @@ from randfnn.randnn import (
     trial_predictions,
 )
 from randfnn.timeseries import SynthSpec, synth_generate
+from randfnn.tuning import default_grid
 
 
 def random_phi(n_pairs=30, n=24, p=24, seed=0):
@@ -112,10 +114,10 @@ class TestGenRalpham:
     def test_magnitude_law(self):
         phi = random_phi()
         layer = gen_ralpham(15, 40.0, phi.x, derive_rng(4))
+        angles = derive_rng(4).uniform(0.0, 40.0, size=(15, 24))  # the layer's first draw
         np.testing.assert_allclose(
-            np.abs(layer.weights), 4.0 * np.tan(np.radians(layer.angles)),
-            rtol=1e-12)
-        assert np.all(layer.angles >= 0) and np.all(layer.angles <= 40.0)
+            np.abs(layer.weights), 4.0 * np.tan(np.radians(angles)), rtol=1e-12)
+        assert np.all(angles >= 0) and np.all(angles <= 40.0)
 
     def test_45_degrees_maps_to_4(self):
         assert 4.0 * math.tan(math.radians(45.0)) == pytest.approx(4.0, rel=1e-15)
@@ -162,9 +164,11 @@ class TestGenDdm:
         phi = random_phi(n_pairs=30, n=6, p=3, seed=10)
         k = 5
         layer = gen_ddm(25, k, phi, derive_rng(10))
+        anchors, components = ddm_draws(25, phi, derive_rng(10))
+        np.testing.assert_array_equal(layer.anchor_indices, anchors)
         for j in range(layer.m):
             centre = layer.anchor_indices[j]
-            comp = layer.output_components[j]
+            comp = components[j]
             # independent oracle: brute-force neighbors + lstsq with intercept
             d = np.linalg.norm(phi.x - phi.x[centre], axis=1)
             order = [i for i in np.argsort(d, kind="stable") if i != centre][:k]
@@ -188,13 +192,19 @@ class TestGenDdm:
     def test_components_cover_outputs(self):
         phi = random_phi(n_pairs=40, p=24)
         layer = gen_ddm(200, 5, phi, derive_rng(12))
-        assert set(layer.output_components) == set(range(24))
+        anchors, components = ddm_draws(200, phi, derive_rng(12))
+        np.testing.assert_array_equal(layer.anchor_indices, anchors)
+        assert set(components) == set(range(24))
+
+
+def ddm_draws(m, phi, rng):
+    """A ddm layer's anchors and target components, as `gen_ddm` draws them."""
+    return rng.integers(0, len(phi), size=m), rng.integers(0, phi.y.shape[1], size=m)
 
 
 def reference_ddm(m, k, phi, rng):
     """gen_ddm without its cache: a kNN and a hyperplane fit per node."""
-    anchors = rng.integers(0, len(phi), size=m)
-    components = rng.integers(0, phi.y.shape[1], size=m)
+    anchors, components = ddm_draws(m, phi, rng)
     weights = np.empty((m, phi.n))
     for j, (centre, comp) in enumerate(zip(anchors, components)):
         hood = np.concatenate(([centre], knn(phi.x, phi.x[centre], k)))
@@ -371,8 +381,11 @@ class TestMakeLayerAndDeterminism:
     def test_ralpham_90_label_clamped(self):
         phi = random_phi(seed=21)
         layer = make_layer(HyperParams("ralpham", 5, 90.0, seed=0), phi)
-        assert np.all(layer.angles < 90.0)
-        assert np.all(layer.angles <= 89.9)
+        rng = derive_rng(0)  # the layer's generator: angles first, then signs
+        angles = rng.uniform(0.0, 89.9, size=(5, 24))
+        signs = rng.integers(0, 2, size=(5, 24)) * 2 - 1
+        assert layer.weights.tobytes() == (signs * 4.0 * np.tan(np.radians(angles))).tobytes()
+        assert np.abs(layer.weights).max() <= 4.0 * np.tan(np.radians(89.9))
 
     def test_method_dispatch(self):
         phi = random_phi(seed=22)
@@ -408,20 +421,75 @@ def wednesdays():
 class TestTrialPredictions:
     @pytest.mark.parametrize("method,m,smoothing", [
         ("standard", 20, 0.4), ("ram", 20, 0.4), ("ralpham", 20, 30.0), ("ddm", 20, 31.0),
-        ("ram", 50, 0.02)])
+        ("ram", 50, 0.02), ("ralpham", 20, (2.0, 30.0, 90.0))])
     @pytest.mark.parametrize("trials", [1, 100])
     @pytest.mark.parametrize("n_queries", [1, 30])
     def test_matches_per_trial_reference(self, wednesdays, method, m, smoothing, trials,
                                          n_queries):
         phi, queries = wednesdays
-        hp = HyperParams(method, m, smoothing)
+        smoothing = smoothing if isinstance(smoothing, tuple) else (smoothing,)
         q = queries[:n_queries]
-        rngs = [derive_rng(7, 2013, t) for t in range(trials)]
-        layers = [make_layer(hp, phi, r) for r in rngs]
+        layers = [make_layer(HyperParams(method, m, s), phi, derive_rng(7, 2013, t))
+                  for s in smoothing for t in range(trials)]
         reference = np.stack([predict(fit(layer, phi), q) for layer in layers])
         rngs = [derive_rng(7, 2013, t) for t in range(trials)]
-        np.testing.assert_array_equal(trial_predictions(hp, phi, q, rngs), reference)
-        if smoothing == 0.02:
+        stack = draw_layers(method, m, smoothing, phi, rngs)
+        np.testing.assert_array_equal(trial_predictions(*stack, phi, q), reference)
+        if smoothing == (0.02,):
             # ill-conditioned: here forecasts move with the summation order,
             # so equal bits mean the stacked products kept the per-trial calls
             assert np.linalg.cond(hidden_output(layers[0], phi.x)) > 1e10
+
+
+def reference_layer(method, m, smoothing, phi, rng):
+    """One layer drawn for one smoothing value alone, with `rng.uniform`:
+    the weights and biases the stacked draw must reproduce."""
+    if method == "ddm":
+        return reference_ddm(m, int(smoothing), phi, rng)
+    if method == "standard":
+        return (rng.uniform(-smoothing, smoothing, size=(m, phi.n)),
+                rng.uniform(-smoothing, smoothing, size=m))
+    if method == "ram":
+        weights = rng.uniform(-smoothing, smoothing, size=(m, phi.n))
+    else:
+        angles = rng.uniform(0.0, min(smoothing, 89.9), size=(m, phi.n))
+        signs = rng.integers(0, 2, size=(m, phi.n)) * 2 - 1
+        weights = signs * 4.0 * np.tan(np.radians(angles))
+    anchors = rng.integers(0, len(phi), size=m)
+    return weights, -np.einsum("ij,ij->i", weights, phi.x[anchors])
+
+
+class TestDrawLayers:
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("method", ["standard", "ram", "ralpham", "ddm"])
+    def test_matches_one_draw_per_value(self, method, trials):
+        # one stream per trial serves every smoothing value, bit for bit
+        phi = random_phi(n_pairs=40, seed=30)
+        grid = (1.0, 5.0, 9.0, 39.0) if method == "ddm" else default_grid(method).smoothing_values
+        for m in (5, 20, 50):
+            for key in range(2):
+                weights, biases = draw_layers(
+                    method, m, grid, phi, [derive_rng(key, t) for t in range(trials)])
+                assert weights.shape == (len(grid) * trials, m, phi.n)
+                assert biases.shape == (len(grid) * trials, m)
+                for i, (s, t) in enumerate((s, t) for s in grid for t in range(trials)):
+                    layer = make_layer(HyperParams(method, m, s), phi, derive_rng(key, t))
+                    assert_same_bits(layer, (weights[i], biases[i]))
+                    assert_same_bits(layer, reference_layer(method, m, s, phi,
+                                                            derive_rng(key, t)))
+
+    @pytest.mark.parametrize("method, smoothing", [("ram", (0.5, 1e200)),
+                                                   ("standard", (0.5, 1e308))])
+    def test_non_finite_stack_raises(self, method, smoothing):
+        # ram: biases overflow on huge patterns; standard: u - (-u) overflows
+        phi = TrainingSet(np.full((5, 4), 1e200), np.zeros((5, 2)))
+        with pytest.raises(ParameterError, match="finite"), np.errstate(over="ignore"):
+            draw_layers(method, 3, smoothing, phi, [derive_rng(0), derive_rng(1)])
+        draw_layers(method, 3, smoothing[:1], phi, [derive_rng(0), derive_rng(1)])
+
+    def test_rejects_out_of_range_values(self):
+        phi = random_phi(n_pairs=10)
+        for method, smoothing in (("ram", (0.5, 0.0)), ("standard", (-1.0,)),
+                                  ("ralpham", (30.0, 0.0)), ("ddm", (3.0, 10.0))):
+            with pytest.raises(ParameterError):
+                draw_layers(method, 3, smoothing, phi, [derive_rng(0)])

@@ -34,7 +34,11 @@ def reference_errors(phi, hp, k_folds, seed, trials_per_fold):
     return np.array(errors)
 
 
-@pytest.mark.parametrize("method, smoothing", [("ram", (0.2, 0.6)), ("ddm", (3.0, 7.0))])
+# Three or more values per grid, so that one stacked draw serves several
+# (ddm's are drawn k by k); ralpham's includes the 90-degree label.
+@pytest.mark.parametrize("method, smoothing", [
+    ("ram", (0.02, 0.2, 0.6)), ("ddm", (3.0, 5.0, 7.0)), ("standard", (0.04, 0.4, 1.0)),
+    ("ralpham", (2.0, 30.0, 85.0, 90.0))])
 def test_errors_match_per_gridpoint_reference(method, smoothing):
     phi = random_phi(n_pairs=30)
     grid = Grid((3, 6), smoothing)
@@ -105,14 +109,15 @@ def test_ties_prefer_smaller_m_then_smaller_smoothing(monkeypatch):
     # least error 1.0 at (3, 0.6), (6, 0.2) and (6, 0.4): m=3 wins
     # although its smoothing is the largest; without it (6, 0.2) wins
     def fake_errors(least):
-        def errors(phi, folds, hp, seed, trials_per_fold):
-            return np.full(len(folds), 1.0 if (hp.m, hp.smoothing) in least else 2.0)
+        def errors(phi, folds, method, m, group, seed, trials_per_fold):
+            return np.array([np.full(len(folds), 1.0 if (m, s) in least else 2.0)
+                             for s in group])
         return errors
 
     grid = Grid((3, 6), (0.2, 0.4, 0.6))
     for least, best in (({(3, 0.6), (6, 0.2), (6, 0.4)}, (3, 0.6)),
                         ({(6, 0.4), (6, 0.2)}, (6, 0.2))):
-        monkeypatch.setattr(tuning, "_fold_errors", fake_errors(least))
+        monkeypatch.setattr(tuning, "_group_errors", fake_errors(least))
         result = grid_search(random_phi(), "ram", grid, 5, 0)
         assert (result.best.m, result.best.smoothing) == best
 
