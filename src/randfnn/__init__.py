@@ -32,10 +32,6 @@ from .randnn import (
     HyperParams,
     RandFnnModel,
     fit,
-    gen_ddm,
-    gen_ralpham,
-    gen_ram,
-    gen_standard,
     hidden_output,
     make_layer,
     predict,

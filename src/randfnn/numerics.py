@@ -1,11 +1,12 @@
 """Shared numerical kernels: sigmoid, pseudoinverse least squares, kNN,
 local hyperplane fitting.
 
-All kernels operate on plain float64 numpy arrays. Each public kernel
-checks its arguments with `as_matrix` (2-D, no NaN/Inf) on every call.
-`randnn.trial_predictions` checks nothing: its training set was checked
-when `TrainingSet` built it, and its stacked layers once per stack by
-`randnn.draw_layers`.
+All kernels operate on plain float64 numpy arrays and check their
+arguments on every call: 2-D, no NaN/Inf (`as_matrix`). `pinv_factor`
+and `pinv_apply` also take a stack (..., N, m) of matrices, one solve
+per matrix. `randnn.trial_predictions` solves its stack of hidden
+outputs through them, so that stack is checked too and the rank cutoff
+lives here alone.
 """
 
 import numpy as np
@@ -39,42 +40,42 @@ def sigmoid(z):
     return np.divide(1.0, h, out=h)[()]
 
 
-def pinv_factor(H, tol: float | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pinv_factor(H) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor step of `pinv_solve`: (u, s_inv, vt) with pinv(H) =
-    vt.T @ diag(s_inv) @ u.T, from the SVD of H with the reciprocals of
-    singular values below ``tol * s_max`` set to zero. The zero matrix
-    gets empty factors, which `pinv_apply` turns into B = 0."""
-    H = as_matrix(H, "H")
-    if tol is None:
-        tol = max(H.shape) * np.finfo(float).eps
+    vt.T @ diag(s_inv) @ u.T, from the SVD of H, an (N, m) matrix or a
+    stack (..., N, m) of them. The rank cutoff: reciprocals of singular
+    values up to ``max(N, m) * eps * s_max``, with s_max each matrix's
+    own largest, are set to zero (all of them for a zero matrix)."""
+    H = np.asarray(H, dtype=float)
+    if H.ndim < 2:
+        raise ShapeError(f"H must be 2-D or a stack of 2-D, got ndim={H.ndim}")
+    if not np.isfinite(H).all():
+        raise ParameterError("H contains non-finite entries")
     u, s, vt = np.linalg.svd(H, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((H.shape[0], 0)), np.zeros(0), np.zeros((0, H.shape[1]))
-    keep = s > tol * s[0]
-    s_inv = np.zeros_like(s)
-    s_inv[keep] = 1.0 / s[keep]
-    return u, s_inv, vt
+    keep = s > max(H.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    return u, np.divide(1.0, s, out=np.zeros_like(s), where=keep), vt
 
 
 def pinv_apply(factors, Y) -> np.ndarray:
-    """Apply step of `pinv_solve`: B = pinv(H) @ Y from H's factors."""
+    """Apply step of `pinv_solve`: B = pinv(H) @ Y from H's factors, one
+    B per matrix of a stack."""
     Y = as_matrix(Y, "Y")
     u, s_inv, vt = factors
-    if u.shape[0] != Y.shape[0]:
-        raise ShapeError(f"row counts differ: H {u.shape[0]} vs Y {Y.shape[0]}")
-    return vt.T @ (s_inv[:, None] * (u.T @ Y))
+    if u.shape[-2] != Y.shape[0]:
+        raise ShapeError(f"row counts differ: H {u.shape[-2]} vs Y {Y.shape[0]}")
+    return vt.swapaxes(-1, -2) @ (s_inv[..., None] * (u.swapaxes(-1, -2) @ Y))
 
 
-def pinv_solve(H, Y, tol: float | None = None) -> np.ndarray:
+def pinv_solve(H, Y) -> np.ndarray:
     """Minimum-norm least-squares solution B of H @ B ~= Y.
 
-    Computed from the SVD of H: singular values below ``tol * s_max`` are
-    treated as zero, which makes B the minimum-Frobenius-norm minimizer
-    of ||H B - Y||_F. Default `tol` is ``max(H.shape) * machine epsilon``.
-    Runs `pinv_factor` then `pinv_apply`; callers that reuse one H call
-    the two steps themselves.
+    Computed from the SVD of H: singular values under `pinv_factor`'s
+    rank cutoff are treated as zero, which makes B the
+    minimum-Frobenius-norm minimizer of ||H B - Y||_F. Runs `pinv_factor`
+    then `pinv_apply`; callers that reuse one H call the two steps
+    themselves.
     """
-    return pinv_apply(pinv_factor(H, tol), Y)
+    return pinv_apply(pinv_factor(H), Y)
 
 
 def knn(points, query, k: int) -> np.ndarray:

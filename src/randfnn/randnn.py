@@ -10,11 +10,13 @@ layer output matrix. Four generators are provided:
                   chosen training pattern (its "anchor").
 * ``ralpham``   - per-weight slope angles uniform on (0, alpha_max),
                   converted to weights by a = 4*tan(alpha) with an
-                  independent random sign; biases anchored as in ``ram``.
-* ``ddm``       - weights are 4x the slope coefficients of a hyperplane
-                  fitted to a target component over the k-nearest-neighbor
-                  neighborhood of a random training pattern; biases
-                  anchored on that pattern.
+                  independent random sign: angle-derived weights alone are
+                  non-negative and would only allow sigmoids increasing
+                  along every axis. Biases anchored as in ``ram``.
+* ``ddm``       - each node picks a random training pattern and a random
+                  target component, fits a hyperplane to that component
+                  over the pattern and its k nearest neighbors, and takes
+                  4x its slopes as weights; biases anchored on the pattern.
 
 All generators draw from a single `numpy.random.Generator` in a fixed
 order (weight block first, then per-node index draws), so a layer is
@@ -26,7 +28,7 @@ a draw per value: numpy's `uniform(low, high)` is ``low + (high - low)·U``
 with U the stream's next double, so with ``d = rng.random(shape)`` each
 ``-u + (u - -u)·d`` (ralpham: ``0 + alpha·d``) is that value's weight or
 angle block, and what follows the block does not depend on the value.
-`make_layer` and the ``gen_*`` functions are its one-layer view.
+`make_layer` is its one-layer view.
 
 A ddm node's neighborhood and the SVD of its hyperplane design depend
 only on the training set, k and the anchor, and its slopes also on the
@@ -45,13 +47,14 @@ every smoothing value of a grid. `fit` and `predict`, one network each,
 are the reference it matches bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import TrainingSet
 from .errors import ParameterError, ShapeError
-from .numerics import hyperplane_factors, knn, pinv_apply, pinv_solve, sigmoid
+from .numerics import hyperplane_factors, knn, pinv_apply, pinv_factor, pinv_solve, sigmoid
 
 __all__ = [
     "METHODS",
@@ -60,10 +63,6 @@ __all__ = [
     "HyperParams",
     "derive_rng",
     "derive_seed",
-    "gen_standard",
-    "gen_ram",
-    "gen_ralpham",
-    "gen_ddm",
     "make_layer",
     "draw_layers",
     "hidden_output",
@@ -151,6 +150,8 @@ class HyperParams:
         if self.m < 1:
             raise ParameterError(f"m must be >= 1, got {self.m}")
         s = self.smoothing
+        if not math.isfinite(s):
+            raise ParameterError(f"{self.smoothing_name} must be finite, got {s}")
         if self.method in ("standard", "ram") and not s > 0:
             raise ParameterError(f"u must be positive, got {s}")
         if self.method == "ralpham" and not 0 < s <= 90:
@@ -180,51 +181,31 @@ def _stack(draws) -> list[np.ndarray]:
     return [np.stack(d) for d in zip(*draws)]
 
 
-def _positive(u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    bad = u[~(u > 0)]
-    if bad.size:
-        raise ParameterError(f"u must be positive, got {bad[0]}")
-    return u
-
-
-def _nonempty(x_patterns) -> np.ndarray:
-    X = np.asarray(x_patterns, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ParameterError("x_patterns must be a nonempty 2-D array")
-    return X
-
-
 # The _draw_* functions return (S, T, m, n) weights, (S, T, m) biases and
-# (T, m) anchors (None for standard) for S smoothing values and T generators.
+# (T, m) anchors (None for standard) for the S smoothing values `s` and the
+# T generators `rngs`.
 
-def _draw_standard(m: int, n: int, u, rngs):
-    u = _positive(u)
-    unit_w, unit_b = _stack((rng.random((m, n)), rng.random(m)) for rng in rngs)
-    return _uniform(unit_w, -u, u), _uniform(unit_b, -u, u), None
+def _draw_standard(m: int, s: np.ndarray, phi: TrainingSet, rngs):
+    unit_w, unit_b = _stack((rng.random((m, phi.n)), rng.random(m)) for rng in rngs)
+    return _uniform(unit_w, -s, s), _uniform(unit_b, -s, s), None
 
 
-def _draw_ram(m: int, u, x_patterns, rngs):
-    u, X = _positive(u), _nonempty(x_patterns)
-    unit, anchors = _stack((rng.random((m, X.shape[1])), rng.integers(0, X.shape[0], size=m))
+def _draw_ram(m: int, s: np.ndarray, phi: TrainingSet, rngs):
+    unit, anchors = _stack((rng.random((m, phi.n)), rng.integers(0, len(phi), size=m))
                            for rng in rngs)
-    weights = _uniform(unit, -u, u)
-    return weights, _anchored_biases(weights, anchors, X), anchors
+    weights = _uniform(unit, -s, s)
+    return weights, _anchored_biases(weights, anchors, phi.x), anchors
 
 
-def _draw_ralpham(m: int, alpha_max, x_patterns, rngs):
-    alpha = np.asarray(alpha_max, dtype=float)
-    bad = alpha[~((0 < alpha) & (alpha < 90))]
-    if bad.size:
-        raise ParameterError(f"alpha_max must be in (0, 90) degrees, got {bad[0]}")
-    X = _nonempty(x_patterns)
-    shape = (m, X.shape[1])
+def _draw_ralpham(m: int, s: np.ndarray, phi: TrainingSet, rngs):
+    alpha = np.minimum(s, MAX_ALPHA_DEG)  # the 90-degree label
+    shape = (m, phi.n)
     unit, signs, anchors = _stack(
         (rng.random(shape), rng.integers(0, 2, size=shape) * 2 - 1,
-         rng.integers(0, X.shape[0], size=m)) for rng in rngs)
+         rng.integers(0, len(phi), size=m)) for rng in rngs)
     angles = _uniform(unit, np.zeros_like(alpha), alpha)
     weights = signs * 4.0 * np.tan(np.radians(angles))
-    return weights, _anchored_biases(weights, anchors, X), anchors
+    return weights, _anchored_biases(weights, anchors, phi.x), anchors
 
 
 class _HyperplaneFits:
@@ -248,36 +229,28 @@ class _HyperplaneFits:
         return self.slopes[key]
 
 
-def _draw_ddm(m: int, ks, phi: TrainingSet, rngs):
+def _draw_ddm(m: int, s: np.ndarray, phi: TrainingSet, rngs):
     N = len(phi)
-    if N < 2:
-        raise ParameterError(f"need at least 2 training pairs, got {N}")
+    ks = [int(k) for k in s]
     for k in ks:
-        if not 1 <= k <= N - 1:
+        if k > N - 1:
             raise ParameterError(f"k={k} not in [1, {N - 1}]")
     X, Y = phi.x, phi.y
     anchors, components = _stack(
         (rng.integers(0, N, size=m), rng.integers(0, Y.shape[1], size=m)) for rng in rngs)
     weights = np.empty((len(ks), *anchors.shape, X.shape[1]))
-    for s, k in enumerate(ks):
+    for i, k in enumerate(ks):
         fits = phi.memo.get("ddm")
         if fits is None or fits.k != k:
             fits = phi.memo["ddm"] = _HyperplaneFits(X, Y, k)
         slopes = [fits.slope(a, c) for a, c in zip(anchors.ravel().tolist(),
                                                    components.ravel().tolist())]
-        weights[s] = 4.0 * np.reshape(slopes, weights.shape[1:])
+        weights[i] = 4.0 * np.reshape(slopes, weights.shape[1:])
     return weights, _anchored_biases(weights, anchors, X), anchors
 
 
-def _draw(method: str, m: int, smoothing, phi: TrainingSet, rngs):
-    # the 90-degree ralpham label is drawn at MAX_ALPHA_DEG
-    if method == "standard":
-        return _draw_standard(m, phi.n, smoothing, rngs)
-    if method == "ram":
-        return _draw_ram(m, smoothing, phi.x, rngs)
-    if method == "ralpham":
-        return _draw_ralpham(m, np.minimum(smoothing, MAX_ALPHA_DEG), phi.x, rngs)
-    return _draw_ddm(m, [int(k) for k in smoothing], phi, rngs)
+_DRAWS = {"standard": _draw_standard, "ram": _draw_ram, "ralpham": _draw_ralpham,
+          "ddm": _draw_ddm}
 
 
 def draw_layers(method: str, m: int, smoothing, phi: TrainingSet,
@@ -286,53 +259,15 @@ def draw_layers(method: str, m: int, smoothing, phi: TrainingSet,
     (outer) and generator in `rngs` (inner): weights (S·T, m, n) and
     biases (S·T, m), entry s·T + t bitwise `make_layer(HyperParams(method,
     m, smoothing[s]), phi, rngs[t])`. Each generator is drawn once for all
-    of `smoothing` (see the module docstring). This is where layers are
-    checked: a non-finite weight or bias raises `ParameterError`.
+    of `smoothing` (see the module docstring). Each value is checked by
+    `HyperParams`, and a non-finite weight or bias raises `ParameterError`.
     """
-    weights, biases, _ = _draw(method, m, smoothing, phi, rngs)
+    for s in smoothing:
+        HyperParams(method, m, s)
+    weights, biases, _ = _DRAWS[method](m, np.asarray(smoothing, dtype=float), phi, rngs)
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
         raise ParameterError("layer parameters must be finite")
     return weights.reshape(-1, m, phi.n), biases.reshape(-1, m)
-
-
-def _layer(method: str, weights, biases, anchors) -> HiddenLayer:
-    # the one layer of a one-value, one-generator draw
-    return HiddenLayer(method, weights[0, 0], biases[0, 0],
-                       None if anchors is None else anchors[0])
-
-
-def gen_standard(m: int, n: int, u: float, rng: np.random.Generator) -> HiddenLayer:
-    """Weights and biases i.i.d. uniform on [-u, u] for n-dimensional inputs."""
-    return _layer("standard", *_draw_standard(m, n, [u], [rng]))
-
-
-def gen_ram(m: int, u: float, x_patterns, rng: np.random.Generator) -> HiddenLayer:
-    """Uniform weights on [-u, u]; biases anchored on random training patterns."""
-    return _layer("ram", *_draw_ram(m, [u], x_patterns, [rng]))
-
-
-def gen_ralpham(m: int, alpha_max: float, x_patterns, rng: np.random.Generator) -> HiddenLayer:
-    """Slope angles uniform on (0, alpha_max) degrees; a = +/- 4 tan(alpha).
-
-    Raw angle-derived weights are non-negative, which would only allow
-    sigmoids increasing along every axis; an independent random sign per
-    weight removes that bias. Biases are anchored as in `gen_ram`.
-    """
-    return _layer("ralpham", *_draw_ralpham(m, [alpha_max], x_patterns, [rng]))
-
-
-def gen_ddm(m: int, k: int, phi: TrainingSet, rng: np.random.Generator) -> HiddenLayer:
-    """Weights from local hyperplane slopes, scaled by 4; anchored biases.
-
-    For each node a random training pattern is chosen; a hyperplane is
-    fitted to one randomly chosen target component over that pattern and
-    its k nearest neighbors, and the node's weights are 4x its slopes.
-
-    Neighborhoods, design factors and slopes are cached on `phi` for the
-    last k used, so repeated layers on one set (trials, node counts) reuse
-    them; the layer is bitwise the one the uncached fits would give.
-    """
-    return _layer("ddm", *_draw_ddm(m, [k], phi, [rng]))
 
 
 def make_layer(hp: HyperParams, phi: TrainingSet,
@@ -345,7 +280,10 @@ def make_layer(hp: HyperParams, phi: TrainingSet,
     """
     if rng is None:
         rng = derive_rng(hp.seed)
-    return _layer(hp.method, *_draw(hp.method, hp.m, [hp.smoothing], phi, [rng]))
+    s = np.array([hp.smoothing], dtype=float)
+    weights, biases, anchors = _DRAWS[hp.method](hp.m, s, phi, [rng])
+    return HiddenLayer(hp.method, weights[0, 0], biases[0, 0],
+                       None if anchors is None else anchors[0])
 
 
 def _patterns(layer: HiddenLayer, x_patterns) -> np.ndarray:
@@ -402,17 +340,13 @@ def trial_predictions(weights: np.ndarray, biases: np.ndarray, phi: TrainingSet,
     `weights` (L, m, n) and `biases` (L, m), each trained on `phi`:
     bitwise `predict(fit(layer, phi), queries)` per layer, since each
     stacked product runs, per layer and query, the BLAS call of `fit` or
-    `predict`. `phi` was checked when built and the layers by
-    `draw_layers`, so nothing is checked here.
+    `predict`. The (L, N, m) stack of hidden outputs goes through
+    `pinv_factor` and `pinv_apply`, which check it.
     """
     Wt = weights.transpose(0, 2, 1)  # (L, n, m)
     b = biases[:, None, :]  # (L, 1, m)
     Z = phi.x @ Wt
     Z += b
-    U, s, Vt = np.linalg.svd(sigmoid(Z), full_matrices=False)
-    # pinv_factor's cutoff
-    keep = s > max(len(phi), weights.shape[1]) * np.finfo(float).eps * s[:, :1]
-    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    beta = Vt.transpose(0, 2, 1) @ (s_inv[:, :, None] * (U.transpose(0, 2, 1) @ phi.y))
+    beta = pinv_apply(pinv_factor(sigmoid(Z)), phi.y)
     H = sigmoid(np.matmul(queries[None, :, None, :], Wt[:, None])[:, :, 0, :] + b)
     return np.matmul(H[:, :, None, :], beta[:, None])[:, :, 0, :]

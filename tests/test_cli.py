@@ -138,6 +138,14 @@ def test_tune_exit_codes(month_csv, tmp_path, capsys):
     assert capsys.readouterr().err.count("no pairs for weekday") == 7
 
 
+def test_tune_non_finite_smoothing_exits_2(month_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    argv = tune_argv(month_csv, tmp_path / "t.csv", "--grid-smoothing", "nan")
+    argv[argv.index("ram")] = "ddm"
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["usage error: k must be finite, got nan"]
+
+
 def test_tune_weekday_without_pairs_does_not_stop_the_others(month_csv, tmp_path, capsys):
     # before 2012-01-04 only Monday and Tuesday targets have an input day
     out = tmp_path / "t.csv"
@@ -314,8 +322,10 @@ def test_forecast_unknown_config_key_exits_2(month_csv, tmp_path, capsys):
     ({"tuning": "fixed", "fixed_params": {"ram": {"m": 5.9, "smoothing": 0.4}}},
      "fixed_params"),
     ({"grids": {"ram": {"m_values": [5.5], "smoothing_values": [0.4]}}}, "grids"),
+    ({"tuning": "fixed", "fixed_params": {"ddm": {"m": 5, "smoothing": float("inf")}}},
+     "k must be finite"),
 ], ids=["json", "date", "int", "fixed_params", "grids", "trials_float", "trials_bool",
-        "fixed_m_float", "grid_m_float"])
+        "fixed_m_float", "grid_m_float", "fixed_k_inf"])
 def test_forecast_malformed_config_exits_2(month_csv, tmp_path, capsys, doc, field):
     config = tmp_path / "config.json"
     config.write_text(doc if isinstance(doc, str) else json.dumps(

@@ -147,13 +147,20 @@ class TestPinvFactorApply:
         np.testing.assert_allclose(beta, oracle, rtol=1e-9, atol=1e-9)
         assert np.abs(v[:, 2] @ beta).max() < 1e-9  # nothing in the null direction
 
-    def test_tol_sets_the_cutoff(self):
-        h, u, v = self.graded([1.0, 1e-3, 1e-5], seed=2)
-        y = np.random.default_rng(3).normal(size=(9, 1))
-        beta = pinv_solve(h, y, tol=1e-2)
-        np.testing.assert_allclose(beta, v[:, :1] @ u[:, :1].T @ y, atol=1e-9)
-        s_inv = pinv_factor(h, tol=1e-2)[1]
-        assert np.count_nonzero(s_inv) == 1
+    def test_stack_gives_each_matrix_its_own_cutoff_and_bits(self):
+        # scaled by 1e-20, the second matrix keeps all three singular values
+        # under its own cutoff; the first's s_max would cut every one of them
+        stack = np.stack([self.graded([1.0, 1e-3, 1e-17], seed=2)[0],
+                          1e-20 * self.graded([1.0, 1e-3, 1e-5], seed=3)[0],
+                          self.graded([2.0, 1.0, 0.5], seed=4)[0]])
+        y = np.random.default_rng(3).normal(size=(9, 4))
+        factors = pinv_factor(stack)
+        assert [np.count_nonzero(s_inv) for s_inv in factors[1]] == [2, 3, 3]
+        solutions = pinv_apply(factors, y)
+        for i, h in enumerate(stack):
+            for stacked, alone in zip(factors, pinv_factor(h)):
+                assert stacked[i].tobytes() == alone.tobytes()
+            assert solutions[i].tobytes() == pinv_solve(h, y).tobytes()
 
     def test_steps_give_pinv_solve_bits(self):
         rng = np.random.default_rng(5)

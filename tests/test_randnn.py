@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from randfnn.encoding import TrainingSet, build_training_set, encode_days
-from randfnn.errors import ParameterError, ShapeError
+from randfnn.errors import EmptyTrainingSet, ParameterError, ShapeError
 from randfnn.numerics import fit_hyperplane, knn, sigmoid
 from randfnn.randnn import (
     HiddenLayer,
@@ -14,10 +14,6 @@ from randfnn.randnn import (
     derive_rng,
     draw_layers,
     fit,
-    gen_ddm,
-    gen_ralpham,
-    gen_ram,
-    gen_standard,
     hidden_output,
     make_layer,
     predict,
@@ -44,6 +40,11 @@ def linear_phi(n_pairs=40, n=8, seed=1):
     return TrainingSet(x, (x @ c + d)[:, None]), c, d
 
 
+def draw(method, m, smoothing, phi, *keys):
+    """One layer of `method`, drawn from derive_rng(*keys)."""
+    return make_layer(HyperParams(method, m, smoothing), phi, derive_rng(*keys))
+
+
 def anchor_deviation(layer, x_patterns):
     """Max |h(anchor) - 0.5| over nodes."""
     anchors = layer.anchor_indices
@@ -54,66 +55,68 @@ def anchor_deviation(layer, x_patterns):
 
 class TestGenStandard:
     def test_bounds(self):
-        layer = gen_standard(10, 24, 0.01, derive_rng(0))
+        layer = draw("standard", 10, 0.01, random_phi(), 0)
         assert np.abs(layer.weights).max() <= 0.01
         assert np.abs(layer.biases).max() <= 0.01
 
     def test_deterministic(self):
-        a = gen_standard(5, 8, 1.0, derive_rng(42))
-        b = gen_standard(5, 8, 1.0, derive_rng(42))
+        phi = random_phi(n=8)
+        a = draw("standard", 5, 1.0, phi, 42)
+        b = draw("standard", 5, 1.0, phi, 42)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.biases, b.biases)
 
     def test_distribution_sanity(self):
         # mean of 240 U(-1,1) draws within 3 sigma of 0
-        layer = gen_standard(10, 24, 1.0, derive_rng(7))
+        layer = draw("standard", 10, 1.0, random_phi(), 7)
         sigma = (1.0 / math.sqrt(3.0)) / math.sqrt(240.0)
         assert abs(layer.weights.mean()) < 3.0 * sigma
 
     def test_bad_u(self):
         with pytest.raises(ParameterError):
-            gen_standard(5, 8, 0.0, derive_rng(0))
+            draw("standard", 5, 0.0, random_phi(n=8), 0)
 
 
 class TestGenRam:
     def test_inflection_on_anchor(self):
         phi = random_phi()
-        layer = gen_ram(20, 0.5, phi.x, derive_rng(3))
+        layer = draw("ram", 20, 0.5, phi, 3)
         assert anchor_deviation(layer, phi.x) <= 1e-12
 
     def test_bias_reproducible_from_anchor(self):
         phi = random_phi()
-        layer = gen_ram(20, 0.5, phi.x, derive_rng(3))
+        layer = draw("ram", 20, 0.5, phi, 3)
         for j in range(layer.m):
             dot = float(layer.weights[j] @ phi.x[layer.anchor_indices[j]])
             assert layer.biases[j] == pytest.approx(-dot, abs=1e-12)
 
     def test_tiny_u_flattens_outputs(self):
         phi = random_phi()
-        layer = gen_ram(10, 1e-9, phi.x, derive_rng(1))
+        layer = draw("ram", 10, 1e-9, phi, 1)
         h = hidden_output(layer, np.random.default_rng(0).normal(size=(5, 24)))
         np.testing.assert_allclose(h, 0.5, atol=1e-6)
 
     def test_anchors_sample_with_replacement(self):
         phi = random_phi(n_pairs=5)
-        layer = gen_ram(20, 1.0, phi.x, derive_rng(2))
+        layer = draw("ram", 20, 1.0, phi, 2)
         assert set(layer.anchor_indices) <= set(range(5))
         assert len(set(layer.anchor_indices)) < 20  # pigeonhole: repeats exist
 
     def test_weight_bounds(self):
         phi = random_phi()
-        layer = gen_ram(50, 0.2, phi.x, derive_rng(9))
+        layer = draw("ram", 50, 0.2, phi, 9)
         assert np.abs(layer.weights).max() <= 0.2
 
     def test_empty_patterns(self):
-        with pytest.raises(ParameterError):
-            gen_ram(5, 1.0, np.empty((0, 24)), derive_rng(0))
+        # a ram layer never sees an empty set: no TrainingSet is empty
+        with pytest.raises(EmptyTrainingSet):
+            TrainingSet(np.empty((0, 24)), np.empty((0, 24)))
 
 
 class TestGenRalpham:
     def test_magnitude_law(self):
         phi = random_phi()
-        layer = gen_ralpham(15, 40.0, phi.x, derive_rng(4))
+        layer = draw("ralpham", 15, 40.0, phi, 4)
         angles = derive_rng(4).uniform(0.0, 40.0, size=(15, 24))  # the layer's first draw
         np.testing.assert_allclose(
             np.abs(layer.weights), 4.0 * np.tan(np.radians(angles)), rtol=1e-12)
@@ -124,46 +127,46 @@ class TestGenRalpham:
 
     def test_small_alpha_bounds_weights(self):
         phi = random_phi()
-        layer = gen_ralpham(20, 2.0, phi.x, derive_rng(5))
+        layer = draw("ralpham", 20, 2.0, phi, 5)
         cap = 4.0 * math.tan(math.radians(2.0))
         assert cap == pytest.approx(0.1396831, abs=1e-7)
         assert np.abs(layer.weights).max() <= cap
 
     def test_signs_go_both_ways(self):
         phi = random_phi()
-        layer = gen_ralpham(10, 30.0, phi.x, derive_rng(6))
+        layer = draw("ralpham", 10, 30.0, phi, 6)
         assert (layer.weights > 0).any() and (layer.weights < 0).any()
 
     def test_inflection_on_anchor(self):
         phi = random_phi()
-        layer = gen_ralpham(20, 60.0, phi.x, derive_rng(7))
+        layer = draw("ralpham", 20, 60.0, phi, 7)
         assert anchor_deviation(layer, phi.x) <= 1e-12
 
     def test_singularity_guard(self):
+        # 90 is a legal label, drawn at 89.9 (test_ralpham_90_label_clamped)
         phi = random_phi()
-        with pytest.raises(ParameterError):
-            gen_ralpham(5, 90.0, phi.x, derive_rng(0))
-        with pytest.raises(ParameterError):
-            gen_ralpham(5, 0.0, phi.x, derive_rng(0))
+        for alpha_max in (0.0, 95.0):
+            with pytest.raises(ParameterError):
+                draw("ralpham", 5, alpha_max, phi, 0)
 
 
 class TestGenDdm:
     def test_exact_linear_recovery(self):
         phi, c, _ = linear_phi()
-        layer = gen_ddm(12, 9, phi, derive_rng(8))  # k = n+1
+        layer = draw("ddm", 12, 9, phi, 8)  # k = n+1
         np.testing.assert_allclose(layer.weights, np.tile(4.0 * c, (12, 1)),
                                    atol=1e-6)
 
     def test_full_neighborhood_shares_slope(self):
         phi, c, _ = linear_phi(n_pairs=20)
-        layer = gen_ddm(8, 19, phi, derive_rng(9))  # k = N-1: whole set
+        layer = draw("ddm", 8, 19, phi, 9)  # k = N-1: whole set
         np.testing.assert_allclose(layer.weights,
                                    np.tile(layer.weights[0], (8, 1)), atol=1e-8)
 
     def test_matches_local_ols_oracle(self):
         phi = random_phi(n_pairs=30, n=6, p=3, seed=10)
         k = 5
-        layer = gen_ddm(25, k, phi, derive_rng(10))
+        layer = draw("ddm", 25, k, phi, 10)
         anchors, components = ddm_draws(25, phi, derive_rng(10))
         np.testing.assert_array_equal(layer.anchor_indices, anchors)
         for j in range(layer.m):
@@ -179,31 +182,31 @@ class TestGenDdm:
 
     def test_inflection_on_anchor(self):
         phi = random_phi()
-        layer = gen_ddm(20, 10, phi, derive_rng(11))
+        layer = draw("ddm", 20, 10, phi, 11)
         assert anchor_deviation(layer, phi.x) <= 1e-12
 
     def test_k_bounds(self):
         phi = random_phi(n_pairs=10)
         with pytest.raises(ParameterError):
-            gen_ddm(5, 10, phi, derive_rng(0))  # k >= N
+            draw("ddm", 5, 10, phi, 0)  # k >= N
         with pytest.raises(ParameterError):
-            gen_ddm(5, 0, phi, derive_rng(0))
+            draw("ddm", 5, 0, phi, 0)
 
     def test_components_cover_outputs(self):
         phi = random_phi(n_pairs=40, p=24)
-        layer = gen_ddm(200, 5, phi, derive_rng(12))
+        layer = draw("ddm", 200, 5, phi, 12)
         anchors, components = ddm_draws(200, phi, derive_rng(12))
         np.testing.assert_array_equal(layer.anchor_indices, anchors)
         assert set(components) == set(range(24))
 
 
 def ddm_draws(m, phi, rng):
-    """A ddm layer's anchors and target components, as `gen_ddm` draws them."""
+    """A ddm layer's anchors and target components, as `make_layer` draws them."""
     return rng.integers(0, len(phi), size=m), rng.integers(0, phi.y.shape[1], size=m)
 
 
 def reference_ddm(m, k, phi, rng):
-    """gen_ddm without its cache: a kNN and a hyperplane fit per node."""
+    """A ddm layer without the cache: a kNN and a hyperplane fit per node."""
     anchors, components = ddm_draws(m, phi, rng)
     weights = np.empty((m, phi.n))
     for j, (centre, comp) in enumerate(zip(anchors, components)):
@@ -219,7 +222,7 @@ def assert_same_bits(layer, reference):
 
 
 class TestDdmCache:
-    """gen_ddm's per-training-set cache must leave every layer's bits as
+    """ddm's per-training-set cache must leave every layer's bits as
     the uncached per-node fits give them."""
 
     @pytest.mark.parametrize("k", [1, 31, 59])  # 59 = N - 1
@@ -228,7 +231,7 @@ class TestDdmCache:
         phi = random_phi(n_pairs=60, n=n, p=p, seed=k + n)
         for t in range(12):  # later layers hit entries earlier ones filled
             m = (5, 20, 50)[t % 3]
-            assert_same_bits(gen_ddm(m, k, phi, derive_rng(3, t)),
+            assert_same_bits(draw("ddm", m, k, phi, 3, t),
                              reference_ddm(m, k, phi, derive_rng(3, t)))
         assert phi.memo["ddm"].k == k
 
@@ -238,13 +241,13 @@ class TestDdmCache:
         x[9] = x[4]  # knn drops only the first equal row, whichever is the anchor
         phi = TrainingSet(x, rng.normal(size=(25, 3)))
         for t in range(20):
-            assert_same_bits(gen_ddm(30, 6, phi, derive_rng(4, t)),
+            assert_same_bits(draw("ddm", 30, 6, phi, 4, t),
                              reference_ddm(30, 6, phi, derive_rng(4, t)))
 
     def test_switching_k_refills(self):
         phi = random_phi(n_pairs=40, n=8, p=4, seed=5)
         for t, k in enumerate((5, 9, 5, 9)):
-            assert_same_bits(gen_ddm(20, k, phi, derive_rng(6, t)),
+            assert_same_bits(draw("ddm", 20, k, phi, 6, t),
                              reference_ddm(20, k, phi, derive_rng(6, t)))
 
     def test_sets_of_one_shape_share_nothing(self):
@@ -252,11 +255,11 @@ class TestDdmCache:
         b = random_phi(n_pairs=30, n=8, p=4, seed=2)
         for t in range(6):  # interleaved, same seeds on both sets
             for phi in (a, b):
-                assert_same_bits(gen_ddm(20, 7, phi, derive_rng(7, t)),
+                assert_same_bits(draw("ddm", 20, 7, phi, 7, t),
                                  reference_ddm(20, 7, phi, derive_rng(7, t)))
         assert a.memo["ddm"] is not b.memo["ddm"]
-        assert not np.array_equal(gen_ddm(20, 7, a, derive_rng(8)).weights,
-                                  gen_ddm(20, 7, b, derive_rng(8)).weights)
+        assert not np.array_equal(draw("ddm", 20, 7, a, 8).weights,
+                                  draw("ddm", 20, 7, b, 8).weights)
 
 
 class TestHiddenOutput:
@@ -272,7 +275,7 @@ class TestHiddenOutput:
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(13)
-        layer = gen_standard(3, 5, 1.0, derive_rng(13))
+        layer = draw("standard", 3, 1.0, random_phi(n=5), 13)
         X = rng.normal(size=(4, 5))
         h = hidden_output(layer, X)
         for i in range(4):
@@ -282,7 +285,7 @@ class TestHiddenOutput:
                 assert h[i, j] == pytest.approx(expected, abs=1e-15)
 
     def test_dimension_mismatch(self):
-        layer = gen_standard(3, 5, 1.0, derive_rng(0))
+        layer = draw("standard", 3, 1.0, random_phi(n=5), 0)
         with pytest.raises(ShapeError):
             hidden_output(layer, np.ones((2, 7)))
 
@@ -290,7 +293,7 @@ class TestHiddenOutput:
 class TestFitPredict:
     def test_interpolation_regime(self):
         phi = random_phi(n_pairs=10, n=24, p=4, seed=14)
-        layer = gen_ram(40, 1.0, phi.x, derive_rng(14))  # m >= N
+        layer = draw("ram", 40, 1.0, phi, 14)  # m >= N
         model = fit(layer, phi)
         np.testing.assert_allclose(predict(model, phi.x), phi.y, atol=1e-6)
 
@@ -303,7 +306,7 @@ class TestFitPredict:
 
     def test_matches_ridge_oracle(self):
         phi = random_phi(n_pairs=20, n=24, p=24, seed=15)
-        layer = gen_ram(10, 0.8, phi.x, derive_rng(15))
+        layer = draw("ram", 10, 0.8, phi, 15)
         model = fit(layer, phi)
         H = hidden_output(layer, phi.x)
         ridge = np.linalg.solve(H.T @ H + 1e-10 * np.eye(10), H.T @ phi.y)
@@ -313,7 +316,7 @@ class TestFitPredict:
 
     def test_fit_residual_optimality(self):
         phi = random_phi(n_pairs=25, n=24, p=6, seed=16)
-        layer = gen_ram(8, 0.5, phi.x, derive_rng(16))
+        layer = draw("ram", 8, 0.5, phi, 16)
         model = fit(layer, phi)
         H = hidden_output(layer, phi.x)
         base = np.linalg.norm(H @ model.beta - phi.y)
@@ -323,13 +326,13 @@ class TestFitPredict:
             assert base <= np.linalg.norm(H @ other - phi.y) + 1e-8
 
     def test_predict_zero_beta(self):
-        layer = gen_standard(4, 6, 1.0, derive_rng(17))
-        model = fit(layer, TrainingSet(np.eye(6), np.zeros((6, 2))))
+        phi = TrainingSet(np.eye(6), np.zeros((6, 2)))
+        model = fit(draw("standard", 4, 1.0, phi, 17), phi)
         np.testing.assert_allclose(predict(model, np.ones(6)), 0.0, atol=1e-12)
 
     def test_predict_compositional_oracle(self):
         phi = random_phi(seed=18)
-        layer = gen_ram(12, 0.7, phi.x, derive_rng(18))
+        layer = draw("ram", 12, 0.7, phi, 18)
         model = fit(layer, phi)
         x = np.random.default_rng(18).normal(size=24)
         manual = sigmoid(layer.weights @ x + layer.biases) @ model.beta
@@ -341,7 +344,7 @@ class TestFitPredict:
         # itself, exactly, so both products are pinned.
         phi = random_phi(seed=19)
         for m in (6, 50):
-            layer = gen_ram(m, 0.3, phi.x, derive_rng(19))
+            layer = draw("ram", m, 0.3, phi, 19)
             models = {"hidden": RandFnnModel(layer, np.eye(m)), "output": fit(layer, phi)}
             for rows in (1, 3, 30):
                 for name, model in models.items():
@@ -406,6 +409,10 @@ class TestMakeLayerAndDeterminism:
             HyperParams("ralpham", 5, 95.0)
         with pytest.raises(ParameterError):
             HyperParams("ddm", 5, 2.5)
+        for method in ("standard", "ram", "ralpham", "ddm"):
+            for s in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ParameterError, match="must be finite"):
+                    HyperParams(method, 5, s)
 
 
 @pytest.fixture(scope="module")
@@ -489,7 +496,9 @@ class TestDrawLayers:
 
     def test_rejects_out_of_range_values(self):
         phi = random_phi(n_pairs=10)
+        # the values HyperParams rejects, and ddm's k past the set's N - 1
         for method, smoothing in (("ram", (0.5, 0.0)), ("standard", (-1.0,)),
-                                  ("ralpham", (30.0, 0.0)), ("ddm", (3.0, 10.0))):
+                                  ("ralpham", (30.0, 0.0)), ("ralpham", (30.0, 95.0)),
+                                  ("ddm", (3.0, 10.0)), ("ddm", (math.nan,))):
             with pytest.raises(ParameterError):
                 draw_layers(method, 3, smoothing, phi, [derive_rng(0)])
