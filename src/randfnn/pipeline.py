@@ -179,7 +179,8 @@ def _screen_day(day: date, days: DayMatrix, config: ExperimentConfig) -> str | N
     """Reason to skip `day`, or None if every configured method can run it.
 
     `day`'s training set is empty exactly when the admissibility rule
-    (`encoding._pair_rows`) finds no pair for its weekday before it.
+    (`encoding._pair_rows`) finds no pair for its weekday before it; a
+    fixed ddm with k neighbors needs more than k pairs.
     """
     if days.row(day) is None:
         return "missing or excluded actual day"
@@ -192,8 +193,13 @@ def _screen_day(day: date, days: DayMatrix, config: ExperimentConfig) -> str | N
         if days.row(day - timedelta(days=NAIVE_PERIOD_DAYS)) is None:
             return "missing naive reference"
     if config.model_methods:
-        if not _pair_rows(days, day.weekday(), config.tau, day)[0].size:
+        pairs = _pair_rows(days, day.weekday(), config.tau, day)[0].size
+        if not pairs:
             return "empty training set"
+        if config.tuning == "fixed" and "ddm" in config.methods:
+            k = int(config.fixed_params["ddm"].smoothing)
+            if pairs <= k:
+                return f"{pairs} training pairs, ddm needs more than k={k}"
     return None
 
 
@@ -298,7 +304,8 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries) -> ExperimentReport
     into a day matrix, which every stage reads. A candidate day is
     screened out, with its reason, when it or its input day is missing,
     the input day is constant, the naive reference is missing, or the
-    admissibility rule finds no training pair before it; every training
+    admissibility rule finds no training pair before it (with a fixed
+    ddm: no more than its k pairs); every training
     set is gathered from the day matrix under that same rule. A day
     whose tuning selects no hyperparameters for some method is skipped
     after the screened days.
@@ -410,69 +417,94 @@ def _config_dict(config: ExperimentConfig) -> dict:
     return doc
 
 
+@contextmanager
+def _staged(out: Path):
+    """Yields `open_(name, **kwargs)`, which opens a temporary file in
+    `out` for writing `name`. When the block succeeds, each temporary is
+    moved onto its name (`os.replace`) in the order opened; when it
+    fails, every temporary is removed and `out` keeps its old files."""
+    staged = []
+
+    def open_(name, **kwargs):
+        staged.append((out / f".{name}.part", out / name))
+        return open(staged[-1][0], "w", **kwargs)
+
+    try:
+        yield open_
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
 def write_report_bundle(report: ExperimentReport, out_dir) -> None:
     """Write report.json, forecasts.csv, ape_records.csv and tuning.csv.
 
     Row order and float formatting are fixed, so two runs of the same
-    configuration produce byte-identical files.
+    configuration produce byte-identical files. All four are written to
+    temporary files first and then moved into place, report.json last,
+    so a write that fails leaves the previous bundle as it was, and a
+    present report.json marks a complete bundle.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = report.config
+    with _staged(out) as open_:
+        with open_("forecasts.csv", newline="") as fh:
+            fh.write("method,date,trial,hour,forecast,actual\n")
+            actuals = [[repr(v) for v in row] for row in report.actual.tolist()]
+            for method in config.methods:
+                for d, actual, block in zip(report.test_days, actuals, report.forecasts[method]):
+                    prefix = f"{method},{d.isoformat()},"
+                    for trial, row in enumerate(block.tolist()):
+                        head = f"{prefix}{trial},"
+                        fh.writelines(f"{head}{h},{v!r},{a}\n"
+                                      for h, (v, a) in enumerate(zip(row, actual)))
 
-    with open(out / "forecasts.csv", "w", newline="") as fh:
-        fh.write("method,date,trial,hour,forecast,actual\n")
-        actuals = [[repr(v) for v in row] for row in report.actual.tolist()]
+        with open_("ape_records.csv", newline="") as fh:
+            fh.write("method,date,hour,ape\n")
+            for method in config.methods:
+                for d, row in zip(report.test_days, report.ape[method].tolist()):
+                    fh.writelines(f"{method},{d.isoformat()},{h},{v!r}\n"
+                                  for h, v in enumerate(row))
+
+        with open_("tuning.csv", newline="") as fh:
+            write_tuning_csv(report.tune_tables, fh)
+        tuned = {m: {} for m in config.model_methods}  # method -> {scope -> selection | None}
+        for method, scope, result in report.tune_tables:
+            hp = result.best
+            tuned[method][scope] = None if hp is None else {"m": hp.m, "smoothing": hp.smoothing}
+
+        bands = {}
         for method in config.methods:
-            for d, actual, block in zip(report.test_days, actuals, report.forecasts[method]):
-                prefix = f"{method},{d.isoformat()},"
-                for trial, row in enumerate(block.tolist()):
-                    head = f"{prefix}{trial},"
-                    fh.writelines(f"{head}{h},{v!r},{a}\n"
-                                  for h, (v, a) in enumerate(zip(row, actual)))
+            p05, p50, p95 = np.percentile(report.forecasts[method], [5, 50, 95], axis=1).tolist()
+            bands[method] = {d.isoformat(): {"p05": a, "p50": b, "p95": c}
+                             for d, a, b, c in zip(report.test_days, p05, p50, p95)}
 
-    with open(out / "ape_records.csv", "w", newline="") as fh:
-        fh.write("method,date,hour,ape\n")
-        for method in config.methods:
-            for d, row in zip(report.test_days, report.ape[method].tolist()):
-                fh.writelines(f"{method},{d.isoformat()},{h},{v!r}\n" for h, v in enumerate(row))
-
-    with open(out / "tuning.csv", "w", newline="") as fh:
-        write_tuning_csv(report.tune_tables, fh)
-    tuned = {m: {} for m in config.model_methods}  # method -> {scope -> selection | None}
-    for method, scope, result in report.tune_tables:
-        hp = result.best
-        tuned[method][scope] = None if hp is None else {"m": hp.m, "smoothing": hp.smoothing}
-
-    bands = {}
-    for method in config.methods:
-        p05, p50, p95 = np.percentile(report.forecasts[method], [5, 50, 95], axis=1).tolist()
-        bands[method] = {d.isoformat(): {"p05": a, "p50": b, "p95": c}
-                         for d, a, b, c in zip(report.test_days, p05, p50, p95)}
-
-    doc = {
-        "config": _config_dict(config),
-        "seed": config.seed,
-        "summaries": {
-            m: {
-                "mape": s.mape, "median_ape": s.median_ape, "rmse": s.rmse,
-                "mpe": s.mpe, "std_pe": s.std_pe, "n_records": s.n_records,
-            }
-            for m, s in report.summaries.items()
-        },
-        "wilcoxon": [
-            {
-                "method_a": a, "method_b": b,
-                "statistic": r.statistic, "p_value": r.p_value,
-                "decision": r.decision, "n_effective": r.n_effective,
-            }
-            for (a, b), r in report.wilcoxon.items()
-        ],
-        "tuned": tuned,
-        "bands": bands,
-        "skipped_days": [{"date": d.isoformat(), "reason": r} for d, r in report.skipped],
-        "test_days": [d.isoformat() for d in report.test_days],
-    }
-    with open(out / "report.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        doc = {
+            "config": _config_dict(config),
+            "seed": config.seed,
+            "summaries": {
+                m: {
+                    "mape": s.mape, "median_ape": s.median_ape, "rmse": s.rmse,
+                    "mpe": s.mpe, "std_pe": s.std_pe, "n_records": s.n_records,
+                }
+                for m, s in report.summaries.items()
+            },
+            "wilcoxon": [
+                {
+                    "method_a": a, "method_b": b,
+                    "statistic": r.statistic, "p_value": r.p_value,
+                    "decision": r.decision, "n_effective": r.n_effective,
+                }
+                for (a, b), r in report.wilcoxon.items()
+            ],
+            "tuned": tuned,
+            "bands": bands,
+            "skipped_days": [{"date": d.isoformat(), "reason": r} for d, r in report.skipped],
+            "test_days": [d.isoformat() for d in report.test_days],
+        }
+        with open_("report.json") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")

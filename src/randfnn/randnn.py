@@ -30,16 +30,17 @@ with U the stream's next double, so with ``d = rng.random(shape)`` each
 angle block, and what follows the block does not depend on the value.
 `make_layer` is its one-layer view.
 
-A ddm node's neighborhood and the SVD of its hyperplane design depend
-only on the training set, k and the anchor, and its slopes also on the
-target component. So ``ddm`` computes each of them once per training set
-and looks them up for every later node, trial and m. The cache lives in
-`TrainingSet.memo` and holds one k at a time, which bounds it to one
-neighborhood per anchor (grid search visits its gridpoints k by k). A
-cached slope equals, bit for bit, what the uncached kNN +
-`fit_hyperplane` computation returns: the same kernels run on the same
-read-only inputs, and each component is still solved as its own
-single-column product.
+A ddm node's slopes depend only on the training set, k, its anchor and
+its target component. So ``ddm`` builds the whole (N, p, n) table of
+them once per training set, in whole-array passes
+(`numerics.neighborhood_slopes`: one stacked kNN over every anchor, one
+stacked SVD of the neighborhood designs, one stacked apply), and gathers
+each layer's weights from it with one fancy index. The table lives in
+`TrainingSet.memo` and holds one k at a time (grid search visits its
+gridpoints k by k). Its slopes equal, bit for bit, what the per-node kNN
++ `fit_hyperplane` computation returns: the same kernels, each stacked
+row running the computation of one lone call, and each component still
+solved as its own single-column product.
 
 `trial_predictions` trains a stack of drawn layers at once (one stacked
 `H`, one batched SVD): a forecast day's trials, or a fold's trials at
@@ -49,12 +50,13 @@ are the reference it matches bit for bit.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .encoding import TrainingSet
 from .errors import ParameterError, ShapeError
-from .numerics import hyperplane_factors, knn, pinv_apply, pinv_factor, pinv_solve, sigmoid
+from .numerics import neighborhood_slopes, pinv_apply, pinv_factor, pinv_solve, sigmoid
 
 __all__ = [
     "METHODS",
@@ -208,25 +210,11 @@ def _draw_ralpham(m: int, s: np.ndarray, phi: TrainingSet, rngs):
     return weights, _anchored_biases(weights, anchors, phi.x), anchors
 
 
-class _HyperplaneFits:
-    """ddm's per-anchor work on one training set for one k, filled on use:
-    each anchor's neighborhood with the SVD factors of its [X | 1]
-    design, and each (anchor, component) hyperplane's slopes."""
+class _SlopeTable(NamedTuple):
+    """ddm's slope table on one training set for one k."""
 
-    def __init__(self, X: np.ndarray, Y: np.ndarray, k: int):
-        self.X, self.Y, self.k = X, Y, k  # the arrays, not the set: no cycle
-        self.hoods: dict = {}  # anchor -> (neighborhood, pinv_factor of its design)
-        self.slopes: dict = {}  # (anchor, component) -> slope vector
-
-    def slope(self, anchor: int, component: int) -> np.ndarray:
-        key = (anchor, component)
-        if key not in self.slopes:
-            if anchor not in self.hoods:
-                hood = np.concatenate(([anchor], knn(self.X, self.X[anchor], self.k)))
-                self.hoods[anchor] = hood, hyperplane_factors(self.X[hood])
-            hood, factors = self.hoods[anchor]
-            self.slopes[key] = pinv_apply(factors, self.Y[hood, component][:, None])[:-1, 0]
-        return self.slopes[key]
+    k: int
+    slopes: np.ndarray  # (N, p, n): neighborhood_slopes(x, y, k)
 
 
 def _draw_ddm(m: int, s: np.ndarray, phi: TrainingSet, rngs):
@@ -235,18 +223,15 @@ def _draw_ddm(m: int, s: np.ndarray, phi: TrainingSet, rngs):
     for k in ks:
         if k > N - 1:
             raise ParameterError(f"k={k} not in [1, {N - 1}]")
-    X, Y = phi.x, phi.y
     anchors, components = _stack(
-        (rng.integers(0, N, size=m), rng.integers(0, Y.shape[1], size=m)) for rng in rngs)
-    weights = np.empty((len(ks), *anchors.shape, X.shape[1]))
+        (rng.integers(0, N, size=m), rng.integers(0, phi.y.shape[1], size=m)) for rng in rngs)
+    weights = np.empty((len(ks), *anchors.shape, phi.n))
     for i, k in enumerate(ks):
-        fits = phi.memo.get("ddm")
-        if fits is None or fits.k != k:
-            fits = phi.memo["ddm"] = _HyperplaneFits(X, Y, k)
-        slopes = [fits.slope(a, c) for a, c in zip(anchors.ravel().tolist(),
-                                                   components.ravel().tolist())]
-        weights[i] = 4.0 * np.reshape(slopes, weights.shape[1:])
-    return weights, _anchored_biases(weights, anchors, X), anchors
+        table = phi.memo.get("ddm")
+        if table is None or table.k != k:
+            table = phi.memo["ddm"] = _SlopeTable(k, neighborhood_slopes(phi.x, phi.y, k))
+        weights[i] = 4.0 * table.slopes[anchors, components]
+    return weights, _anchored_biases(weights, anchors, phi.x), anchors
 
 
 _DRAWS = {"standard": _draw_standard, "ram": _draw_ram, "ralpham": _draw_ralpham,

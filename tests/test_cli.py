@@ -1,4 +1,5 @@
 import json
+from datetime import date
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
@@ -87,18 +88,42 @@ def test_evaluate_malformed_number(tmp_path, capsys, bad_row):
 
 
 def test_forecast_worker_parameter_error_exits_2(tmp_path, capsys, monkeypatch):
-    # ddm's k=400 exceeds every training set; the days run in the pool
+    # ram's u=1e308 is finite, but the drawn weights are not; the days run
+    # in the pool
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     data = tmp_path / "series.csv"
     write_csv(synth_generate(SynthSpec(days=400), 0), data)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"fixed_params": {"ddm": {"m": 5, "smoothing": 400}}}))
+    config.write_text(json.dumps({"fixed_params": {"ram": {"m": 5, "smoothing": 1e308}}}))
     code = main(["forecast", "--config", str(config), "--data", str(data),
-                 "--methods", "ddm,naive", "--tuning", "fixed", "--trials", "1",
+                 "--methods", "ram,naive", "--tuning", "fixed", "--trials", "1",
                  "--test-start", "2013-01-01", "--test-end", "2013-01-03",
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("usage error: k=400 not in [1, ")
+    assert capsys.readouterr().err.startswith("usage error: layer parameters must be finite")
+
+
+def test_forecast_fixed_ddm_skips_days_with_too_few_pairs(tmp_path, capsys, monkeypatch):
+    # 2012-01-01 (a Sunday) .. 2012-02-29: each weekday has at most k=6
+    # training pairs before 2012-02-20 and 7 from then on
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    data = tmp_path / "series.csv"
+    write_csv(synth_generate(SynthSpec(days=60), 0), data)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "methods": ["ddm", "naive"], "tuning": "fixed", "trials": 2,
+        "fixed_params": {"ddm": {"method": "ddm", "m": 5, "smoothing": 6.0}},
+        "test_start": "2012-02-08", "test_end": "2012-02-29"}))
+    out = tmp_path / "out"
+    # exit 1 as for any skipped day, with the bundle of the days that ran
+    assert main(["forecast", "--config", str(config), "--data", str(data),
+                 "--out-dir", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    early = [date(2012, 2, d) for d in range(8, 20)]
+    assert [s["date"] for s in report["skipped_days"]] == [d.isoformat() for d in early]
+    assert "usage error" not in capsys.readouterr().err
+    assert all(s["reason"].endswith("ddm needs more than k=6") for s in report["skipped_days"])
+    assert report["test_days"] == [date(2012, 2, d).isoformat() for d in range(20, 30)]
 
 
 @pytest.fixture(scope="module")

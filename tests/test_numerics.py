@@ -10,6 +10,7 @@ from randfnn.numerics import (
     fit_hyperplane,
     hyperplane_factors,
     knn,
+    neighborhood_slopes,
     pinv_apply,
     pinv_factor,
     pinv_solve,
@@ -183,6 +184,39 @@ class TestPinvFactorApply:
         with pytest.raises(ParameterError):
             pinv_apply(factors, np.array([[1.0], [np.inf], [0.0]]))
 
+    def test_stacked_columns_give_per_column_bits(self):
+        rng = np.random.default_rng(9)
+        stack = rng.normal(size=(5, 12, 7))
+        stack[2, :, 4] = stack[2, :, 1]  # rank deficient
+        y = rng.normal(size=(5, 3, 12, 1))  # three single-column right-hand sides per matrix
+        factors = pinv_factor(stack)
+        got = pinv_apply(tuple(f[:, None] for f in factors), y)
+        assert got.shape == (5, 3, 7, 1)
+        for i, h in enumerate(stack):
+            alone = pinv_factor(h)
+            for c in range(3):
+                assert got[i, c].tobytes() == pinv_apply(alone, y[i, c]).tobytes()
+
+    def test_apply_checks_a_stacked_input(self):
+        factors = pinv_factor(np.ones((2, 3, 2)))
+        with pytest.raises(ShapeError):
+            pinv_apply(factors, np.ones((2, 4, 1)))
+        with pytest.raises(ShapeError):
+            pinv_apply(factors, np.ones(3))
+        y = np.ones((2, 3, 1))
+        y[1, 2, 0] = np.nan
+        with pytest.raises(ParameterError):
+            pinv_apply(factors, y)
+
+    def test_stacked_hyperplane_factors_match_each_set(self):
+        rng = np.random.default_rng(10)
+        sets = rng.normal(size=(2, 4, 9, 5))
+        sets[1, 3, 6] = sets[1, 3, 2]
+        stacked = hyperplane_factors(sets)
+        for idx in np.ndindex(2, 4):
+            for a, b in zip(stacked, hyperplane_factors(sets[idx])):
+                assert a[idx].tobytes() == b.tobytes()
+
     def test_hyperplane_factors_solve_fit_hyperplane(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(12, 5))
@@ -233,6 +267,31 @@ class TestKnn:
             knn(pts, pts[0], 3)  # self excluded leaves only 2
 
 
+    def test_stack_rows_match_single_queries(self):
+        # lattice points: exact duplicates and distance ties everywhere
+        rng = np.random.default_rng(11)
+        pts = rng.integers(-2, 3, size=(40, 2)).astype(float)
+        first_equal = [np.flatnonzero((pts == p).all(axis=1))[0] for p in pts]
+        assert any(j != i for i, j in enumerate(first_equal))  # not the query's own row
+        d = np.sort(np.linalg.norm(pts[None] - pts[:, None], axis=2), axis=1)
+        assert (d[:, 1:] == d[:, :-1]).any()
+        queries = np.vstack([pts, pts[:10] + 0.5])  # members, then non-members
+        for k in range(1, len(pts)):  # up to N - 1
+            got = knn(pts, queries, k)
+            assert got.shape == (len(queries), k)
+            for q, row in zip(queries, got):
+                assert row.tolist() == knn(pts, q, k).tolist()
+
+    def test_stack_k_bounds(self):
+        pts = np.arange(10.0).reshape(5, 2)
+        assert knn(pts, pts + 0.5, 5).shape == (5, 5)  # no query is a member
+        assert knn(pts, pts[:0], 3).shape == (0, 3)
+        with pytest.raises(ParameterError, match=r"k=5 not in \[1, 4\]"):
+            knn(pts, np.vstack([pts[:1], pts + 0.5]), 5)
+        with pytest.raises(ShapeError):
+            knn(pts, np.ones((2, 3)), 1)
+
+
 class TestFitHyperplane:
     def test_exact_linear_recovery(self):
         rng = np.random.default_rng(2)
@@ -272,6 +331,22 @@ class TestFitHyperplane:
             fit_hyperplane(np.ones((1, 3)), [1.0])
         with pytest.raises(ShapeError):
             fit_hyperplane(np.ones((3, 2)), [1.0, 2.0])
+
+
+def test_neighborhood_slopes_match_per_point_fits():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(30, 6))
+    x[17] = x[5]
+    y = rng.normal(size=(30, 3))
+    for k in (1, 7, 29):
+        slopes = neighborhood_slopes(x, y, k)
+        assert slopes.shape == (30, 3, 6)
+        for i in range(30):
+            hood = np.concatenate(([i], knn(x, x[i], k)))
+            for c in range(3):
+                assert slopes[i, c].tobytes() == fit_hyperplane(x[hood], y[hood, c])[0].tobytes()
+    with pytest.raises(ShapeError):
+        neighborhood_slopes(x, y[:-1], 3)
 
 
 def test_as_matrix_validation():

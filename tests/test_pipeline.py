@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -81,6 +82,28 @@ def bundle_bytes(report, out):
     return {f: (out / f).read_bytes() for f in BUNDLE}
 
 
+def fail_midway(fh):
+    fh.write("method,scope")  # a partial first row, then the disk fills
+    raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("target, name", [(pipeline, "write_tuning_csv"),
+                                          (pipeline.json, "dump")])
+def test_failed_write_keeps_the_previous_bundle(two_years, tmp_path, monkeypatch, target, name):
+    config = short_config(methods=("ram", "naive"), tuning="fixed", fixed_params=FIXED)
+    report, _ = run_with_cpus(monkeypatch, 1, config, two_years)
+    before = bundle_bytes(report, tmp_path)
+    changed = dataclasses.replace(report, forecasts={m: 2.0 * f for m, f in
+                                                     report.forecasts.items()})
+    monkeypatch.setattr(target, name, lambda *args, **kwargs: fail_midway(args[-1]))
+    with pytest.raises(OSError, match="No space left"):
+        write_report_bundle(changed, tmp_path)
+    assert sorted(os.listdir(tmp_path)) == sorted(BUNDLE)  # no temporary file left
+    assert {f: (tmp_path / f).read_bytes() for f in BUNDLE} == before
+    monkeypatch.undo()
+    assert bundle_bytes(changed, tmp_path) != before
+
+
 @pytest.mark.parametrize("tuning", ["fixed", "once", "per-day"])
 def test_bundle_same_in_process_and_in_pool(two_years, tmp_path, monkeypatch, tuning):
     config = short_config(methods=("ddm", "ram", "naive"), test_end=date(2013, 1, 4), trials=3,
@@ -98,17 +121,35 @@ def test_bundle_same_in_process_and_in_pool(two_years, tmp_path, monkeypatch, tu
             (method, day) for day in days for method in (b"ddm", b"ram")]
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_worker_parameter_error_reaches_the_caller(two_years, monkeypatch):
-    # about 52 pairs per weekday before 2013: no neighbourhood of k=60 exists
-    config = short_config(test_end=date(2013, 1, 3), tuning="fixed",
-                          fixed_params={"ddm": HyperParams("ddm", 5, 60.0)})
+    # u=1e308 passes HyperParams, but u - (-u) overflows: the layers drawn
+    # in the task are not finite
+    config = short_config(methods=("ram", "naive"), test_end=date(2013, 1, 3),
+                          tuning="fixed", fixed_params={"ram": HyperParams("ram", 5, 1e308)})
     errors = []
     for cpus in (1, 2):
         with pytest.raises(ParameterError) as info:
             run_with_cpus(monkeypatch, cpus, config, two_years)
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
-    assert errors[0][0] is ParameterError and "k=60" in errors[0][1]
+    assert errors[0] == (ParameterError, "layer parameters must be finite")
+
+
+def test_fixed_ddm_skips_days_with_at_most_k_pairs(two_years, monkeypatch):
+    # 2012-01-01 is a Sunday: in March each weekday has 8 to 12 pairs
+    config = short_config(methods=("ram", "ddm", "naive"), test_start=date(2012, 3, 1),
+                          test_end=date(2012, 3, 21), tuning="fixed", fixed_params=FIXED)
+    report, _ = run_with_cpus(monkeypatch, 1, config, two_years)
+    days = encode_days(two_years)
+    pairs = {d: _pair_rows(days, d.weekday(), 1, d)[0].size for d in
+             (date(2012, 3, 1) + timedelta(days=i) for i in range(21))}
+    short = [d for d, n in pairs.items() if n <= 9]  # FIXED's ddm has k=9
+    assert short and len(short) < len(pairs)
+    assert report.skipped == [(d, f"{pairs[d]} training pairs, ddm needs more than k=9")
+                              for d in short]
+    assert report.test_days == [d for d in pairs if d not in short]
+    assert set(report.forecasts) == set(config.methods)
 
 
 def worker_environ(rendezvous, task):

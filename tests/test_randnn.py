@@ -235,6 +235,16 @@ class TestDdmCache:
                              reference_ddm(m, k, phi, derive_rng(3, t)))
         assert phi.memo["ddm"].k == k
 
+    def test_matches_uncached_fits_at_workload_shape(self):
+        # a ddm_fixed day: N=178 pairs, n = p = 24, k=31, 100 trials of m=20
+        phi = random_phi(n_pairs=178, n=24, p=24, seed=178)
+        weights, biases = draw_layers("ddm", 20, [31.0], phi,
+                                      [derive_rng(9, t) for t in range(100)])
+        for t in range(100):
+            ref_weights, ref_biases = reference_ddm(20, 31, phi, derive_rng(9, t))
+            assert weights[t].tobytes() == ref_weights.tobytes()
+            assert biases[t].tobytes() == ref_biases.tobytes()
+
     def test_duplicated_x_row(self):
         rng = np.random.default_rng(21)
         x = rng.normal(size=(25, 6))
