@@ -149,9 +149,9 @@ class TrainingSet:
     """Stacked x/y pattern matrices.
 
     `x` and `y` are read-only copies, so values derived from them stay
-    valid for the set's lifetime: `memo` keeps such values (ddm's
-    neighborhood fits, see the `randnn` module docstring) and dies with
-    the set.
+    valid for the set's lifetime: `memo` keeps such values and dies with
+    the set. ddm keeps its (N, p, n) slope table there, for one k at a
+    time (see the `randnn` module docstring).
     """
 
     x: np.ndarray  # (N, n)

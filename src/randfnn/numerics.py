@@ -9,9 +9,8 @@ sides (..., N, p) that broadcasts against it; `randnn.trial_predictions`
 solves its stack of hidden outputs through them, so the rank cutoff
 lives here alone. `knn` takes a stack (Q, n) of queries, and
 `hyperplane_factors` a stack of point sets. `neighborhood_slopes` runs
-those three stacked for ddm: every point's local hyperplane fit at once,
-bitwise the per-point `knn` and `fit_hyperplane` that stay as its
-reference.
+the three stacked for ddm, every point's local hyperplane fits at once;
+the one-query `knn` and `fit_hyperplane` are its bitwise reference.
 """
 
 import numpy as np

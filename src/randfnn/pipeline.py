@@ -450,6 +450,41 @@ def write_report_bundle(report: ExperimentReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = report.config
+    tuned = {m: {} for m in config.model_methods}  # method -> {scope -> selection | None}
+    for method, scope, result in report.tune_tables:
+        hp = result.best
+        tuned[method][scope] = None if hp is None else {"m": hp.m, "smoothing": hp.smoothing}
+
+    bands = {}
+    for method in config.methods:
+        p05, p50, p95 = np.percentile(report.forecasts[method], [5, 50, 95], axis=1).tolist()
+        bands[method] = {d.isoformat(): {"p05": a, "p50": b, "p95": c}
+                         for d, a, b, c in zip(report.test_days, p05, p50, p95)}
+
+    doc = {
+        "config": _config_dict(config),
+        "seed": config.seed,
+        "summaries": {
+            m: {
+                "mape": s.mape, "median_ape": s.median_ape, "rmse": s.rmse,
+                "mpe": s.mpe, "std_pe": s.std_pe, "n_records": s.n_records,
+            }
+            for m, s in report.summaries.items()
+        },
+        "wilcoxon": [
+            {
+                "method_a": a, "method_b": b,
+                "statistic": r.statistic, "p_value": r.p_value,
+                "decision": r.decision, "n_effective": r.n_effective,
+            }
+            for (a, b), r in report.wilcoxon.items()
+        ],
+        "tuned": tuned,
+        "bands": bands,
+        "skipped_days": [{"date": d.isoformat(), "reason": r} for d, r in report.skipped],
+        "test_days": [d.isoformat() for d in report.test_days],
+    }
+
     with _staged(out) as open_:
         with open_("forecasts.csv", newline="") as fh:
             fh.write("method,date,trial,hour,forecast,actual\n")
@@ -471,40 +506,6 @@ def write_report_bundle(report: ExperimentReport, out_dir) -> None:
 
         with open_("tuning.csv", newline="") as fh:
             write_tuning_csv(report.tune_tables, fh)
-        tuned = {m: {} for m in config.model_methods}  # method -> {scope -> selection | None}
-        for method, scope, result in report.tune_tables:
-            hp = result.best
-            tuned[method][scope] = None if hp is None else {"m": hp.m, "smoothing": hp.smoothing}
-
-        bands = {}
-        for method in config.methods:
-            p05, p50, p95 = np.percentile(report.forecasts[method], [5, 50, 95], axis=1).tolist()
-            bands[method] = {d.isoformat(): {"p05": a, "p50": b, "p95": c}
-                             for d, a, b, c in zip(report.test_days, p05, p50, p95)}
-
-        doc = {
-            "config": _config_dict(config),
-            "seed": config.seed,
-            "summaries": {
-                m: {
-                    "mape": s.mape, "median_ape": s.median_ape, "rmse": s.rmse,
-                    "mpe": s.mpe, "std_pe": s.std_pe, "n_records": s.n_records,
-                }
-                for m, s in report.summaries.items()
-            },
-            "wilcoxon": [
-                {
-                    "method_a": a, "method_b": b,
-                    "statistic": r.statistic, "p_value": r.p_value,
-                    "decision": r.decision, "n_effective": r.n_effective,
-                }
-                for (a, b), r in report.wilcoxon.items()
-            ],
-            "tuned": tuned,
-            "bands": bands,
-            "skipped_days": [{"date": d.isoformat(), "reason": r} for d, r in report.skipped],
-            "test_days": [d.isoformat() for d in report.test_days],
-        }
         with open_("report.json") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
