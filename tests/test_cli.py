@@ -1,7 +1,7 @@
 import json
-from datetime import date
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
+from datetime import date
 
 import numpy as np
 import pytest
@@ -118,10 +118,10 @@ def test_forecast_fixed_ddm_skips_days_with_too_few_pairs(tmp_path, capsys, monk
     # exit 1 as for any skipped day, with the bundle of the days that ran
     assert main(["forecast", "--config", str(config), "--data", str(data),
                  "--out-dir", str(out)]) == 1
+    assert "usage error" not in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     early = [date(2012, 2, d) for d in range(8, 20)]
     assert [s["date"] for s in report["skipped_days"]] == [d.isoformat() for d in early]
-    assert "usage error" not in capsys.readouterr().err
     assert all(s["reason"].endswith("ddm needs more than k=6") for s in report["skipped_days"])
     assert report["test_days"] == [date(2012, 2, d).isoformat() for d in range(20, 30)]
 

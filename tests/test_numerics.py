@@ -266,7 +266,6 @@ class TestKnn:
         with pytest.raises(ParameterError):
             knn(pts, pts[0], 3)  # self excluded leaves only 2
 
-
     def test_stack_rows_match_single_queries(self):
         # lattice points: exact duplicates and distance ties everywhere
         rng = np.random.default_rng(11)

@@ -137,7 +137,7 @@ def test_worker_parameter_error_reaches_the_caller(two_years, monkeypatch):
 
 
 def test_fixed_ddm_skips_days_with_at_most_k_pairs(two_years, monkeypatch):
-    # 2012-01-01 is a Sunday: in March each weekday has 8 to 12 pairs
+    # 2012-01-01 is a Sunday: from 2012-03-01 to 03-21 a day has 8 to 11 pairs
     config = short_config(methods=("ram", "ddm", "naive"), test_start=date(2012, 3, 1),
                           test_end=date(2012, 3, 21), tuning="fixed", fixed_params=FIXED)
     report, _ = run_with_cpus(monkeypatch, 1, config, two_years)
