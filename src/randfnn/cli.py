@@ -1,7 +1,9 @@
 """Command-line interface: synth | tune | forecast | evaluate | compare.
 
-Exit codes: 0 success, 1 runtime/IO failure or a dead worker process, 2
-usage error, 130 interrupted (Ctrl-C). Every command is deterministic
+Exit codes: 0 success; 1 runtime/IO failure, a dead worker process, or
+a `forecast` that skipped a day (its bundle is then complete and the
+skipped days are listed on stderr); 2 usage error; 130 interrupted
+(Ctrl-C). Every command is deterministic
 given --seed. tune and forecast print the series' load warnings (partial
 days dropped, exclusion dates not in the series) on stderr as
 `warning: ...`.
@@ -32,9 +34,12 @@ import csv
 import json
 import operator
 import sys
+import warnings
 from dataclasses import fields
 from datetime import date
 from pathlib import Path
+
+import numpy as np
 
 from .encoding import _pair_rows, encode_days
 from .errors import (
@@ -351,33 +356,53 @@ def cmd_forecast(args) -> int:
     return 0
 
 
+class _Codes(dict):
+    """Method name -> integer code, numbered in first-appearance order."""
+
+    def __missing__(self, method):
+        self[method] = code = len(self)
+        return code
+
+
 def cmd_evaluate(args) -> int:
-    by_method: dict = {}  # method -> (actuals, forecasts), in file order
-    with open(args.forecasts, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    """Print each method's metrics over every sample of a forecasts.csv.
+
+    The file is CSV with a header naming at least method, date, trial,
+    hour, forecast and actual, in any order and among other columns.
+    Fields may be quoted with `"`; blank lines are skipped. Methods are
+    reported in the order they first appear. The body is parsed in one
+    `np.loadtxt` pass; numbers are read as `float` does, except that `_`
+    digit separators and non-ASCII digits are rejected. A short row or a
+    bad number is a ParseError and a zero actual a MetricError, both
+    naming the first faulty line in file order as `path:LINE:`.
+    """
+    path = args.forecasts
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
         needed = {"method", "date", "trial", "hour", "forecast", "actual"}
         if not needed <= set(header):
-            raise ParameterError(f"{args.forecasts} lacks columns {sorted(needed)}")
-        im, ia, iv = (header.index(c) for c in ("method", "actual", "forecast"))
+            raise ParameterError(f"{path} lacks columns {sorted(needed)}")
+        cols = tuple(header.index(c) for c in ("method", "actual", "forecast"))
+        codes = _Codes()
         try:
-            for row in reader:
-                if not row:  # blank line, skipped as csv.DictReader does
-                    continue
-                a, f = by_method.setdefault(row[im], ([], []))
-                actual = float(row[ia])
-                if actual == 0.0:
-                    raise MetricError(f"{args.forecasts}:{reader.line_num}: actual value "
-                                      "is zero, percentage errors are undefined")
-                a.append(actual)
-                f.append(float(row[iv]))
-        except (IndexError, ValueError):
-            raise ParseError(f"{args.forecasts}:{reader.line_num}: bad or missing "
-                             "method, actual or forecast value") from None
-    if not by_method:
-        raise ParameterError(f"{args.forecasts} has no rows")
+            with warnings.catch_warnings():  # a header-only file is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, delimiter=",", usecols=cols, quotechar='"',
+                                  comments=None, ndmin=2,
+                                  converters={cols[0]: codes.__getitem__})
+        except ValueError as exc:
+            _raise_first_fault(path, cols)
+            raise ParseError(f"{path}: {exc}") from None
+    code, actual, forecast = rows.T
+    if (actual == 0.0).any():
+        _raise_first_fault(path, cols)
+    if not codes:
+        raise ParameterError(f"{path} has no rows")
 
-    summaries = {m: summarize(a, f) for m, (a, f) in by_method.items()}
+    summaries = {}
+    for method, c in codes.items():
+        sel = code == c
+        summaries[method] = summarize(actual[sel], forecast[sel])
     width = max(len(m) for m in summaries)
     for m, s in summaries.items():
         print(f"{m:>{width}}: MAPE={s.mape:.4f}  Median(APE)={s.median_ape:.4f}  "
@@ -390,7 +415,40 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _number(text: str) -> float:
+    """`text` as `np.loadtxt` reads a float: as `float` does, without `_`
+    digit separators or non-ASCII digits."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
+
+
+def _raise_first_fault(path, cols) -> None:
+    """Rescan forecasts.csv row by row and raise the error of its first
+    faulty row with its physical line: a ParseError for a short row or a
+    bad number, a MetricError for a zero actual."""
+    im, ia, iv = cols
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        try:
+            for row in reader:
+                if not row:  # blank line, skipped as in the loadtxt pass
+                    continue
+                row[im]  # a row too short for the method column
+                if _number(row[ia]) == 0.0:
+                    raise MetricError(f"{path}:{reader.line_num}: actual value is zero, "
+                                      "percentage errors are undefined")
+                _number(row[iv])
+        except (IndexError, ValueError):
+            raise ParseError(f"{path}:{reader.line_num}: bad or missing method, actual or "
+                             "forecast value") from None
+
+
 def _read_ape_records(path) -> dict:
+    """method -> {(date, hour): ape} from an ape_records.csv. A repeated
+    (method, date, hour) is a ParseError: keeping either value would pair
+    the Wilcoxon test on records the file does not hold once."""
     series: dict = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -400,10 +458,15 @@ def _read_ape_records(path) -> dict:
         for row in reader:
             try:
                 key = (row["date"], int(row["hour"]))
-                series.setdefault(row["method"], {})[key] = float(row["ape"])
+                ape = float(row["ape"])
             except (TypeError, ValueError):
                 raise ParseError(f"{path}:{reader.line_num}: bad or missing hour or "
                                  "ape value") from None
+            records = series.setdefault(row["method"], {})
+            if key in records:
+                raise ParseError(f"{path}:{reader.line_num}: repeated record {row['method']} "
+                                 f"{key[0]} h{key[1]}")
+            records[key] = ape
     if not series:
         raise ParameterError(f"{path} has no rows")
     return series

@@ -442,10 +442,14 @@ def write_report_bundle(report: ExperimentReport, out_dir) -> None:
     """Write report.json, forecasts.csv, ape_records.csv and tuning.csv.
 
     Row order and float formatting are fixed, so two runs of the same
-    configuration produce byte-identical files. All four are written to
-    temporary files first and then moved into place, report.json last,
-    so a write that fails leaves the previous bundle as it was, and a
-    present report.json marks a complete bundle.
+    configuration produce byte-identical files. forecasts.csv has one
+    `method,date,trial,hour,forecast,actual` row per sample, in config
+    method order, then day, trial and hour, with floats as `repr`. It is
+    written with one `write` per (method, day) block, so the writer never
+    holds more than one block's rows as text. All four files are written
+    to temporary files first and then moved into place, report.json
+    last, so a write that fails leaves the previous bundle as it was,
+    and a present report.json marks a complete bundle.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -488,14 +492,15 @@ def write_report_bundle(report: ExperimentReport, out_dir) -> None:
     with _staged(out) as open_:
         with open_("forecasts.csv", newline="") as fh:
             fh.write("method,date,trial,hour,forecast,actual\n")
-            actuals = [[repr(v) for v in row] for row in report.actual.tolist()]
+            tails = [[f",{v!r}\n" for v in row] for row in report.actual.tolist()]
             for method in config.methods:
-                for d, actual, block in zip(report.test_days, actuals, report.forecasts[method]):
+                trials, n = report.forecasts[method].shape[1:]
+                heads = [f"{t},{h}," for t in range(trials) for h in range(n)]
+                for d, tail, block in zip(report.test_days, tails, report.forecasts[method]):
                     prefix = f"{method},{d.isoformat()},"
-                    for trial, row in enumerate(block.tolist()):
-                        head = f"{prefix}{trial},"
-                        fh.writelines(f"{head}{h},{v!r},{a}\n"
-                                      for h, (v, a) in enumerate(zip(row, actual)))
+                    values = map(repr, block.ravel().tolist())
+                    fh.write("".join([f"{prefix}{head}{v}{a}"
+                                      for head, v, a in zip(heads, values, tail * trials)]))
 
         with open_("ape_records.csv", newline="") as fh:
             fh.write("method,date,hour,ape\n")

@@ -1,4 +1,5 @@
 import json
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from datetime import date
@@ -85,6 +86,76 @@ def test_evaluate_malformed_number(tmp_path, capsys, bad_row):
     path = write_forecasts(tmp_path / "f.csv", [("ram", "2015-01-05", 0, 0, 1.0, 2.0), bad_row])
     assert main(["evaluate", "--forecasts", str(path)]) == 1
     assert f"{path}:3:" in capsys.readouterr().err
+
+
+def evaluate(path, capsys):
+    code = main(["evaluate", "--forecasts", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_evaluate_reads_blank_lines_crlf_and_quotes_as_plain_csv(forecasts_csv, capsys):
+    path, rows = forecasts_csv
+    plain = evaluate(path, capsys)
+    assert plain[0] == 0
+    body = path.read_text().splitlines()
+    path.write_text("\r\n".join(body) + "\r\n")
+    assert evaluate(path, capsys) == plain
+    path.write_text("\n\n".join(body) + "\n\n")
+    assert evaluate(path, capsys) == plain
+    quoted = [f'"{m}",{d},{t},{h},"{f}",{a}' for m, d, t, h, f, a in rows]
+    path.write_text(HEADER + "\n".join(quoted) + "\n")
+    assert evaluate(path, capsys) == plain
+
+
+def test_evaluate_finds_columns_by_name(forecasts_csv, capsys):
+    path, rows = forecasts_csv
+    plain = evaluate(path, capsys)
+    path.write_text("actual,note,hour,forecast,trial,date,method,extra\n" + "".join(
+        f"{a},n{i},{h},{f},{t},{d},{m},x\n" for i, (m, d, t, h, f, a) in enumerate(rows)))
+    assert evaluate(path, capsys) == plain
+
+
+def test_evaluate_reports_the_physical_line_after_blank_lines(tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    path.write_text(HEADER + "ram,2015-01-05,0,0,1.0,2.0\n\n\nram,2015-01-05,0,1,1.0,0.0\n")
+    code, _, err = evaluate(path, capsys)
+    assert code == 1
+    assert err.startswith(f"error: {path}:5: actual value is zero")
+    path.write_text(HEADER + "\r\nram,2015-01-05,0,0,1.0,2.0\r\nram,2015-01-05,0\r\n")
+    code, _, err = evaluate(path, capsys)
+    assert code == 1
+    assert err.startswith(f"error: {path}:4: bad or missing")
+
+
+def test_evaluate_reports_the_first_fault_in_file_order(tmp_path, capsys):
+    path = write_forecasts(tmp_path / "f.csv", [("ram", "2015-01-05", 0, 0, 1.0, 2.0),
+                                                 ("ram", "2015-01-05", 0, 1, 1.0, 0.0),
+                                                 ("ram", "2015-01-05", 0, 2, 1.0, 2.0),
+                                                 ("ram", "2015-01-05", 0, 3, "x", 2.0)])
+    code, _, err = evaluate(path, capsys)
+    assert code == 1
+    assert err.startswith(f"error: {path}:3: actual value is zero")
+
+
+def test_evaluate_rejects_digit_separators(tmp_path, capsys):
+    # np.loadtxt does not read "1_0", which float() takes as 10.0
+    path = write_forecasts(tmp_path / "f.csv", [("ram", "2015-01-05", 0, 0, 1.0, 2.0),
+                                                 ("ram", "2015-01-05", 0, 1, "1_0", 2.0)])
+    code, _, err = evaluate(path, capsys)
+    assert code == 1
+    assert err.startswith(f"error: {path}:3: bad or missing")
+
+
+def test_evaluate_blank_body_has_no_rows_and_no_warning(tmp_path, capsys):
+    for body in ("", "\n\n"):
+        path = tmp_path / "f.csv"
+        path.write_text(HEADER + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = evaluate(path, capsys)
+        assert (code, out, err) == (2, "", f"usage error: {path} has no rows\n")
+        assert caught == []
 
 
 def test_forecast_worker_parameter_error_exits_2(tmp_path, capsys, monkeypatch):
@@ -406,3 +477,11 @@ def test_compare_malformed_number_exits_1(tmp_path, capsys, row):
     b = write_ape(tmp_path / "b.csv", [("ram", "2015-01-05", 0, 2.0), row])
     assert main(["compare", a, b]) == 1
     assert capsys.readouterr().err.startswith(f"error: {b}:3: ")
+
+
+def test_compare_repeated_record_exits_1(tmp_path, capsys):
+    a = write_ape(tmp_path / "a.csv", [("ram", "2015-01-05", 0, 1.0), ("ram", "2015-01-05", 1, 1.0)])
+    b = write_ape(tmp_path / "b.csv", [("ram", "2015-01-05", 0, 1.0), ("naive", "2015-01-05", 0, 5.0),
+                                       ("ram", "2015-01-05", 0, 9.0)])
+    assert main(["compare", a, b]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {b}:4: repeated record ram 2015-01-05 h0")

@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -85,6 +86,39 @@ def bundle_bytes(report, out):
 def fail_midway(fh):
     fh.write("method,scope")  # a partial first row, then the disk fills
     raise OSError(28, "No space left on device")
+
+
+def per_sample_forecasts_csv(report) -> bytes:
+    """forecasts.csv as the reference writer formats it: one f-string per
+    sample, in method, day, trial and hour order."""
+    with io.StringIO(newline="") as fh:
+        fh.write("method,date,trial,hour,forecast,actual\n")
+        actuals = [[repr(v) for v in row] for row in report.actual.tolist()]
+        for method in report.config.methods:
+            for d, actual, block in zip(report.test_days, actuals, report.forecasts[method]):
+                prefix = f"{method},{d.isoformat()},"
+                for trial, row in enumerate(block.tolist()):
+                    head = f"{prefix}{trial},"
+                    fh.writelines(f"{head}{h},{v!r},{a}\n"
+                                  for h, (v, a) in enumerate(zip(row, actual)))
+        return fh.getvalue().encode()
+
+
+def test_forecasts_csv_matches_the_per_sample_writer(two_years, tmp_path, monkeypatch):
+    config = short_config(methods=("ddm", "ram", "naive"), tuning="fixed", trials=3,
+                          fixed_params=FIXED)
+    report, _ = run_with_cpus(monkeypatch, 1, config, two_years)
+    actual = report.actual.copy()
+    actual[1, :3] = (1e-05, 1e16, -0.0)
+    forecasts = {m: f.copy() for m, f in report.forecasts.items()}
+    forecasts["ram"][0, 2, -3:] = (-0.0, 1e-05, 1e16)
+    forecasts["naive"][1, 0, :2] = (1e16, -0.0)
+    report = dataclasses.replace(report, actual=actual, forecasts=forecasts)
+    write_report_bundle(report, tmp_path)
+    written = (tmp_path / "forecasts.csv").read_bytes()
+    assert written == per_sample_forecasts_csv(report)
+    for text in (b",-0.0,", b",1e-05,", b",1e+16,", b",-0.0\n", b",1e-05\n", b",1e+16\n"):
+        assert text in written
 
 
 @pytest.mark.parametrize("target, name", [(pipeline, "write_tuning_csv"),
