@@ -116,6 +116,14 @@ def test_evaluate_finds_columns_by_name(forecasts_csv, capsys):
     assert evaluate(path, capsys) == plain
 
 
+def test_evaluate_reads_a_hash_as_part_of_a_field(forecasts_csv, capsys):
+    path, rows = forecasts_csv
+    _, plain, _ = evaluate(path, capsys)
+    path.write_text(HEADER + "".join(f"{m}#1,{d},{t},{h},{f},{a}\n" for m, d, t, h, f, a in rows))
+    expected = plain.replace("naive:", "naive#1:").replace("  ram:", "  ram#1:")
+    assert evaluate(path, capsys) == (0, expected, "")
+
+
 def test_evaluate_reports_the_physical_line_after_blank_lines(tmp_path, capsys):
     path = tmp_path / "f.csv"
     path.write_text(HEADER + "ram,2015-01-05,0,0,1.0,2.0\n\n\nram,2015-01-05,0,1,1.0,0.0\n")
@@ -133,6 +141,11 @@ def test_evaluate_reports_the_first_fault_in_file_order(tmp_path, capsys):
                                                  ("ram", "2015-01-05", 0, 1, 1.0, 0.0),
                                                  ("ram", "2015-01-05", 0, 2, 1.0, 2.0),
                                                  ("ram", "2015-01-05", 0, 3, "x", 2.0)])
+    code, _, err = evaluate(path, capsys)
+    assert code == 1
+    assert err.startswith(f"error: {path}:3: actual value is zero")
+    # within one row the zero actual is reported before a bad forecast
+    write_forecasts(path, [("ram", "2015-01-05", 0, 0, 1.0, 2.0), ("ram", "2015-01-05", 0, 1, "x", 0.0)])
     code, _, err = evaluate(path, capsys)
     assert code == 1
     assert err.startswith(f"error: {path}:3: actual value is zero")
