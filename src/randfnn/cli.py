@@ -1,11 +1,11 @@
 """Command-line interface: synth | tune | forecast | evaluate | compare.
 
-Exit codes: 0 success; 1 runtime/IO failure, a dead worker process, or
-a `forecast` that skipped a day (its bundle is then complete and the
-skipped days are listed on stderr); 2 usage error; 130 interrupted
-(Ctrl-C). Every command is deterministic
-given --seed. tune and forecast print the series' load warnings (partial
-days dropped, exclusion dates not in the series) on stderr as
+Exit codes: 0 success; 1 runtime/IO failure or a dead worker process;
+2 usage error; 3 a `forecast` that skipped a day (its bundle is
+complete, and the skipped days are listed on stderr and in report.json);
+130 interrupted (Ctrl-C). Every command is deterministic given --seed.
+tune and forecast print the series' load warnings (partial days
+dropped, exclusion dates not in the series) on stderr as
 `warning: ...`.
 
 `tune` runs each weekday's search as the `pipeline._search` task that
@@ -352,7 +352,7 @@ def cmd_forecast(args) -> int:
         print("skipped days:", file=sys.stderr)
         for d, reason in report.skipped:
             print(f"  {d.isoformat()}: {reason}", file=sys.stderr)
-        return 1
+        return 3
     return 0
 
 

@@ -150,8 +150,8 @@ class TrainingSet:
 
     `x` and `y` are read-only copies, so values derived from them stay
     valid for the set's lifetime: `memo` keeps such values and dies with
-    the set. ddm keeps its (N, p, n) slope table there, for one k at a
-    time (see the `randnn` module docstring).
+    the set. ddm keeps its (N, p, n) slope tables there, one per k (see
+    the `randnn` module docstring).
     """
 
     x: np.ndarray  # (N, n)

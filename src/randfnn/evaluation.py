@@ -94,16 +94,11 @@ class WilcoxonResult:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..N with ties sharing the average of their rank span."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    # equal_nan=False: no NaN ties another, as under ==
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True,
+                                   equal_nan=False)
+    # a run of c ties ending at rank r shares r - (c - 1) / 2
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def _exact_p(ranks: np.ndarray, t_obs: float) -> float:

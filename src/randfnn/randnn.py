@@ -32,12 +32,13 @@ angle block, and what follows the block does not depend on the value.
 
 A ddm node's slopes depend only on the training set, k, its anchor and
 its target component. So ``ddm`` builds the whole (N, p, n) table of
-them once per training set, in whole-array passes
+them once per training set and k, in whole-array passes
 (`numerics.neighborhood_slopes`: one stacked kNN over every anchor, one
 stacked SVD of the neighborhood designs, one stacked apply), and gathers
-each layer's weights from it with one fancy index. The table lives in
-`TrainingSet.memo` and holds one k at a time (grid search visits its
-gridpoints k by k). Its slopes equal, bit for bit, what the per-node kNN
+each layer's weights from it with one fancy index. The tables live in
+`TrainingSet.memo`, one per k, so a grid search draws every k of a fold
+from one stream per trial, as the other methods draw their smoothing
+values. Their slopes equal, bit for bit, what the per-node kNN
 + `fit_hyperplane` computation returns: the same kernels, each stacked
 row running the computation of one lone call, and each component still
 solved as its own single-column product.
@@ -50,7 +51,6 @@ are the reference it matches bit for bit.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -210,27 +210,16 @@ def _draw_ralpham(m: int, s: np.ndarray, phi: TrainingSet, rngs):
     return weights, _anchored_biases(weights, anchors, phi.x), anchors
 
 
-class _SlopeTable(NamedTuple):
-    """ddm's slope table on one training set for one k."""
-
-    k: int
-    slopes: np.ndarray  # (N, p, n): neighborhood_slopes(x, y, k)
-
-
 def _draw_ddm(m: int, s: np.ndarray, phi: TrainingSet, rngs):
-    N = len(phi)
-    ks = [int(k) for k in s]
-    for k in ks:
-        if k > N - 1:
-            raise ParameterError(f"k={k} not in [1, {N - 1}]")
     anchors, components = _stack(
-        (rng.integers(0, N, size=m), rng.integers(0, phi.y.shape[1], size=m)) for rng in rngs)
-    weights = np.empty((len(ks), *anchors.shape, phi.n))
-    for i, k in enumerate(ks):
-        table = phi.memo.get("ddm")
-        if table is None or table.k != k:
-            table = phi.memo["ddm"] = _SlopeTable(k, neighborhood_slopes(phi.x, phi.y, k))
-        weights[i] = 4.0 * table.slopes[anchors, components]
+        (rng.integers(0, len(phi), size=m), rng.integers(0, phi.y.shape[1], size=m))
+        for rng in rngs)
+    weights = np.empty((len(s), *anchors.shape, phi.n))
+    for i, k in enumerate(map(int, s)):
+        slopes = phi.memo.get(("ddm", k))
+        if slopes is None:  # knn rejects k past N - 1
+            slopes = phi.memo["ddm", k] = neighborhood_slopes(phi.x, phi.y, k)
+        weights[i] = 4.0 * slopes[anchors, components]
     return weights, _anchored_biases(weights, anchors, phi.x), anchors
 
 

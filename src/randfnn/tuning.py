@@ -85,18 +85,22 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     return list(np.array_split(perm, k))
 
 
-def _group_errors(phi, folds, method, m, group, seed, trials_per_fold) -> np.ndarray:
-    """Held-out errors (len(group), len(folds)) of m-node networks at each
-    smoothing value of `group`: one kernel call per fold, each trial's
-    generator drawn once for the whole group."""
-    errors = np.empty((len(group), len(folds)))
-    for fold_idx, (phi_train, held) in enumerate(folds):
+def _fold_errors(phi, held, fold_idx, method, m_values, smoothing, seed,
+                 trials_per_fold) -> np.ndarray:
+    """Held-out errors (len(m_values), len(smoothing)) of one fold: per m,
+    one kernel call over every smoothing value, each trial's generator
+    drawn once for all of them. The fold's training set, and ddm's slope
+    tables with it, lives for this call only."""
+    mask = np.ones(len(phi), dtype=bool)
+    mask[held] = False
+    phi_train = TrainingSet(phi.x[mask], phi.y[mask])
+    errors = np.empty((len(m_values), len(smoothing)))
+    for i, m in enumerate(m_values):
         rngs = [derive_rng(seed, fold_idx, trial) for trial in range(trials_per_fold)]
-        layers = draw_layers(method, m, group, phi_train, rngs)
+        layers = draw_layers(method, m, smoothing, phi_train, rngs)
         trials = np.abs(trial_predictions(*layers, phi_train, phi.x[held]) - phi.y[held])
-        for i, trial_errors in enumerate(np.split(trials, len(group))):
-            # one mean per trial, then over trials: one mean over all sums in another order
-            errors[i, fold_idx] = np.mean([e.mean() for e in trial_errors])
+        # one mean per trial, then over trials: one mean over all sums in another order
+        errors[i] = [np.mean([e.mean() for e in t]) for t in np.split(trials, len(smoothing))]
     return errors
 
 
@@ -107,12 +111,10 @@ def grid_search(phi: TrainingSet, method: str, grid: Grid, k_folds: int, seed: i
 
     Each gridpoint's error is the mean held-out pattern-space MAE over the
     folds, each fold averaging `trials_per_fold` independently seeded
-    layers. The folds and their training sets are built once and shared
-    by every gridpoint. The search runs smoothing group, then m, then
-    fold, one kernel call each. A group is the whole smoothing grid, whose
-    layers share each trial's draw (bitwise, see `randnn`), except for
-    ddm: its per-fold cache holds one k, so its groups are one k each. A
-    ddm gridpoint whose k exceeds the smallest fold training set less one
+    layers. The split is drawn once. The search runs fold, then m: one
+    draw and one kernel call over every smoothing value that fits, whose
+    layers share each trial's draw (bitwise, see `randnn`). A ddm
+    gridpoint whose k exceeds the smallest fold training set less one
     cannot be generated: it stays in the table with no error and is never
     selected. With fewer pairs than folds no gridpoint fits. `best` is
     None when nothing fits.
@@ -121,24 +123,17 @@ def grid_search(phi: TrainingSet, method: str, grid: Grid, k_folds: int, seed: i
         raise ParameterError(f"trials_per_fold must be >= 1, got {trials_per_fold}")
     hps = {(m, s): HyperParams(method, m, s, seed=seed)  # rejects a bad gridpoint
            for m in grid.m_values for s in grid.smoothing_values}
-    folds = []
-    # too few pairs to split: no fold set, so no gridpoint fits
-    if len(phi) >= k_folds:
-        for held in kfold_split(len(phi), k_folds, seed):
-            mask = np.ones(len(phi), dtype=bool)
-            mask[held] = False
-            folds.append((TrainingSet(phi.x[mask], phi.y[mask]), held))
-    max_k = min((len(phi_train) for phi_train, _ in folds), default=0) - 1
-    fitting = [s for s in grid.smoothing_values if folds and (method != "ddm" or s <= max_k)]
-    if method == "ddm":
-        groups = [[s] for s in fitting]
-    else:
-        groups = [fitting] if fitting else []
     points = {(m, s): GridPoint(m, s, None, None) for m, s in hps}  # in table order
-    for group in groups:
-        for m in grid.m_values:
-            errors = _group_errors(phi, folds, method, m, group, seed, trials_per_fold)
-            for s, e in zip(group, errors):
+    # too few pairs to split: no fold, so no gridpoint fits
+    helds = kfold_split(len(phi), k_folds, seed) if len(phi) >= k_folds else []
+    max_k = len(phi) - max(map(len, helds), default=len(phi)) - 1
+    fitting = [s for s in grid.smoothing_values if method != "ddm" or s <= max_k]
+    if helds and fitting:
+        errors = np.stack([_fold_errors(phi, held, fold_idx, method, grid.m_values, fitting,
+                                        seed, trials_per_fold)
+                           for fold_idx, held in enumerate(helds)], axis=-1)
+        for m, row in zip(grid.m_values, errors):
+            for s, e in zip(fitting, row):
                 std = float(e.std(ddof=1)) if e.size > 1 else 0.0
                 points[m, s] = GridPoint(m, s, float(e.mean()), std)
     table = tuple(points.values())

@@ -199,9 +199,9 @@ def test_forecast_fixed_ddm_skips_days_with_too_few_pairs(tmp_path, capsys, monk
         "fixed_params": {"ddm": {"method": "ddm", "m": 5, "smoothing": 6.0}},
         "test_start": "2012-02-08", "test_end": "2012-02-29"}))
     out = tmp_path / "out"
-    # exit 1 as for any skipped day, with the bundle of the days that ran
+    # exit 3 as for any skipped day, with the bundle of the days that ran
     assert main(["forecast", "--config", str(config), "--data", str(data),
-                 "--out-dir", str(out)]) == 1
+                 "--out-dir", str(out)]) == 3
     assert "usage error" not in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     early = [date(2012, 2, d) for d in range(8, 20)]
@@ -330,9 +330,9 @@ def test_forecast_exit_codes(month_csv, tmp_path, capsys, monkeypatch):
     assert main(forecast_argv(month_csv, out, "--test-start", "2012-01-23",
                               "--test-end", "2012-01-25")) == 0
     assert (out / "report.json").is_file()
-    # 2012-01-31 is past the series' last day
+    # 2012-01-31 is past the series' last day: a complete bundle, one day skipped
     assert main(forecast_argv(month_csv, out, "--test-start", "2012-01-29",
-                              "--test-end", "2012-01-31")) == 1
+                              "--test-end", "2012-01-31")) == 3
     assert "2012-01-31: missing or excluded actual day" in capsys.readouterr().err
     assert main(forecast_argv(month_csv, out, "--test-start", "2012-01-23")) == 2
     assert main(forecast_argv(month_csv, out, "--test-start", "2012-01-23",

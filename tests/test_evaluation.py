@@ -52,6 +52,11 @@ def test_midranks_share_tied_ranks():
     ranks = _midranks(values)
     np.testing.assert_array_equal(ranks, [5.0, 1.5, 5.0, 3.0, 5.0, 1.5])
     np.testing.assert_array_equal(ranks, stats.rankdata(values))
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 7, 60, 500):
+        for levels in (1, 3, size):  # all tied, tie-heavy, few ties
+            values = rng.integers(0, levels, size) * 0.25
+            np.testing.assert_array_equal(_midranks(values), stats.rankdata(values))
 
 
 class TestSummarize:

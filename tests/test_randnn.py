@@ -233,7 +233,7 @@ class TestDdmCache:
             m = (5, 20, 50)[t % 3]
             assert_same_bits(draw("ddm", m, k, phi, 3, t),
                              reference_ddm(m, k, phi, derive_rng(3, t)))
-        assert phi.memo["ddm"].k == k
+        assert list(phi.memo) == [("ddm", k)]  # one table per k
 
     def test_matches_uncached_fits_at_workload_shape(self):
         # a ddm_fixed day: N=178 pairs, n = p = 24, k=31, 100 trials of m=20
@@ -255,10 +255,12 @@ class TestDdmCache:
                              reference_ddm(30, 6, phi, derive_rng(4, t)))
 
     def test_switching_k_refills(self):
+        # each k keeps its own table: switching back reads it, unchanged
         phi = random_phi(n_pairs=40, n=8, p=4, seed=5)
         for t, k in enumerate((5, 9, 5, 9)):
             assert_same_bits(draw("ddm", 20, k, phi, 6, t),
                              reference_ddm(20, k, phi, derive_rng(6, t)))
+        assert sorted(phi.memo) == [("ddm", 5), ("ddm", 9)]
 
     def test_sets_of_one_shape_share_nothing(self):
         a = random_phi(n_pairs=30, n=8, p=4, seed=1)
@@ -267,7 +269,7 @@ class TestDdmCache:
             for phi in (a, b):
                 assert_same_bits(draw("ddm", 20, 7, phi, 7, t),
                                  reference_ddm(20, 7, phi, derive_rng(7, t)))
-        assert a.memo["ddm"] is not b.memo["ddm"]
+        assert a.memo["ddm", 7] is not b.memo["ddm", 7]
         assert not np.array_equal(draw("ddm", 20, 7, a, 8).weights,
                                   draw("ddm", 20, 7, b, 8).weights)
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import randfnn.tuning as tuning
 from randfnn.encoding import TrainingSet
-from randfnn.randnn import HyperParams, derive_rng, fit, make_layer, predict
+from randfnn.randnn import (HyperParams, derive_rng, fit, make_layer, predict,
+                            trial_predictions)
 from randfnn.tuning import Grid, grid_search, kfold_split, write_tuning_csv
 
 
@@ -34,23 +35,46 @@ def reference_errors(phi, hp, k_folds, seed, trials_per_fold):
     return np.array(errors)
 
 
-# Three or more values per grid, so that one stacked draw serves several
-# (ddm's are drawn k by k); ralpham's includes the 90-degree label.
+# Three or more values per grid, so that one stacked draw serves several;
+# ralpham's includes the 90-degree label. 30 pairs in 4 folds leave
+# training sets of 22 and 23 pairs, so the last ddm grid's k=22 fits no
+# fold: it is the one gridpoint value without an error.
 @pytest.mark.parametrize("method, smoothing", [
     ("ram", (0.02, 0.2, 0.6)), ("ddm", (3.0, 5.0, 7.0)), ("standard", (0.04, 0.4, 1.0)),
-    ("ralpham", (2.0, 30.0, 85.0, 90.0))])
+    ("ralpham", (2.0, 30.0, 85.0, 90.0)), ("ddm", (3.0, 11.0, 21.0, 22.0))])
 def test_errors_match_per_gridpoint_reference(method, smoothing):
     phi = random_phi(n_pairs=30)
     grid = Grid((3, 6), smoothing)
     result = grid_search(phi, method, grid, 4, 11, trials_per_fold=2)
     assert [(p.m, p.smoothing) for p in result.table] == [
         (m, s) for m in grid.m_values for s in grid.smoothing_values]
-    for p in result.table:
+    fitted = [p for p in result.table if p.smoothing != 22.0]
+    for p in fitted:
         ref = reference_errors(phi, HyperParams(method, p.m, p.smoothing, seed=11), 4, 11, 2)
         assert p.mean_error == float(ref.mean())
         assert p.std_error == float(ref.std(ddof=1))
-    first_least = min(result.table, key=lambda p: p.mean_error)
+    assert all(p.mean_error is None and p.std_error is None
+               for p in result.table if p not in fitted)
+    first_least = min(fitted, key=lambda p: p.mean_error)
     assert (result.best.m, result.best.smoothing) == (first_least.m, first_least.smoothing)
+
+
+@pytest.mark.parametrize("method, smoothing", [
+    ("ram", (0.02, 0.2, 0.6)), ("standard", (0.04, 0.4)), ("ralpham", (2.0, 90.0)),
+    ("ddm", (3.0, 5.0, 7.0, 40.0))])
+def test_one_kernel_call_per_fold_and_m(monkeypatch, method, smoothing):
+    # every method, ddm too, stacks its fitting smoothing values in one call
+    calls = []
+
+    def counting(weights, *args):
+        calls.append(len(weights))
+        return trial_predictions(weights, *args)
+
+    monkeypatch.setattr(tuning, "trial_predictions", counting)
+    grid = Grid((3, 6, 9), smoothing)
+    grid_search(random_phi(), method, grid, 5, 0, trials_per_fold=2)
+    fitting = len(smoothing) - (method == "ddm")  # 20 pairs in 5 folds: k <= 15
+    assert calls == [fitting * 2] * (len(grid.m_values) * 5)
 
 
 def test_folds_built_once(monkeypatch):
@@ -109,15 +133,15 @@ def test_ties_prefer_smaller_m_then_smaller_smoothing(monkeypatch):
     # least error 1.0 at (3, 0.6), (6, 0.2) and (6, 0.4): m=3 wins
     # although its smoothing is the largest; without it (6, 0.2) wins
     def fake_errors(least):
-        def errors(phi, folds, method, m, group, seed, trials_per_fold):
-            return np.array([np.full(len(folds), 1.0 if (m, s) in least else 2.0)
-                             for s in group])
+        def errors(phi, held, fold_idx, method, m_values, smoothing, seed, trials_per_fold):
+            return np.array([[1.0 if (m, s) in least else 2.0 for s in smoothing]
+                             for m in m_values])
         return errors
 
     grid = Grid((3, 6), (0.2, 0.4, 0.6))
     for least, best in (({(3, 0.6), (6, 0.2), (6, 0.4)}, (3, 0.6)),
                         ({(6, 0.4), (6, 0.2)}, (6, 0.2))):
-        monkeypatch.setattr(tuning, "_group_errors", fake_errors(least))
+        monkeypatch.setattr(tuning, "_fold_errors", fake_errors(least))
         result = grid_search(random_phi(), "ram", grid, 5, 0)
         assert (result.best.m, result.best.smoothing) == best
 
