@@ -70,18 +70,17 @@ def summarize(actual, forecast) -> MetricsSummary:
     pe = percentage_errors(actual, forecast)
     if not pe.size:
         raise ParameterError("no samples to summarize")
-    err = (np.asarray(actual, dtype=float) - np.asarray(forecast, dtype=float)).ravel()
-    ape = np.abs(pe)
     degenerate = pe.size == 1
-    return MetricsSummary(
-        mape=float(ape.mean()),
-        median_ape=float(np.median(ape)),
-        rmse=float(np.sqrt((err ** 2).mean())),
-        mpe=float(pe.mean()),
-        std_pe=0.0 if degenerate else float(pe.std(ddof=1)),
-        n_records=pe.size,
-        std_pe_degenerate=degenerate,
-    )
+    mpe = float(pe.mean())
+    std_pe = 0.0 if degenerate else float(pe.std(ddof=1))
+    ape = np.abs(pe, out=pe)  # pe's buffer holds APE, then the squared errors
+    mape = float(ape.mean())  # before the median reorders it
+    median_ape = float(np.median(ape, overwrite_input=True))
+    f = np.asarray(forecast, dtype=float)
+    err = np.subtract(actual, f, out=pe.reshape(f.shape))
+    np.square(err, out=err)
+    return MetricsSummary(mape, median_ape, float(np.sqrt(pe.mean())), mpe, std_pe,
+                          pe.size, degenerate)
 
 
 @dataclass(frozen=True)

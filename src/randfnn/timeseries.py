@@ -6,10 +6,16 @@ are dropped at load time with a warning, while irregular timestamps inside
 a day (sub-hourly rows, duplicated or missing hours as left behind by
 daylight-saving shifts) are rejected outright. Exclusion of atypical days
 (holidays) is a per-day flag, not a deletion, so serialization round-trips.
+
+`load_csv` reads ISO 8601 timestamps as `datetime.fromisoformat` does, at
+local wall-clock time. One `np.loadtxt` pass reads a body in `write_csv`'s
+form (`YYYY-MM-DDTHH:MM:SS` timestamps); the `csv` reader rescans a file
+only to name a fault's line or to read the other forms.
 """
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 
@@ -37,6 +43,11 @@ HOURS_PER_YEAR = 8766.0  # 365.25 days
 
 # weekend dip applied to the weekday level profile (Mon..Sun)
 _WEEKDAY_DIP = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.6, 1.0])
+
+# `YYYY-MM-DDTHH:MM:SS` as an S20 field's bytes: each byte minus the
+# template's is at most 9 under a digit and 0 elsewhere (uint8 wraps)
+_CANONICAL = np.frombuffer(b"0000-00-00T00:00:00\0", dtype=np.uint8)
+_DIGIT = np.where(_CANONICAL == ord("0"), 9, 0).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -76,95 +87,118 @@ class TimeSeries:
         return len(self.dates)
 
 
-def _parse_timestamp(text: str, lineno: int) -> datetime:
-    try:
-        ts = datetime.fromisoformat(text.strip())
-    except ValueError:
-        raise ParseError(f"line {lineno}: bad timestamp {text!r}") from None
-    if ts.minute or ts.second or ts.microsecond:
-        raise ResolutionError(f"line {lineno}: timestamp {text!r} is not on the hour")
-    return ts
-
-
 def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value",
              n: int = HOURS_PER_DAY) -> TimeSeries:
     """Read an hourly CSV (header row, ISO 8601 timestamps) into a TimeSeries.
 
-    Accepts a path or an open text/byte stream. Whole missing days are
-    allowed; partial days are dropped with a warning. Sub-hourly rows or
-    hour gaps inside a day raise `ResolutionError`, repeated timestamps
-    raise `DuplicateTimestampError`.
+    Accepts a path or an open text/byte stream. A timestamp is read as
+    `datetime.fromisoformat` reads it stripped, any UTC offset dropped, and
+    a value as `float` reads it. Whole missing days are allowed; partial
+    days are dropped with a warning. Sub-hourly rows or hour gaps inside a
+    day raise `ResolutionError`, repeated timestamps raise
+    `DuplicateTimestampError`; a row's error names its line as `csv`
+    counts them. Only such a fault, or a timestamp not in the form
+    `YYYY-MM-DDTHH:MM:SS`, makes `csv` rescan what `np.loadtxt` read.
     """
     if hasattr(source, "read"):
-        raw = source.read()
-        text = raw.decode() if isinstance(raw, bytes) else raw
-        rows = _parse_rows(io.StringIO(text), timestamp_col, value_col)
+        text = source.read()
     else:
         with open(source, "r", newline="") as fh:
-            rows = _parse_rows(fh, timestamp_col, value_col)
-
-    if not rows:
+            text = fh.read()
+    if isinstance(text, bytes):
+        text = text.decode()
+    fh = io.StringIO(text, newline="")
+    header = next(csv.reader(fh), None)
+    if header is None:
         raise ParseError("no observations")
-
-    prev = None
-    by_day: dict[date, list[tuple[int, float]]] = {}
-    for ts, value, lineno in rows:
-        if prev is not None:
-            if ts == prev:
-                raise DuplicateTimestampError(f"line {lineno}: duplicate timestamp {ts}")
-            if ts < prev:
-                raise ParseError(f"line {lineno}: timestamps not increasing at {ts}")
-        prev = ts
-        by_day.setdefault(ts.date(), []).append((ts.hour, value))
-
-    dates, days, warnings = [], [], []
-    for d in sorted(by_day):
-        hours = [h for h, _ in by_day[d]]
-        if any(b - a != 1 for a, b in zip(hours, hours[1:])):
-            raise ResolutionError(f"day {d}: non-hourly spacing (hours {hours})")
-        if len(hours) != n:
-            warnings.append(f"day {d}: incomplete ({len(hours)}/{n} rows), dropped")
-            continue
-        dates.append(d)
-        days.append([v for _, v in by_day[d]])
-
-    if not dates:
-        raise ParseError("no complete days")
-    return TimeSeries(tuple(dates), np.array(days, dtype=float),
-                      np.zeros(len(dates), dtype=bool), n=n,
-                      warnings=tuple(warnings))
-
-
-def _parse_rows(fh, timestamp_col, value_col):
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("no observations") from None
     header = [h.strip() for h in header]
     try:
-        t_idx = header.index(timestamp_col)
-        v_idx = header.index(value_col)
+        cols = (header.index(timestamp_col), header.index(value_col))
     except ValueError:
         raise ParseError(
             f"header {header!r} lacks columns {timestamp_col!r}/{value_col!r}"
         ) from None
 
-    rows = []
+    rows = None if "\0" in text else _load_rows(fh, cols)  # S20 drops a trailing NUL
+    stamps, values, found = rows or _parse_rows(text, cols, len(header))
+    if not stamps.size:
+        raise ParseError("no observations")
+    step = np.diff(stamps)
+    back = np.flatnonzero(step <= np.timedelta64(0))
+    if back.size:  # only `_parse_rows` lets these through, so `found` is set
+        lineno, ts = found[back[0] + 1]
+        if step[back[0]]:
+            raise ParseError(f"line {lineno}: timestamps not increasing at {ts}")
+        raise DuplicateTimestampError(f"line {lineno}: duplicate timestamp {ts}")
+
+    hours = stamps.astype(np.int64) // 3600
+    days, starts, counts = np.unique(hours // HOURS_PER_DAY, return_index=True,
+                                     return_counts=True)
+    dates = days.astype("datetime64[D]").tolist()
+    gaps = np.flatnonzero(hours[starts + counts - 1] - hours[starts] + 1 != counts)
+    if gaps.size:
+        i, s, c = gaps[0], starts[gaps[0]], counts[gaps[0]]
+        raise ResolutionError(f"day {dates[i]}: non-hourly spacing "
+                              f"(hours {(hours[s:s + c] % HOURS_PER_DAY).tolist()})")
+    full = counts == n
+    if not full.any():
+        raise ParseError("no complete days")
+    return TimeSeries(tuple(d for d, f in zip(dates, full) if f),
+                      values[starts[full, None] + np.arange(n)],
+                      np.zeros(int(full.sum()), dtype=bool), n=n,
+                      warnings=tuple(f"day {d}: incomplete ({c}/{n} rows), dropped"
+                                     for d, c in zip(dates, counts.tolist()) if c != n))
+
+
+def _load_rows(fh, cols):
+    """The body's (stamps, values, None) from one `np.loadtxt` pass, or None
+    where `_parse_rows` must read it: a short, unordered, off-hour or
+    non-finite row, or a timestamp not `YYYY-MM-DDTHH:MM:SS` from year 1."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body, a "Z" suffix
+            body = np.loadtxt(fh, delimiter=",", usecols=cols, quotechar='"',
+                              comments=None, ndmin=1, dtype=[("t", "S20"), ("v", "f8")])
+            raw = np.ascontiguousarray(body["t"])
+            stamps, values = raw.astype("datetime64[s]"), body["v"]
+    except (ValueError, Warning):
+        return None
+    if (((raw.view(np.uint8).reshape(-1, 20) - _CANONICAL) <= _DIGIT).all()
+            and stamps[0] >= np.datetime64("0001-01-01")
+            and (np.diff(stamps) > np.timedelta64(0)).all()
+            and not (stamps.astype(np.int64) % 3600).any() and np.isfinite(values).all()):
+        return stamps, values, None
+    return None
+
+
+def _parse_rows(text, cols, width):
+    """The body row by row through `csv`, raising the first row's fault, as
+    (stamps, values, found) with each row's (line, datetime) in `found`."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    t_idx, v_idx = cols
+    found, values = [], []
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
-        if len(row) <= max(t_idx, v_idx):
-            raise ParseError(f"line {lineno}: expected {len(header)} columns")
-        ts = _parse_timestamp(row[t_idx], lineno)
+        if len(row) <= max(cols):
+            raise ParseError(f"line {lineno}: expected {width} columns")
+        try:
+            ts = datetime.fromisoformat(row[t_idx].strip())
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad timestamp {row[t_idx]!r}") from None
+        if ts.minute or ts.second or ts.microsecond:
+            raise ResolutionError(f"line {lineno}: timestamp {row[t_idx]!r} is not on the hour")
         try:
             value = float(row[v_idx])
         except ValueError:
             raise ParseError(f"line {lineno}: bad value {row[v_idx]!r}") from None
         if not np.isfinite(value):
             raise ParseError(f"line {lineno}: non-finite value {row[v_idx]!r}")
-        rows.append((ts, value, lineno))
-    return rows
+        found.append((lineno, ts))
+        values.append(value)
+    stamps = np.array([ts.replace(tzinfo=None) for _, ts in found], dtype="datetime64[s]")
+    return stamps, np.array(values, dtype=float), found
 
 
 def write_csv(ts: TimeSeries, target) -> None:

@@ -47,12 +47,16 @@ def expected_line(method, width, rows):
 
 def test_evaluate_prints_metrics_per_method(forecasts_csv, capsys, tmp_path):
     path, rows = forecasts_csv
-    out = tmp_path / "metrics.csv"
-    assert main(["evaluate", "--forecasts", str(path), "--out", str(out)]) == 0
     order = list(dict.fromkeys(r[0] for r in rows))
-    assert capsys.readouterr().out.splitlines() == (
-        [expected_line(m, 5, rows) for m in order] + [f"wrote {out}"])
-    assert out.read_text().splitlines()[0] == "metric," + ",".join(order)
+    out = tmp_path / "metrics.csv"
+    # methods interleaved (scored through masks), then each one run of rows
+    # as a bundle writes them (scored through slices)
+    for rows in (rows, sorted(rows, key=lambda r: order.index(r[0]))):
+        write_forecasts(path, rows)
+        assert main(["evaluate", "--forecasts", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == (
+            [expected_line(m, 5, rows) for m in order] + [f"wrote {out}"])
+        assert out.read_text().splitlines()[0] == "metric," + ",".join(order)
 
 
 def test_evaluate_missing_columns(tmp_path, capsys):

@@ -94,6 +94,15 @@ class TestSummarize:
         np.testing.assert_array_equal(percentage_errors(actual[:, None, :], block),
                                       percentage_errors(flat_actual, flat_forecast))
         assert summarize(actual[:, None, :], block) == summarize(flat_actual, flat_forecast)
+        # bit for bit the summary of fresh temporaries, as it was computed
+        # before it reused one buffer
+        a = actual[:, None, :]
+        pe = (100.0 * (a - block) / a).ravel()
+        err = (a - block).ravel()
+        ape = np.abs(pe)
+        assert summarize(a, block) == MetricsSummary(
+            float(ape.mean()), float(np.median(ape)), float(np.sqrt((err ** 2).mean())),
+            float(pe.mean()), float(pe.std(ddof=1)), pe.size)
 
     def test_percentage_error_sign_and_shape(self):
         pe = percentage_errors([[100.0, 50.0]], [[[90.0, 55.0]], [[110.0, 50.0]]])

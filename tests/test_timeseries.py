@@ -1,8 +1,10 @@
+import csv
 import io
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from randfnn.encoding import encode_days
 from randfnn.errors import (
@@ -11,6 +13,7 @@ from randfnn.errors import (
     ParseError,
     ResolutionError,
 )
+from randfnn import timeseries
 from randfnn.timeseries import (
     SynthSpec,
     TimeSeries,
@@ -113,6 +116,290 @@ def test_write_then_load_round_trip_bit_exact(tmp_path):
     first = path.read_text()
     write_csv(again, path)
     assert path.read_text() == first
+
+
+def _reference_parse_timestamp(text, lineno):
+    try:
+        ts = datetime.fromisoformat(text.strip())
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad timestamp {text!r}") from None
+    if ts.minute or ts.second or ts.microsecond:
+        raise ResolutionError(f"line {lineno}: timestamp {text!r} is not on the hour")
+    return ts
+
+
+def _reference_parse_rows(fh, timestamp_col, value_col):
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("no observations") from None
+    header = [h.strip() for h in header]
+    try:
+        t_idx = header.index(timestamp_col)
+        v_idx = header.index(value_col)
+    except ValueError:
+        raise ParseError(
+            f"header {header!r} lacks columns {timestamp_col!r}/{value_col!r}"
+        ) from None
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) <= max(t_idx, v_idx):
+            raise ParseError(f"line {lineno}: expected {len(header)} columns")
+        ts = _reference_parse_timestamp(row[t_idx], lineno)
+        try:
+            value = float(row[v_idx])
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad value {row[v_idx]!r}") from None
+        if not np.isfinite(value):
+            raise ParseError(f"line {lineno}: non-finite value {row[v_idx]!r}")
+        rows.append((ts, value, lineno))
+    return rows
+
+
+def reference_load_csv(source, timestamp_col="timestamp", value_col="value", n=24):
+    """load_csv as it read one row at a time with `csv` and `fromisoformat`:
+    the oracle for the whole-array reader."""
+    if hasattr(source, "read"):
+        raw = source.read()
+        text = raw.decode() if isinstance(raw, bytes) else raw
+        rows = _reference_parse_rows(io.StringIO(text), timestamp_col, value_col)
+    else:
+        with open(source, "r", newline="") as fh:
+            rows = _reference_parse_rows(fh, timestamp_col, value_col)
+    if not rows:
+        raise ParseError("no observations")
+    prev = None
+    by_day = {}
+    for ts, value, lineno in rows:
+        if prev is not None:
+            if ts == prev:
+                raise DuplicateTimestampError(f"line {lineno}: duplicate timestamp {ts}")
+            if ts < prev:
+                raise ParseError(f"line {lineno}: timestamps not increasing at {ts}")
+        prev = ts
+        by_day.setdefault(ts.date(), []).append((ts.hour, value))
+    dates, days, warnings = [], [], []
+    for d in sorted(by_day):
+        hours = [h for h, _ in by_day[d]]
+        if any(b - a != 1 for a, b in zip(hours, hours[1:])):
+            raise ResolutionError(f"day {d}: non-hourly spacing (hours {hours})")
+        if len(hours) != n:
+            warnings.append(f"day {d}: incomplete ({len(hours)}/{n} rows), dropped")
+            continue
+        dates.append(d)
+        days.append([v for _, v in by_day[d]])
+    if not dates:
+        raise ParseError("no complete days")
+    return TimeSeries(tuple(dates), np.array(days, dtype=float),
+                      np.zeros(len(dates), dtype=bool), n=n, warnings=tuple(warnings))
+
+
+def outcome(load, text, **kwargs):
+    """What `load` makes of `text`: the series' dates, value bytes and
+    warnings, or the error's type and message."""
+    try:
+        ts = load(io.StringIO(text), **kwargs)
+    except Exception as exc:  # the reference may fail with any type
+        return type(exc), str(exc)
+    return ts.dates, ts.values.tobytes(), ts.warnings, ts.excluded.tobytes()
+
+
+def stamped(fmt, days=2, start=datetime(2012, 1, 1), value=lambda k: f"{1000.0 + k!r}",
+            newline="\n"):
+    """A `timestamp,value` body of `days` whole days with each timestamp
+    written by `fmt`."""
+    rows = [f"{fmt(start + timedelta(hours=k))},{value(k)}" for k in range(24 * days)]
+    return newline.join(["timestamp,value", *rows]) + newline
+
+
+def with_row(text, k, row):
+    """`text` with its k-th data row (0-based) replaced by `row`."""
+    lines = text.split("\n")
+    lines[k + 1] = row
+    return "\n".join(lines)
+
+
+def iso(t):
+    return t.isoformat()
+
+
+TIMESTAMP_FORMS = {
+    "canonical": iso,
+    "padded": lambda t: f"  {iso(t)} ",
+    "utc_z": lambda t: iso(t) + "Z",
+    "offset": lambda t: iso(t) + "+01:00",
+    "basic": lambda t: t.strftime("%Y%m%dT%H%M%S"),
+    "lowercase_t": lambda t: iso(t).replace("T", "t"),
+    "week_date": lambda t: "{0}-W{1:02d}-{2}".format(*t.isocalendar()) + f"T{t.hour:02d}",
+    "space_separator": lambda t: f" {t:%Y-%m-%d %H:%M:%S}",
+    "hour_only": lambda t: f"{t:%Y-%m-%dT%H}",
+    "date_only": lambda t: f"{t:%Y-%m-%d}",
+    "milliseconds": lambda t: iso(t) + ".000",
+    "quoted": lambda t: f'"{iso(t)}"',
+}
+
+ODD_ROWS = {
+    "nat": "NaT,1.0",
+    "hour_24": "2012-01-01T24:00:00,1.0",
+    "today": "today,1.0",
+    "year_only": "2012,1.0",
+    "year_zero": "0000-01-01T05:00:00,1.0",
+    "trailing_nul": "2012-01-01T05:00:00\0,1.0",
+    "off_hour": "2012-01-01T05:30:00,1.0",
+    "short": "2012-01-01T05:00:00",
+    "nan": "2012-01-01T05:00:00,nan",
+    "inf": "2012-01-01T05:00:00,inf",
+    "padded_value": "2012-01-01T05:00:00, 1.5",
+    "exponent": "2012-01-01T05:00:00,1e5",
+    "digit_separator": "2012-01-01T05:00:00,1_0",
+    "blank_cells": " , ",
+    "duplicate": "2012-01-01T04:00:00,1.0",
+    "out_of_order": "2012-01-01T03:00:00,1.0",
+    "extra_column": "2012-01-01T05:00:00,1.0,x",
+}
+
+
+class TestAgainstTheRowReader:
+    """`load_csv` against the row-by-row reader it replaced: the same series
+    or the same error, with expectations computed on the running Python."""
+
+    @pytest.mark.parametrize("form", TIMESTAMP_FORMS)
+    def test_timestamp_forms(self, form):
+        text = stamped(TIMESTAMP_FORMS[form])
+        assert outcome(load_csv, text) == outcome(reference_load_csv, text)
+
+    @pytest.mark.parametrize("row", ODD_ROWS)
+    def test_odd_rows(self, row):
+        text = with_row(stamped(iso), 5, ODD_ROWS[row])
+        assert outcome(load_csv, text) == outcome(reference_load_csv, text)
+
+    @pytest.mark.parametrize("stamp", ["2012", "2012-01", "2012-01-01", "+2012-01-01T00:00:00",
+                                       "2012-01-01T00:00:00.000000000", "2012-01-01T00",
+                                       "0000-01-01T00:00:00"])
+    def test_first_rows_numpy_reads_in_order(self, stamp):
+        # numpy reads each as a time before the second row's
+        text = with_row(stamped(iso), 0, f"{stamp},1.0")
+        assert outcome(load_csv, text) == outcome(reference_load_csv, text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", " 1.5", "1e5", "1_0", "+7", "١"])
+    def test_value_forms(self, value):
+        text = stamped(iso, value=lambda k: value)
+        assert outcome(load_csv, text) == outcome(reference_load_csv, text)
+
+    @pytest.mark.parametrize("body", ["", "timestamp,value\n", "timestamp,value\n\n\n",
+                                      "ts,value\n2012-01-01T00:00:00,1.0\n", "\n"])
+    def test_no_rows(self, body):
+        assert outcome(load_csv, body) == outcome(reference_load_csv, body)
+
+    def test_columns_found_by_name(self):
+        rows = stamped(iso).split("\n")
+        text = "\n".join(["value,x,timestamp"] + [
+            f"{v},x,{t}" for t, v in (r.split(",") for r in rows[1:-1])]) + "\n"
+        assert outcome(load_csv, text) == outcome(reference_load_csv, text)
+        assert outcome(load_csv, text) == outcome(load_csv, stamped(iso))
+
+    def test_partial_days_at_both_ends(self):
+        text = stamped(iso, days=4)
+        lines = text.split("\n")
+        text = "\n".join(lines[:1] + lines[4:-8])
+        assert outcome(load_csv, text) == outcome(reference_load_csv, text)
+        assert len(load_csv(io.StringIO(text)).warnings) == 2
+
+    def test_before_1970(self):
+        text = stamped(iso, start=datetime(1969, 12, 30, 22))
+        assert outcome(load_csv, text) == outcome(reference_load_csv, text)
+
+    def test_mixed_offsets_read_at_wall_clock_time(self):
+        # the row reader compared rows in UTC but grouped them by local
+        # date; whole arrays read every row at its local wall-clock time
+        offsets = stamped(lambda t: iso(t) + ("+01:00" if t.day == 1 else "+02:00"))
+        assert outcome(load_csv, offsets) == outcome(load_csv, stamped(iso))
+        assert outcome(reference_load_csv, offsets) == (
+            DuplicateTimestampError, "line 26: duplicate timestamp 2012-01-02 00:00:00+02:00")
+        mixed = stamped(lambda t: iso(t) + ("+00:00" if t.hour % 2 else ""))
+        assert outcome(load_csv, mixed) == outcome(load_csv, stamped(iso))
+        with pytest.raises(TypeError):
+            reference_load_csv(io.StringIO(mixed))
+        # a daylight-saving fall-back repeats an hour of wall-clock time
+        fall_back = with_row(stamped(lambda t: iso(t) + "+00:00"), 3,
+                             "2012-01-01T02:00:00-01:00,1.0")
+        with pytest.raises(DuplicateTimestampError, match="line 5: duplicate timestamp "
+                           "2012-01-01 02:00:00-01:00"):
+            load_csv(io.StringIO(fall_back))
+        with pytest.raises(ResolutionError, match="non-hourly"):
+            reference_load_csv(io.StringIO(fall_back))
+
+    def test_canonical_body_is_not_rescanned(self, monkeypatch):
+        def rescan(*args):
+            raise AssertionError("csv rescan")
+
+        text = stamped(iso, days=3)
+        expected = outcome(load_csv, text)
+        monkeypatch.setattr(timeseries, "_parse_rows", rescan)
+        assert outcome(load_csv, text) == expected
+        with pytest.raises(AssertionError, match="csv rescan"):
+            load_csv(io.StringIO(stamped(TIMESTAMP_FORMS["space_separator"])))
+
+    def test_benchmark_sized_series(self):
+        ts = synth_generate(SynthSpec(days=1461), seed=7)
+        buf = io.StringIO()
+        write_csv(ts, buf)
+        assert outcome(load_csv, buf.getvalue()) == outcome(reference_load_csv, buf.getvalue())
+
+
+FAULTS = {
+    "duplicate": ("2012-01-01T04:00:00,1.0", DuplicateTimestampError),
+    "out_of_order": ("2012-01-01T03:00:00,1.0", ParseError),
+    "non_hourly_day": ("", ResolutionError),  # hour 5 left blank
+    "bad_value": ("2012-01-01T05:00:00,oops", ParseError),
+    "bad_timestamp": ("not-a-time,1.0", ParseError),
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_fault_lines_count_blank_lines_and_crlf(fault, newline, tmp_path):
+    row, error = FAULTS[fault]
+    lines = with_row(stamped(iso), 5, row).split("\n")
+    # after three blank lines, the faulty row is the csv reader's record 10
+    text = newline.join(lines[:1] + ["", "", ""] + lines[1:])
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(error) as got:
+        load_csv(path)
+    with pytest.raises(error) as want:
+        reference_load_csv(path)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("line 10:") or fault == "non_hourly_day"
+    assert outcome(load_csv, text) == outcome(reference_load_csv, text)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_path_and_streams_load_alike(newline, tmp_path):
+    text = stamped(iso, days=3, newline=newline)
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode())
+    loads = [load_csv(path), load_csv(io.StringIO(text)), load_csv(io.BytesIO(text.encode()))]
+    for ts in loads[1:]:
+        assert ts.dates == loads[0].dates and ts.warnings == loads[0].warnings
+        assert ts.values.tobytes() == loads[0].values.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=24, max_size=72)
+       .map(lambda v: v[:len(v) // 24 * 24]))
+def test_write_then_load_is_bitwise_for_any_finite_floats(values):
+    days = len(values) // 24
+    ts = TimeSeries(tuple(date(2015, 1, 5) + timedelta(days=k) for k in range(days)),
+                    np.reshape(values, (days, 24)), np.zeros(days, dtype=bool))
+    buf = io.StringIO()
+    write_csv(ts, buf)
+    again = load_csv(io.StringIO(buf.getvalue()))
+    assert again.dates == ts.dates
+    assert again.values.tobytes() == ts.values.tobytes()
 
 
 class TestExcludeDays:
