@@ -23,7 +23,6 @@ from .pipeline import (
     ExperimentReport,
     run_day,
     run_experiment,
-    seasonal_naive,
     write_report_bundle,
 )
 from .randnn import (

@@ -12,9 +12,7 @@ dropped, exclusion dates not in the series) on stderr as
 `forecast --tuning once` runs, with the same seed, and writes the
 bundle's tuning.csv format (scope `weekday=N`, Monday 0): the header and
 the method's rows of a `once` run whose first test day is the cutoff.
-Its weekdays run in the same spawn pool as `forecast`'s stages when two
-or more CPUs are usable, so a script that calls `main` with `tune` or
-`forecast` must do so under an `if __name__ == "__main__":` guard.
+Its weekdays run through `forecast`'s stage runner, `pipeline._stages`.
 
 `forecast --config FILE` reads a JSON object keyed by `ExperimentConfig`
 field names: methods, test_start, test_end, trials, tau, seed, tuning,

@@ -44,10 +44,3 @@ class PairingError(RandfnnError):
 class ExperimentError(RandfnnError):
     """The experiment produced no usable results."""
 
-
-class DaySkipped(RandfnnError):
-    """A forecast day had to be skipped; `reason` says why."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason

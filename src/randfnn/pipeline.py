@@ -18,18 +18,9 @@ report.json lists are computed when the bundle is written.
 All randomness is derived from the master seed, the method name, the day
 and the trial index, which makes reports reproducible and independent of
 worker scheduling. Each tuning decision is one grid search task,
-`_search`, which `randfnn tune` runs too.
-
-Grid searches and test days run in one pool of worker processes for
-the whole run, one per CPU this process may run on
-(`os.sched_getaffinity`) but no more than the largest stage has tasks;
-run under `taskset` to use fewer. The BLAS thread variables are held at
-one while the pool lives, so each worker runs one BLAS thread. When
-fewer than two workers are usable, every task runs in this process
-instead; there is no per-stage rule. `randfnn tune` runs its weekday
-searches through the same runner. Workers are started with `spawn`,
-which imports the main module again: a script that calls
-`run_experiment` must do so under an `if __name__ == "__main__":` guard.
+`_search`, which `randfnn tune` runs too. Searches and test days run in
+one pool of spawned workers; see `_stages`, also for the `__main__`
+guard that a calling script needs.
 """
 
 import json
@@ -42,9 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import CodingVars, DayMatrix, _pair_rows, build_training_set, decode, encode_days
-from .errors import DaySkipped, EmptyTrainingSet, ExperimentError, ParameterError
-from .evaluation import summarize, wilcoxon_signed_rank
+from .encoding import (CodingVars, DayMatrix, TrainingSet, _pair_rows, build_training_set,
+                       decode, encode_days)
+from .errors import EmptyTrainingSet, ExperimentError, ParameterError
+from .evaluation import percentage_errors, summarize, wilcoxon_signed_rank
 from .randnn import (METHODS, HyperParams, derive_rng, derive_seed, draw_layers,
                      trial_predictions)
 from .timeseries import TimeSeries
@@ -55,7 +47,6 @@ __all__ = [
     "ExperimentReport",
     "run_day",
     "run_experiment",
-    "seasonal_naive",
     "write_report_bundle",
 ]
 
@@ -139,40 +130,14 @@ class ExperimentReport:
     skipped: list  # (date, reason)
 
 
-def seasonal_naive(days: DayMatrix, day: date) -> np.ndarray:
-    """Forecast: the same weekday one week earlier, verbatim."""
-    ref_day = day - timedelta(days=NAIVE_PERIOD_DAYS)
-    ref = days.row(ref_day)
-    if ref is None:
-        raise DaySkipped(f"missing naive reference day {ref_day}")
-    return days.values[ref].copy()
-
-
-def run_day(days: DayMatrix, day: date, hp: HyperParams, trials: int, seed: int,
-            tau: int = 1) -> np.ndarray:
-    """Train `trials` independently seeded models for one day, drawn by
-    `draw_layers` and stacked in `trial_predictions`, and return the
-    decoded forecasts, shape (trials, n); trial t draws from
-    `derive_rng(seed, day, t)` alone.
-
-    The training set pairs same-weekday history strictly before `day`;
-    the query pattern is the day `tau` days earlier. Raises `DaySkipped`
-    when the input day is missing/degenerate or no history exists.
-    """
-    inp = days.row(day - timedelta(days=tau))
-    if inp is None:
-        raise DaySkipped("missing input pattern")
-    if not days.valid[inp]:
-        raise DaySkipped("degenerate input pattern")
-    try:
-        phi = build_training_set(days, day.weekday(), tau, cutoff=day)
-    except EmptyTrainingSet:
-        raise DaySkipped("empty training set") from None
-
-    coding = CodingVars(float(days.mean[inp]), float(days.dispersion[inp]))
-    rngs = [derive_rng(seed, day.toordinal(), t) for t in range(trials)]
+def run_day(phi: TrainingSet, query: np.ndarray, coding: CodingVars, hp: HyperParams,
+            rngs) -> np.ndarray:
+    """One model method's decoded forecasts (trials, n) for one test day:
+    a layer per generator in `rngs`, drawn by `draw_layers`, trained on
+    `phi` in `trial_predictions`, applied to the (1, n) `query` pattern
+    and decoded with `coding`."""
     layers = draw_layers(hp.method, hp.m, [hp.smoothing], phi, rngs)
-    return decode(trial_predictions(*layers, phi, days.x[inp][None, :])[:, 0, :], coding)
+    return decode(trial_predictions(*layers, phi, query)[:, 0, :], coding)
 
 
 def _screen_day(day: date, days: DayMatrix, config: ExperimentConfig) -> str | None:
@@ -231,11 +196,19 @@ def _stages(days, most_tasks: int):
     in tasks]` in task order, for a module-level `fn`.
 
     With `min(usable CPUs, most_tasks)` of at least two, every call runs
-    in one spawn pool of that many workers, which gets `days` once. The
+    in one spawn pool of that many workers for the whole run, which gets
+    `days` once. The usable CPUs are the process's affinity mask
+    (`os.sched_getaffinity`); run under `taskset` to use fewer. The
     executor starts workers on demand, in any call, so the BLAS thread
     variables are held at one for the pool's lifetime: every worker
-    starts with one BLAS thread. Otherwise the tasks run in this process. A task's exception reaches the caller with its type
-    and message, and a killed worker raises `BrokenProcessPool`.
+    starts with one BLAS thread. Otherwise the tasks run in this
+    process; there is no per-stage rule, and results do not depend on
+    which path runs them. A task's exception reaches the caller with its
+    type and message, and a killed worker raises `BrokenProcessPool`.
+    Workers are started with `spawn`, which imports the main module
+    again: a script that calls `run_experiment`, or `cli.main` with
+    `tune` or `forecast`, must do so under an `if __name__ ==
+    "__main__":` guard.
     """
     workers = min(_usable_cpus(), most_tasks)
     if workers < 2:
@@ -278,18 +251,25 @@ def _search(days, task):
 
 def _forecast_day(days, task):
     """Forecast task: every method's (trials, n) forecasts for one test
-    day, given each model method's hyperparameters."""
+    day that `_screen_day` passed, given each model method's
+    hyperparameters. The model methods' inputs are gathered once, and
+    every model method reads them: the input day's pattern and coding
+    variables, and the day's training set. Naive repeats the day one
+    week earlier. Trial t of a method draws from `derive_rng(seed, day,
+    t)`, with `seed` derived from the master seed and the method."""
     config, day, hps = task
+    if config.model_methods:
+        inp = days.row(day - timedelta(days=config.tau))
+        phi = build_training_set(days, day.weekday(), config.tau, cutoff=day)
+        coding = CodingVars(float(days.mean[inp]), float(days.dispersion[inp]))
     per_method = {}
     for method in config.methods:
         if method == NAIVE:
-            per_method[method] = seasonal_naive(days, day)[None, :]
+            per_method[method] = days.values[[days.row(day - timedelta(days=NAIVE_PERIOD_DAYS))]]
         else:
-            per_method[method] = run_day(
-                days, day, hps[method], config.trials,
-                derive_seed(config.seed, _FORECAST_STREAM, _method_tag(method)),
-                tau=config.tau,
-            )
+            seed = derive_seed(config.seed, _FORECAST_STREAM, _method_tag(method))
+            rngs = [derive_rng(seed, day.toordinal(), t) for t in range(config.trials)]
+            per_method[method] = run_day(phi, days.x[[inp]], coding, hps[method], rngs)
     return per_method
 
 
@@ -301,24 +281,11 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries) -> ExperimentReport
     `ts` is the loaded series with its exclusions applied;
     `config.data_path` and `config.exclusions_path` only record where it
     came from, so that report.json replays the run. It is encoded once
-    into a day matrix, which every stage reads. A candidate day is
-    screened out, with its reason, when it or its input day is missing,
-    the input day is constant, the naive reference is missing, or the
-    admissibility rule finds no training pair before it (with a fixed
-    ddm: no more than its k pairs); every training
-    set is gathered from the day matrix under that same rule. A day
-    whose tuning selects no hyperparameters for some method is skipped
-    after the screened days.
-
-    Grid searches and test days run in one pool of spawned worker
-    processes for the whole run, one per usable CPU (the process's
-    affinity mask; restrict it with `taskset`) and no more than the
-    largest stage has tasks, with the BLAS thread variables held at one
-    for the pool's lifetime. With fewer than two usable workers, every
-    stage runs in this process; a stage of one task runs in the pool
-    when the run has one. Results do not depend on which path runs
-    them. Because workers are spawned, a script calling this must do so
-    under an `if __name__ == "__main__":` guard.
+    into a day matrix, which every stage reads. A candidate day that
+    `_screen_day` rejects is skipped with its reason; every training set
+    is gathered from the day matrix under that same admissibility rule.
+    A day whose tuning selects no hyperparameters for some method is
+    skipped after the screened days. Stages run as `_stages` describes.
     """
     days = encode_days(ts)
 
@@ -356,7 +323,8 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries) -> ExperimentReport
     a = actual[:, None, :]  # (days, 1, n), against each (days, trials, n) block
     for method, block in forecasts.items():
         summaries[method] = summarize(a, block)
-        ape[method] = np.abs(100.0 * (a - block) / a).mean(axis=1)
+        pe = percentage_errors(a, block).reshape(block.shape)
+        ape[method] = np.abs(pe, out=pe).mean(axis=1)
 
     wilcoxon = {}
     for i, ma in enumerate(config.methods):

@@ -79,6 +79,9 @@ METHODS = ("standard", "ram", "ralpham", "ddm")
 # are generated with this effective ceiling instead.
 MAX_ALPHA_DEG = 89.9
 
+# the largest u whose weight range u - (-u) is finite
+MAX_U = float(np.finfo(float).max) / 2
+
 _SMOOTHING_NAMES = {"standard": "u", "ram": "u", "ralpham": "alpha_max", "ddm": "k"}
 
 
@@ -156,6 +159,8 @@ class HyperParams:
             raise ParameterError(f"{self.smoothing_name} must be finite, got {s}")
         if self.method in ("standard", "ram") and not s > 0:
             raise ParameterError(f"u must be positive, got {s}")
+        if self.method in ("standard", "ram") and s > MAX_U:
+            raise ParameterError(f"u must be at most {MAX_U!r}, where u - (-u) is finite, got {s}")
         if self.method == "ralpham" and not 0 < s <= 90:
             raise ParameterError(f"alpha_max must be in (0, 90] degrees, got {s}")
         if self.method == "ddm" and (s < 1 or s != int(s)):
@@ -166,7 +171,8 @@ class HyperParams:
         return _SMOOTHING_NAMES[self.method]
 
 
-def _anchored_biases(weights: np.ndarray, anchors: np.ndarray, x_patterns: np.ndarray) -> np.ndarray:
+def _anchored_biases(weights: np.ndarray, anchors: np.ndarray,
+                     x_patterns: np.ndarray) -> np.ndarray:
     # b_j = -a_j . x*_j puts each sigmoid's inflection point on its anchor
     return -np.einsum("...j,...j->...", weights, x_patterns[anchors])
 

@@ -216,10 +216,11 @@ def write_csv(ts: TimeSeries, target) -> None:
 
 def _write_rows(ts: TimeSeries, fh) -> None:
     fh.write("timestamp,value\n")
-    for d, row in zip(ts.dates, ts.values):
-        base = datetime(d.year, d.month, d.day)
-        for h in range(ts.n):
-            fh.write(f"{(base + timedelta(hours=h)).isoformat()},{float(row[h])!r}\n")
+    dates = np.array(ts.dates, dtype="datetime64[D]")
+    stamps = np.datetime_as_string(dates[:, None] + np.arange(ts.n).astype("timedelta64[h]"),
+                                   unit="s")
+    for day, row in zip(stamps.tolist(), ts.values.tolist()):
+        fh.write("".join([f"{t},{v!r}\n" for t, v in zip(day, row)]))
 
 
 def load_exclusions(source) -> set[date]:

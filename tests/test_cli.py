@@ -9,6 +9,7 @@ import pytest
 
 from randfnn import pipeline
 from randfnn.cli import main
+from randfnn.randnn import MAX_U
 from randfnn.timeseries import SynthSpec, synth_generate, write_csv
 
 HEADER = "method,date,trial,hour,forecast,actual\n"
@@ -176,19 +177,18 @@ def test_evaluate_blank_body_has_no_rows_and_no_warning(tmp_path, capsys):
 
 
 def test_forecast_worker_parameter_error_exits_2(tmp_path, capsys, monkeypatch):
-    # ram's u=1e308 is finite, but the drawn weights are not; the days run
-    # in the pool
+    # a fixed u past MAX_U exits 2 before any work (see fixed_u_huge), a
+    # grid value in the pool, where each weekday's search rejects it
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     data = tmp_path / "series.csv"
     write_csv(synth_generate(SynthSpec(days=400), 0), data)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"fixed_params": {"ram": {"m": 5, "smoothing": 1e308}}}))
-    code = main(["forecast", "--config", str(config), "--data", str(data),
-                 "--methods", "ram,naive", "--tuning", "fixed", "--trials", "1",
+    code = main(["forecast", "--data", str(data), "--methods", "ram,naive", "--tuning", "once",
+                 "--grid-m", "5", "--grid-smoothing", "1e308", "--trials", "1",
                  "--test-start", "2013-01-01", "--test-end", "2013-01-03",
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("usage error: layer parameters must be finite")
+    assert capsys.readouterr().err.startswith(
+        f"usage error: u must be at most {MAX_U!r}, where u - (-u) is finite")
 
 
 def test_forecast_fixed_ddm_skips_days_with_too_few_pairs(tmp_path, capsys, monkeypatch):
@@ -437,8 +437,10 @@ def test_forecast_unknown_config_key_exits_2(month_csv, tmp_path, capsys):
     ({"grids": {"ram": {"m_values": [5.5], "smoothing_values": [0.4]}}}, "grids"),
     ({"tuning": "fixed", "fixed_params": {"ddm": {"m": 5, "smoothing": float("inf")}}},
      "k must be finite"),
+    ({"tuning": "fixed", "fixed_params": {"ram": {"m": 5, "smoothing": 1e308}}},
+     f"u must be at most {MAX_U!r}"),
 ], ids=["json", "date", "int", "fixed_params", "grids", "trials_float", "trials_bool",
-        "fixed_m_float", "grid_m_float", "fixed_k_inf"])
+        "fixed_m_float", "grid_m_float", "fixed_k_inf", "fixed_u_huge"])
 def test_forecast_malformed_config_exits_2(month_csv, tmp_path, capsys, doc, field):
     config = tmp_path / "config.json"
     config.write_text(doc if isinstance(doc, str) else json.dumps(

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from randfnn import pipeline
-from randfnn.encoding import _pair_rows, build_training_set, encode_days
+from randfnn.encoding import CodingVars, _pair_rows, build_training_set, encode_days
 from randfnn.errors import EmptyTrainingSet, ExperimentError, ParameterError
 from randfnn.evaluation import summarize
 from randfnn.pipeline import ExperimentConfig, run_experiment, write_report_bundle
-from randfnn.randnn import HyperParams
+from randfnn.randnn import MAX_U, HyperParams, derive_rng
 from randfnn.timeseries import SynthSpec, TimeSeries, exclude_days, synth_generate
 from randfnn.tuning import Grid, GridPoint, TuneResult
 
@@ -155,19 +155,19 @@ def test_bundle_same_in_process_and_in_pool(two_years, tmp_path, monkeypatch, tu
             (method, day) for day in days for method in (b"ddm", b"ram")]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_worker_parameter_error_reaches_the_caller(two_years, monkeypatch):
-    # u=1e308 passes HyperParams, but u - (-u) overflows: the layers drawn
-    # in the task are not finite
+    # no fixed u past MAX_U gets this far, but a grid value does: each
+    # weekday's search rejects it in its task
     config = short_config(methods=("ram", "naive"), test_end=date(2013, 1, 3),
-                          tuning="fixed", fixed_params={"ram": HyperParams("ram", 5, 1e308)})
+                          grids={"ram": Grid((5,), (1e308,))})
     errors = []
     for cpus in (1, 2):
         with pytest.raises(ParameterError) as info:
             run_with_cpus(monkeypatch, cpus, config, two_years)
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
-    assert errors[0] == (ParameterError, "layer parameters must be finite")
+    assert errors[0] == (ParameterError,
+                         f"u must be at most {MAX_U!r}, where u - (-u) is finite, got 1e+308")
 
 
 def test_fixed_ddm_skips_days_with_at_most_k_pairs(two_years, monkeypatch):
@@ -325,10 +325,32 @@ def test_fixed_tables_select_the_fixed_params(two_years, tmp_path):
 @pytest.mark.parametrize("hp", [HyperParams("ram", 20, 0.4), HyperParams("ddm", 20, 31.0)])
 def test_trial_forecast_does_not_depend_on_the_batch_size(two_years, hp):
     days = encode_days(two_years)
-    few = pipeline.run_day(days, date(2013, 1, 2), hp, 7, seed=5)
-    many = pipeline.run_day(days, date(2013, 1, 2), hp, 100, seed=5)
+    day = date(2013, 1, 2)
+    inp = days.row(day - timedelta(days=1))
+    phi = build_training_set(days, day.weekday(), 1, day)
+    coding = CodingVars(float(days.mean[inp]), float(days.dispersion[inp]))
+    few, many = (pipeline.run_day(phi, days.x[[inp]], coding, hp,
+                                  [derive_rng(5, day.toordinal(), t) for t in range(trials)])
+                 for trials in (7, 100))
     assert few.shape == (7, 24)
     assert few.tobytes() == many[:7].tobytes()
+
+
+def test_each_test_day_builds_one_training_set(two_years, monkeypatch):
+    # every model method of a day reads the one training set its task gathers
+    built = []
+
+    def counting(days, weekday, tau, cutoff):
+        built.append(cutoff)
+        return build_training_set(days, weekday, tau, cutoff)
+
+    monkeypatch.setattr(pipeline, "build_training_set", counting)
+    config = short_config(methods=("ram", "ddm", "standard", "naive"), test_end=date(2013, 1, 7),
+                          tuning="fixed",
+                          fixed_params={**FIXED, "standard": HyperParams("standard", 5, 0.4)})
+    report, _ = run_with_cpus(monkeypatch, 1, config, two_years)
+    assert len(report.test_days) == 7
+    assert built == report.test_days
 
 
 def test_scores_match_per_trial_reference(two_years):

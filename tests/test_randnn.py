@@ -1,4 +1,5 @@
 import math
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -8,6 +9,7 @@ from randfnn.encoding import TrainingSet, build_training_set, encode_days
 from randfnn.errors import EmptyTrainingSet, ParameterError, ShapeError
 from randfnn.numerics import fit_hyperplane, knn, sigmoid
 from randfnn.randnn import (
+    MAX_U,
     HiddenLayer,
     HyperParams,
     RandFnnModel,
@@ -425,6 +427,15 @@ class TestMakeLayerAndDeterminism:
             for s in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ParameterError, match="must be finite"):
                     HyperParams(method, 5, s)
+        # past MAX_U, u - (-u) overflows; at it, layers are finite
+        assert 2 * MAX_U == np.finfo(float).max
+        for method in ("standard", "ram"):
+            HyperParams(method, 5, MAX_U)
+            for u in (np.nextafter(MAX_U, math.inf), 1e308):
+                with pytest.raises(ParameterError, match=re.escape(f"at most {MAX_U!r}")):
+                    HyperParams(method, 5, u)
+        with np.errstate(all="raise"):
+            draw_layers("standard", 3, [MAX_U], random_phi(n_pairs=5), [derive_rng(0)])
 
 
 @pytest.fixture(scope="module")
@@ -500,7 +511,8 @@ class TestDrawLayers:
     @pytest.mark.parametrize("method, smoothing", [("ram", (0.5, 1e200)),
                                                    ("standard", (0.5, 1e308))])
     def test_non_finite_stack_raises(self, method, smoothing):
-        # ram: biases overflow on huge patterns; standard: u - (-u) overflows
+        # ram: biases overflow on huge patterns; standard: HyperParams
+        # rejects a u whose u - (-u) overflows
         phi = TrainingSet(np.full((5, 4), 1e200), np.zeros((5, 2)))
         with pytest.raises(ParameterError, match="finite"), np.errstate(over="ignore"):
             draw_layers(method, 3, smoothing, phi, [derive_rng(0), derive_rng(1)])

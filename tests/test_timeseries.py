@@ -350,6 +350,30 @@ class TestAgainstTheRowReader:
         assert outcome(load_csv, buf.getvalue()) == outcome(reference_load_csv, buf.getvalue())
 
 
+
+def reference_write_rows(ts, fh):
+    """write_csv's body as one `datetime` and one f-string per hour."""
+    fh.write("timestamp,value\n")
+    for d, row in zip(ts.dates, ts.values):
+        base = datetime(d.year, d.month, d.day)
+        for h in range(ts.n):
+            fh.write(f"{(base + timedelta(hours=h)).isoformat()},{float(row[h])!r}\n")
+
+
+@pytest.mark.parametrize("n", [24, 3])
+def test_write_csv_matches_the_per_hour_writer(n, tmp_path):
+    dates = (date(1, 1, 1), date(999, 12, 31), date(2012, 2, 29), date(9999, 12, 31))
+    values = np.random.default_rng(0).normal(size=(4, n)) * 10.0 ** np.arange(-4, 20, 24 // n)
+    values[0, :2] = (-0.0, 1e16)
+    ts = TimeSeries(dates, values, np.zeros(4, dtype=bool), n=n)
+    want = io.StringIO()
+    reference_write_rows(ts, want)
+    write_csv(ts, tmp_path / "series.csv")
+    assert (tmp_path / "series.csv").read_bytes() == want.getvalue().encode()
+    empty = io.StringIO()
+    write_csv(TimeSeries((), np.zeros((0, n)), np.zeros(0, dtype=bool), n=n), empty)
+    assert empty.getvalue() == "timestamp,value\n"
+
 FAULTS = {
     "duplicate": ("2012-01-01T04:00:00,1.0", DuplicateTimestampError),
     "out_of_order": ("2012-01-01T03:00:00,1.0", ParseError),
