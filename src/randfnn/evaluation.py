@@ -67,7 +67,12 @@ def summarize(actual, forecast) -> MetricsSummary:
     RMSE is in series units. With a single sample the PE std is undefined
     and reported as 0 with `std_pe_degenerate` set.
     """
-    pe = percentage_errors(actual, forecast)
+    return _summary(percentage_errors(actual, forecast), actual, forecast)
+
+
+def _summary(pe, actual, forecast) -> MetricsSummary:
+    """`summarize` from `pe`, the `percentage_errors` of `actual` against
+    `forecast`, whose buffer it overwrites."""
     if not pe.size:
         raise ParameterError("no samples to summarize")
     degenerate = pe.size == 1

@@ -36,7 +36,7 @@ import numpy as np
 from .encoding import (CodingVars, DayMatrix, TrainingSet, _pair_rows, build_training_set,
                        decode, encode_days)
 from .errors import EmptyTrainingSet, ExperimentError, ParameterError
-from .evaluation import percentage_errors, summarize, wilcoxon_signed_rank
+from .evaluation import _summary, percentage_errors, wilcoxon_signed_rank
 from .randnn import (METHODS, HyperParams, derive_rng, derive_seed, draw_layers,
                      trial_predictions)
 from .timeseries import TimeSeries
@@ -170,8 +170,6 @@ def _screen_day(day: date, days: DayMatrix, config: ExperimentConfig) -> str | N
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-_worker_days = None  # a pool worker's copy of the run's day matrix
-
 
 def _usable_cpus() -> int:
     """Number of CPUs this process may run on."""
@@ -181,23 +179,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _init_worker(days) -> None:
-    global _worker_days
-    _worker_days = days
-
-
-def _in_worker(fn, task):
-    return fn(_worker_days, task)
-
-
 @contextmanager
 def _stages(days, most_tasks: int):
     """Yields `run(fn, tasks)`, which returns `[fn(days, task) for task
     in tasks]` in task order, for a module-level `fn`.
 
     With `min(usable CPUs, most_tasks)` of at least two, every call runs
-    in one spawn pool of that many workers for the whole run, which gets
-    `days` once. The usable CPUs are the process's affinity mask
+    in one spawn pool of that many workers for the whole run, and `days`
+    goes with each task: sent once to the pool's initializer, it would
+    fill the pipe that starts each worker and start them one after
+    another. The usable CPUs are the process's affinity mask
     (`os.sched_getaffinity`); run under `taskset` to use fewer. The
     executor starts workers on demand, in any call, so the BLAS thread
     variables are held at one for the pool's lifetime: every worker
@@ -220,10 +211,9 @@ def _stages(days, most_tasks: int):
     saved = {k: os.environ.get(k) for k in _BLAS_THREADS}
     os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
     try:
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"),
-                                   initializer=_init_worker, initargs=(days,))
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
         try:
-            yield lambda fn, tasks: list(pool.map(_in_worker, [fn] * len(tasks), tasks))
+            yield lambda fn, tasks: list(pool.map(fn, [days] * len(tasks), tasks))
         finally:
             pool.shutdown(cancel_futures=True)
     finally:
@@ -322,9 +312,9 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries) -> ExperimentReport
     summaries, ape = {}, {}
     a = actual[:, None, :]  # (days, 1, n), against each (days, trials, n) block
     for method, block in forecasts.items():
-        summaries[method] = summarize(a, block)
-        pe = percentage_errors(a, block).reshape(block.shape)
-        ape[method] = np.abs(pe, out=pe).mean(axis=1)
+        pe = percentage_errors(a, block)
+        ape[method] = np.abs(pe).reshape(block.shape).mean(axis=1)
+        summaries[method] = _summary(pe, a, block)
 
     wilcoxon = {}
     for i, ma in enumerate(config.methods):

@@ -327,6 +327,8 @@ def trial_predictions(weights: np.ndarray, biases: np.ndarray, phi: TrainingSet,
     b = biases[:, None, :]  # (L, 1, m)
     Z = phi.x @ Wt
     Z += b
-    beta = pinv_apply(pinv_factor(sigmoid(Z)), phi.y)
+    H = sigmoid(Z)
+    del Z  # H alone is held through the SVD
+    beta = pinv_apply(pinv_factor(H), phi.y)
     H = sigmoid(np.matmul(queries[None, :, None, :], Wt[:, None])[:, :, 0, :] + b)
     return np.matmul(H[:, :, None, :], beta[:, None])[:, :, 0, :]

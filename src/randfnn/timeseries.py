@@ -91,7 +91,11 @@ def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value",
              n: int = HOURS_PER_DAY) -> TimeSeries:
     """Read an hourly CSV (header row, ISO 8601 timestamps) into a TimeSeries.
 
-    Accepts a path or an open text/byte stream. A timestamp is read as
+    Accepts a path or an open text/byte stream. A path, or a byte stream
+    read as UTF-8, is parsed from the open file without holding its text
+    whole, and read again from where it started to name a fault, so a byte
+    stream must be seekable. A text stream is copied first: its own line
+    splitting may not end a line at a lone CR. A timestamp is read as
     `datetime.fromisoformat` reads it stripped, any UTC offset dropped, and
     a value as `float` reads it. Whole missing days are allowed; partial
     days are dropped with a warning. Sub-hourly rows or hour gaps inside a
@@ -100,14 +104,25 @@ def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value",
     counts them. Only such a fault, or a timestamp not in the form
     `YYYY-MM-DDTHH:MM:SS`, makes `csv` rescan what `np.loadtxt` read.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
+    if not hasattr(source, "read"):
         with open(source, "r", newline="") as fh:
-            text = fh.read()
-    if isinstance(text, bytes):
-        text = text.decode()
-    fh = io.StringIO(text, newline="")
+            return _read_series(fh, timestamp_col, value_col, n)
+    if isinstance(source.read(0), str):
+        return _read_series(io.StringIO(source.read(), newline=""), timestamp_col, value_col, n)
+    fh = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    try:
+        return _read_series(fh, timestamp_col, value_col, n)
+    finally:
+        fh.detach()  # leaves `source` open
+
+
+def _read_series(fh, timestamp_col, value_col, n):
+    """`load_csv` of a text file opened with `newline=""`, from where it is."""
+    start = fh.tell()
+    # an S20 field ends at a NUL, dropping what follows, so only
+    # `_parse_rows` reads a file with one
+    nul = any("\0" in chunk for chunk in iter(lambda: fh.read(1 << 16), ""))
+    fh.seek(start)
     header = next(csv.reader(fh), None)
     if header is None:
         raise ParseError("no observations")
@@ -119,8 +134,11 @@ def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value",
             f"header {header!r} lacks columns {timestamp_col!r}/{value_col!r}"
         ) from None
 
-    rows = None if "\0" in text else _load_rows(fh, cols)  # S20 drops a trailing NUL
-    stamps, values, found = rows or _parse_rows(text, cols, len(header))
+    rows = None if nul else _load_rows(fh, cols)
+    if rows is None:
+        fh.seek(start)
+        rows = _parse_rows(fh, cols, len(header))
+    stamps, values, found = rows
     if not stamps.size:
         raise ParseError("no observations")
     step = np.diff(stamps)
@@ -171,10 +189,11 @@ def _load_rows(fh, cols):
     return None
 
 
-def _parse_rows(text, cols, width):
-    """The body row by row through `csv`, raising the first row's fault, as
-    (stamps, values, found) with each row's (line, datetime) in `found`."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _parse_rows(fh, cols, width):
+    """The file row by row through `csv` from its header, raising the first
+    row's fault, as (stamps, values, found) with each row's (line,
+    datetime) in `found`."""
+    reader = csv.reader(fh)
     next(reader)
     t_idx, v_idx = cols
     found, values = [], []

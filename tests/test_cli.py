@@ -1,8 +1,14 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +364,100 @@ def test_forecast_dead_worker_exits_1(month_csv, tmp_path, capsys, monkeypatch):
         "error: a worker process died "
         "(A process in the process pool was terminated abruptly)"]
     assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+needs_a_pool = pytest.mark.skipif(
+    pipeline._usable_cpus() < 2 or not os.path.isdir("/proc"),
+    reason="a pool needs 2 usable CPUs; its workers are found in /proc")
+
+
+@pytest.fixture(scope="module")
+def long_run_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("series") / "series.csv"
+    assert main(["synth", "--days", "240", "--seed", "0", "--out", str(path)]) == 0
+    return path
+
+
+@contextmanager
+def pooled_forecast(data, out_dir):
+    """A `randfnn forecast` in a subprocess and its own session, whose
+    per-day tuning keeps its pool busy for seconds, and the pid of one
+    of its pool workers once that worker has started. The session is
+    killed on the way out."""
+    argv = ["forecast", "--data", str(data), "--methods", "ram,naive", "--trials", "100",
+            "--tuning", "per-day", "--grid-m", "20,40,80,120",
+            "--grid-smoothing", "0.05,0.1,0.2,0.4,0.7,1.0", "--out-dir", str(out_dir),
+            "--test-start", "2012-03-01", "--test-end", "2012-08-27"]
+    src = str(Path(pipeline.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from randfnn.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True)
+    try:
+        yield proc, pool_worker(proc)
+    finally:
+        with suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+
+
+def pool_worker(proc, timeout=60):
+    """The pid of one of `proc`'s pool workers, once it has started."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and proc.poll() is None:
+        for pid in filter(str.isdigit, os.listdir("/proc")):
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+                cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+            except OSError:  # gone since listed
+                continue
+            if int(stat.rsplit(")", 1)[1].split()[1]) == proc.pid and b"spawn_main" in cmdline:
+                # the parent writes a worker's start-up data just after
+                # its exec; a worker killed before that breaks the pipe
+                time.sleep(0.2)
+                return int(pid)
+        time.sleep(0.01)
+    raise AssertionError("no pool worker started")
+
+
+def session_ends(pgid, timeout=30):
+    """True once no process is left in the session's group. The pool's
+    resource tracker outlives the run as a zombie until init reaps it."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+@needs_a_pool
+def test_forecast_killed_worker_exits_1(long_run_csv, tmp_path):
+    with pooled_forecast(long_run_csv, tmp_path / "out") as (proc, worker):
+        os.kill(worker, signal.SIGKILL)
+        err = proc.communicate(timeout=120)[1]
+        assert proc.returncode == 1
+        assert session_ends(proc.pid)
+    assert [line.split("(")[0] for line in err.splitlines() if line.startswith("error:")] == [
+        "error: a worker process died "]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@needs_a_pool
+def test_forecast_sigint_to_pooled_run_exits_130(long_run_csv, tmp_path):
+    with pooled_forecast(long_run_csv, tmp_path / "out") as (proc, _):
+        os.kill(proc.pid, signal.SIGINT)
+        err = proc.communicate(timeout=120)[1]
+        assert proc.returncode == 130
+        assert session_ends(proc.pid)
+    assert err.splitlines() == ["interrupted"]
     assert not (tmp_path / "out" / "report.json").exists()
 
 

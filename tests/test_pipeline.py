@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -65,11 +66,15 @@ FIXED = {"ddm": HyperParams("ddm", 5, 9.0), "ram": HyperParams("ram", 10, 0.4)}
 
 def run_with_cpus(monkeypatch, cpus, config, ts):
     """run_experiment with `cpus` usable CPUs; also returns the worker
-    count of every pool it started."""
+    count of every pool it started, each started without large
+    start-up arguments."""
     starts = []
     executor = concurrent.futures.ProcessPoolExecutor
 
     def counting_executor(workers, **kwargs):
+        # a spawn pipe holds 64 KiB: larger start-up arguments would make
+        # each worker wait for the one before it to read them
+        assert len(pickle.dumps(kwargs.get("initargs", ()))) < 64 * 1024
         starts.append(workers)
         return executor(workers, **kwargs)
 

@@ -1,6 +1,9 @@
 import csv
 import io
+import tempfile
+import tracemalloc
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,10 +201,21 @@ def reference_load_csv(source, timestamp_col="timestamp", value_col="value", n=2
 
 
 def outcome(load, text, **kwargs):
-    """What `load` makes of `text`: the series' dates, value bytes and
-    warnings, or the error's type and message."""
+    """What `load` makes of `text`, the same from a text stream, a byte
+    stream and a file: the series' dates, value bytes and warnings, or
+    the error's type and message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_text(text, newline="")
+        got = [_outcome(load, source, **kwargs)
+               for source in (io.StringIO(text), io.BytesIO(text.encode()), path)]
+    assert got[1:] == got[:1] * 2
+    return got[0]
+
+
+def _outcome(load, source, **kwargs):
     try:
-        ts = load(io.StringIO(text), **kwargs)
+        ts = load(source, **kwargs)
     except Exception as exc:  # the reference may fail with any type
         return type(exc), str(exc)
     return ts.dates, ts.values.tobytes(), ts.warnings, ts.excluded.tobytes()
@@ -248,6 +262,7 @@ ODD_ROWS = {
     "year_only": "2012,1.0",
     "year_zero": "0000-01-01T05:00:00,1.0",
     "trailing_nul": "2012-01-01T05:00:00\0,1.0",
+    "nul_then_text": "2012-01-01T05:00:00\0junk,1.0",  # S20 keeps only the stamp
     "off_hour": "2012-01-01T05:30:00,1.0",
     "short": "2012-01-01T05:00:00",
     "nan": "2012-01-01T05:00:00,nan",
@@ -399,6 +414,13 @@ def test_fault_lines_count_blank_lines_and_crlf(fault, newline, tmp_path):
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("line 10:") or fault == "non_hourly_day"
     assert outcome(load_csv, text) == outcome(reference_load_csv, text)
+    # a byte stream is rescanned from where it was when passed, and left open
+    stream = io.BytesIO(b"preamble\n" + text.encode())
+    stream.readline()
+    with pytest.raises(error) as from_stream:
+        load_csv(stream)
+    assert str(from_stream.value) == str(want.value)
+    assert not stream.closed
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -406,10 +428,26 @@ def test_path_and_streams_load_alike(newline, tmp_path):
     text = stamped(iso, days=3, newline=newline)
     path = tmp_path / "series.csv"
     path.write_bytes(text.encode())
-    loads = [load_csv(path), load_csv(io.StringIO(text)), load_csv(io.BytesIO(text.encode()))]
+    stream = io.BytesIO(text.encode())
+    loads = [load_csv(path), load_csv(io.StringIO(text)), load_csv(stream)]
+    assert not stream.closed
     for ts in loads[1:]:
         assert ts.dates == loads[0].dates and ts.warnings == loads[0].warnings
         assert ts.values.tobytes() == loads[0].values.tobytes()
+
+
+def test_a_path_is_parsed_without_a_copy_of_its_text(tmp_path):
+    path = tmp_path / "series.csv"
+    write_csv(synth_generate(SynthSpec(days=1461), seed=7), path)
+    load_csv(path)  # what the first call sets up once is not the load's
+    tracemalloc.start()
+    try:
+        load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's text as one str and a StringIO copy took 7.5 times its size
+    assert peak < 4 * path.stat().st_size
 
 
 @settings(max_examples=50, deadline=None)
