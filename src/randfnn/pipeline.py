@@ -313,7 +313,8 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries) -> ExperimentReport
     a = actual[:, None, :]  # (days, 1, n), against each (days, trials, n) block
     for method, block in forecasts.items():
         pe = percentage_errors(a, block)
-        ape[method] = np.abs(pe).reshape(block.shape).mean(axis=1)
+        # day by day, so no second (days, trials, n) array is alive
+        ape[method] = np.stack([np.abs(d).mean(axis=0) for d in pe.reshape(block.shape)])
         summaries[method] = _summary(pe, a, block)
 
     wilcoxon = {}

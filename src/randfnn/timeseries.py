@@ -91,11 +91,10 @@ def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value",
              n: int = HOURS_PER_DAY) -> TimeSeries:
     """Read an hourly CSV (header row, ISO 8601 timestamps) into a TimeSeries.
 
-    Accepts a path or an open text/byte stream. A path, or a byte stream
-    read as UTF-8, is parsed from the open file without holding its text
-    whole, and read again from where it started to name a fault, so a byte
-    stream must be seekable. A text stream is copied first: its own line
-    splitting may not end a line at a lone CR. A timestamp is read as
+    Accepts a path or an open text/byte stream. A path is parsed from the
+    open file without holding its text whole, and read again from its
+    start to name a fault; a stream is read whole from where it is, bytes
+    as UTF-8. A timestamp is read as
     `datetime.fromisoformat` reads it stripped, any UTC offset dropped, and
     a value as `float` reads it. Whole missing days are allowed; partial
     days are dropped with a warning. Sub-hourly rows or hour gaps inside a
@@ -104,25 +103,20 @@ def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value",
     counts them. Only such a fault, or a timestamp not in the form
     `YYYY-MM-DDTHH:MM:SS`, makes `csv` rescan what `np.loadtxt` read.
     """
-    if not hasattr(source, "read"):
-        with open(source, "r", newline="") as fh:
-            return _read_series(fh, timestamp_col, value_col, n)
-    if isinstance(source.read(0), str):
-        return _read_series(io.StringIO(source.read(), newline=""), timestamp_col, value_col, n)
-    fh = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    try:
+    if hasattr(source, "read"):
+        text = source.read()
+        fh = io.StringIO(text.decode() if isinstance(text, bytes) else text, newline="")
         return _read_series(fh, timestamp_col, value_col, n)
-    finally:
-        fh.detach()  # leaves `source` open
+    with open(source, "r", newline="") as fh:
+        return _read_series(fh, timestamp_col, value_col, n)
 
 
 def _read_series(fh, timestamp_col, value_col, n):
-    """`load_csv` of a text file opened with `newline=""`, from where it is."""
-    start = fh.tell()
+    """`load_csv` of a seekable text file opened with `newline=""`."""
     # an S20 field ends at a NUL, dropping what follows, so only
     # `_parse_rows` reads a file with one
     nul = any("\0" in chunk for chunk in iter(lambda: fh.read(1 << 16), ""))
-    fh.seek(start)
+    fh.seek(0)
     header = next(csv.reader(fh), None)
     if header is None:
         raise ParseError("no observations")
@@ -136,7 +130,7 @@ def _read_series(fh, timestamp_col, value_col, n):
 
     rows = None if nul else _load_rows(fh, cols)
     if rows is None:
-        fh.seek(start)
+        fh.seek(0)
         rows = _parse_rows(fh, cols, len(header))
     stamps, values, found = rows
     if not stamps.size:

@@ -1,9 +1,11 @@
 import csv
 import io
+import os
 import tempfile
 import tracemalloc
 from datetime import date, datetime, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -414,7 +416,7 @@ def test_fault_lines_count_blank_lines_and_crlf(fault, newline, tmp_path):
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith("line 10:") or fault == "non_hourly_day"
     assert outcome(load_csv, text) == outcome(reference_load_csv, text)
-    # a byte stream is rescanned from where it was when passed, and left open
+    # a byte stream is read from where it is when passed, and left open
     stream = io.BytesIO(b"preamble\n" + text.encode())
     stream.readline()
     with pytest.raises(error) as from_stream:
@@ -429,7 +431,13 @@ def test_path_and_streams_load_alike(newline, tmp_path):
     path = tmp_path / "series.csv"
     path.write_bytes(text.encode())
     stream = io.BytesIO(text.encode())
-    loads = [load_csv(path), load_csv(io.StringIO(text)), load_csv(stream)]
+    read_only = SimpleNamespace(read=io.BytesIO(text.encode()).read)  # no seek, tell, readable
+    r, w = os.pipe()
+    os.write(w, text.encode())
+    os.close(w)
+    with os.fdopen(r, "rb") as pipe:
+        loads = [load_csv(path), load_csv(io.StringIO(text)), load_csv(stream),
+                 load_csv(read_only), load_csv(pipe)]
     assert not stream.closed
     for ts in loads[1:]:
         assert ts.dates == loads[0].dates and ts.warnings == loads[0].warnings
