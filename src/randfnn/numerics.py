@@ -3,25 +3,25 @@ local hyperplane fitting.
 
 All kernels operate on plain float64 numpy arrays and check their
 arguments on every call: no NaN/Inf, and 2-D (`as_matrix`) except where
-a kernel takes a stack. `pinv_factor` takes a stack (..., N, m) of
-matrices, one solve per matrix, and `pinv_apply` a stack of right-hand
-sides (..., N, p) that broadcasts against it; `randnn.trial_predictions`
-solves its stack of hidden outputs through them, so the rank cutoff
-lives here alone. `knn` takes a stack (Q, n) of queries, and
-`hyperplane_factors` a stack of point sets. `neighborhood_slopes` runs
-the three stacked for ddm, every point's local hyperplane fits at once;
-the one-query `knn` and `fit_hyperplane` are its bitwise reference.
+a kernel takes a stack. `pinv_solve` solves a stack (..., N, m), by QR
+where a guard proves a matrix's rank full, by SVD otherwise; the rank
+cutoff lives there alone, and `randnn` and the hyperplane fits all solve
+through it. `knn` takes a stack (Q, n) of queries. `neighborhood_slopes`
+runs `knn` and `fit_hyperplane` stacked for ddm, every point's local fits
+at once; their one-query and one-set calls are its bitwise reference.
 """
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
 
-__all__ = ["as_matrix", "sigmoid", "pinv_factor", "pinv_apply", "pinv_solve",
-           "knn", "fit_hyperplane", "hyperplane_factors", "neighborhood_slopes"]
+__all__ = ["as_matrix", "sigmoid", "pinv_solve", "knn", "fit_hyperplane",
+           "neighborhood_slopes"]
 
 # queries per block of `knn`'s (queries, points, n) difference array
 _KNN_BLOCK = 32
+# matrices per block of `pinv_solve`'s QR, which copies its block twice
+_SOLVE_BLOCK = 32
 
 
 def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -49,41 +49,48 @@ def sigmoid(z):
     return np.divide(1.0, h, out=h)[()]
 
 
-def pinv_factor(H) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor step of `pinv_solve`: (u, s_inv, vt) with pinv(H) =
-    vt.T @ diag(s_inv) @ u.T, from the SVD of H, an (N, m) matrix or a
-    stack (..., N, m) of them. The rank cutoff: reciprocals of singular
-    values up to ``max(N, m) * eps * s_max``, with s_max each matrix's
-    own largest, are set to zero (all of them for a zero matrix)."""
-    H = as_matrix(H, "H", stack=True)
-    u, s, vt = np.linalg.svd(H, full_matrices=False)
-    keep = s > max(H.shape[-2:]) * np.finfo(float).eps * s[..., :1]
-    return u, np.divide(1.0, s, out=np.zeros_like(s), where=keep), vt
-
-
-def pinv_apply(factors, Y) -> np.ndarray:
-    """Apply step of `pinv_solve`: B = pinv(H) @ Y from H's factors, one
-    B per matrix of a stack. `Y` is (N, p), shared by every matrix, or a
-    stack (..., N, p) that broadcasts against the factors' stack; each
-    (N, p) product is the one a lone H and Y get, so a stack of
-    single-column Y solves each column as `pinv_solve` solves it alone."""
-    Y = as_matrix(Y, "Y", stack=True)
-    u, s_inv, vt = factors
-    if u.shape[-2] != Y.shape[-2]:
-        raise ShapeError(f"row counts differ: H {u.shape[-2]} vs Y {Y.shape[-2]}")
-    return vt.swapaxes(-1, -2) @ (s_inv[..., None] * (u.swapaxes(-1, -2) @ Y))
-
-
 def pinv_solve(H, Y) -> np.ndarray:
-    """Minimum-norm least-squares solution B of H @ B ~= Y.
+    """Minimum-norm least-squares solution B of H @ B ~= Y, one B per
+    matrix of a stack: `H` is (N, m) or (..., N, m), and `Y` is (N, p),
+    shared by every matrix, or (..., N, p) with H's leading shape.
 
-    Computed from the SVD of H: singular values under `pinv_factor`'s
-    rank cutoff are treated as zero, which makes B the
-    minimum-Frobenius-norm minimizer of ||H B - Y||_F. Runs `pinv_factor`
-    then `pinv_apply`; callers that reuse one H call the two steps
-    themselves.
+    Singular values up to the rank cutoff ``max(N, m) * eps * s_max``,
+    with s_max each matrix's own largest, count as zero, which makes B the
+    minimum-Frobenius-norm minimizer of ||H B - Y||_F. With N >= m,
+    batched QR factors the stack, H = QR, and a matrix takes
+    B = R^-1 (Q'Y) if a guard proves all its singular values above the
+    cutoff: max|r_ii| / min|r_ii|, a lower bound of cond(R), must stay under
+    1 / (max(N, m) * eps), and then so must the upper bound
+    ||R||_F ||R^-1||_F. Every other matrix, and every one with N < m, is
+    solved from its SVD with the cutoff applied. The two answers agree to
+    rounding, and a matrix gets the bits it gets alone, whatever the stack.
     """
-    return pinv_apply(pinv_factor(H), Y)
+    H = as_matrix(H, "H", stack=True)
+    Y = as_matrix(Y, "Y", stack=True)
+    N, m = H.shape[-2:]
+    if Y.shape[-2] != N or Y.ndim > 2 and Y.shape[:-2] != H.shape[:-2]:
+        raise ShapeError(f"Y {Y.shape} does not fit H {H.shape}")
+    shape = H.shape[:-2] + (m, Y.shape[-1])
+    H = H.reshape(-1, N, m)
+    Y = Y if Y.ndim == 2 else Y.reshape(-1, N, Y.shape[-1])
+    tol = max(N, m) * np.finfo(float).eps
+    B = np.empty((len(H), m, Y.shape[-1]))
+    full = np.zeros(len(H), dtype=bool)
+    for lo in range(0, len(H) if N >= m > 0 else 0, _SOLVE_BLOCK):
+        part = slice(lo, lo + _SOLVE_BLOCK)
+        q, r = np.linalg.qr(H[part])
+        d = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        ok = tol * d.max(axis=1) < d.min(axis=1)  # else R may be singular: inv gets I
+        r_inv = np.linalg.inv(np.where(ok[:, None, None], r, np.eye(m)))
+        ok &= tol * np.linalg.norm(r, axis=(1, 2)) * np.linalg.norm(r_inv, axis=(1, 2)) < 1.0
+        full[part] = ok
+        B[part] = r_inv @ (q.swapaxes(1, 2) @ (Y if Y.ndim == 2 else Y[part]))
+    if not full.all():
+        u, s, vt = np.linalg.svd(H[~full], full_matrices=False)
+        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tol * s[:, :1])
+        uty = u.swapaxes(1, 2) @ (Y if Y.ndim == 2 else Y[~full])
+        B[~full] = vt.swapaxes(1, 2) @ (s_inv[..., None] * uty)
+    return B.reshape(shape)
 
 
 def knn(points, query, k: int) -> np.ndarray:
@@ -136,46 +143,53 @@ def _knn_rows(pts: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     return order[keep].reshape(len(queries), k)
 
 
-def fit_hyperplane(inputs, targets) -> tuple[np.ndarray, float]:
-    """Ordinary least-squares fit of ``targets ~ coeffs . x + intercept``.
+def fit_hyperplane(inputs, targets) -> tuple[np.ndarray, np.ndarray | float]:
+    """Least-squares fit of ``targets ~ coeffs . x + intercept``: the
+    `pinv_solve` of the design [X | 1], minimum-norm with fewer points than
+    dimensions. Points (K, n) with targets (K,) give coefficients (n,) and
+    a float; a block (K, p) gives (p, n) and (p,), every column in one
+    product. A stack (..., K, n) of point sets gives a stack of fits.
 
-    Solved as `pinv_solve` solves it, on the design matrix [X | 1]; with
-    fewer points than dimensions the minimum-norm solution is returned.
+    If every row of X sums to zero (|sum x| <= n * eps * sum |x|), as
+    encoded patterns do, [X | 1] has the null vector (1, ..., 1, 0). The
+    fit then solves [X Q | 1], Q an orthonormal basis of the zero-sum
+    vectors, and maps back with Q w: the same minimum-norm solution, to
+    rounding, from a design of full rank.
     """
-    X = as_matrix(inputs, "inputs")
-    t = np.asarray(targets, dtype=float).ravel()
-    if X.shape[0] == 0:
-        raise ParameterError("fit_hyperplane needs at least 2 points, got 0")
-    if X.shape[0] != t.shape[0]:
-        raise ShapeError(f"{X.shape[0]} inputs vs {t.shape[0]} targets")
-    if X.shape[0] < 2:
-        raise ParameterError("fit_hyperplane needs at least 2 points")
-    sol = pinv_apply(hyperplane_factors(X), t[:, None])[:, 0]
-    return sol[:-1], float(sol[-1])
-
-
-def hyperplane_factors(inputs):
-    """`pinv_factor` of the design matrix [X | 1] that `fit_hyperplane`
-    solves, for one point set (N, n) or a stack (..., N, n) of them."""
     X = as_matrix(inputs, "inputs", stack=True)
-    return pinv_factor(np.concatenate([X, np.ones(X.shape[:-1] + (1,))], axis=-1))
+    Y = np.asarray(targets, dtype=float)
+    block = Y.ndim == X.ndim
+    Y = Y if block else Y[..., None]
+    if Y.shape[:-1] != X.shape[:-1]:
+        raise ShapeError(f"inputs {X.shape} vs targets {np.shape(targets)}")
+    if X.shape[-2] < 2:
+        raise ParameterError(f"fit_hyperplane needs at least 2 points, got {X.shape[-2]}")
+    n = X.shape[-1]
+    centred = np.all(np.abs(X.sum(axis=-1)) <= n * np.finfo(float).eps * np.abs(X).sum(axis=-1))
+    design = np.ones(X.shape[:-1] + (n if centred else n + 1,))  # [X Q | 1] or [X | 1]
+    if centred:
+        basis = np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:]
+        np.matmul(X, basis, out=design[..., :-1])
+    else:
+        design[..., :-1] = X
+    sol = pinv_solve(design, Y)
+    coeffs = (basis @ sol[..., :-1, :] if centred else sol[..., :-1, :]).swapaxes(-1, -2)
+    return (coeffs, sol[..., -1, :]) if block else (coeffs[..., 0, :], sol[..., -1, 0][()])
 
 
 def neighborhood_slopes(points, targets, k: int) -> np.ndarray:
-    """Slopes (N, p, n) of every point's local hyperplanes: entry [i, c]
-    is bitwise `fit_hyperplane`'s coefficients for target column c over
-    point i and its `knn(points, points[i], k)` neighbors.
+    """Slopes (N, p, n) of every point's local hyperplanes: entry [i] is
+    bitwise `fit_hyperplane(points[hood], targets[hood])[0]` over point i
+    and its `knn(points, points[i], k)` neighbors, whenever that
+    neighborhood meets `fit_hyperplane`'s zero-sum condition exactly when
+    all of `points` do (always, for encoded patterns).
 
-    Built in three whole-array passes: one stacked `knn`, one stacked
-    `hyperplane_factors` of the (N, k+1, n) neighborhoods, and one
-    stacked `pinv_apply` in which every (point, column) right-hand side
-    is still its own single-column product.
+    Built in two whole-array passes: one stacked `knn`, and one stacked
+    `fit_hyperplane` of the (N, k+1) neighborhoods and their target blocks.
     """
     X = as_matrix(points, "points")
     Y = as_matrix(targets, "targets")
     if X.shape[0] != Y.shape[0]:
         raise ShapeError(f"{X.shape[0]} points vs {Y.shape[0]} targets")
     hoods = np.concatenate((np.arange(X.shape[0])[:, None], knn(X, X, k)), axis=1)
-    u, s_inv, vt = hyperplane_factors(X[hoods])
-    columns = np.ascontiguousarray(Y[hoods].transpose(0, 2, 1))[..., None]  # (N, p, k+1, 1)
-    return pinv_apply((u[:, None], s_inv[:, None], vt[:, None]), columns)[..., :-1, 0]
+    return fit_hyperplane(X[hoods], Y[hoods])[0]

@@ -1,8 +1,9 @@
 """Randomized single-hidden-layer feedforward network.
 
 Hidden-node parameters are generated, never trained; only the output
-weights are fit, in closed form, through the pseudoinverse of the hidden
-layer output matrix. Four generators are provided:
+weights are fit, in closed form, as the minimum-norm least-squares
+solution for the hidden layer output matrix (`numerics.pinv_solve`).
+Four generators are provided:
 
 * ``standard``  - weights and biases i.i.d. uniform on [-u, u].
 * ``ram``       - weights uniform on [-u, u]; each bias is set so the
@@ -34,19 +35,18 @@ A ddm node's slopes depend only on the training set, k, its anchor and
 its target component. So ``ddm`` builds the whole (N, p, n) table of
 them once per training set and k, in whole-array passes
 (`numerics.neighborhood_slopes`: one stacked kNN over every anchor, one
-stacked SVD of the neighborhood designs, one stacked apply), and gathers
-each layer's weights from it with one fancy index. The tables live in
-`TrainingSet.memo`, one per k, so a grid search draws every k of a fold
-from one stream per trial, as the other methods draw their smoothing
-values. Their slopes equal, bit for bit, what the per-node kNN
-+ `fit_hyperplane` computation returns: the same kernels, each stacked
-row running the computation of one lone call, and each component still
-solved as its own single-column product.
+stacked solve of the neighborhood designs, every component in one
+product), and gathers each layer's weights from it with one fancy index.
+The tables live in `TrainingSet.memo`, one per k, so a grid search draws
+every k of a fold from one stream per trial, as the other methods draw
+their smoothing values. A table's row for an anchor is, bit for bit,
+`fit_hyperplane` over the anchor's kNN neighborhood with all target
+columns as one block.
 
 `trial_predictions` trains a stack of drawn layers at once (one stacked
-`H`, one batched SVD): a forecast day's trials, or a fold's trials at
-every smoothing value of a grid. `fit` and `predict`, one network each,
-are the reference it matches bit for bit.
+`H`, one stacked `numerics.pinv_solve`): a forecast day's trials, or a
+fold's trials at every smoothing value of a grid. `fit` and `predict`,
+one network each, are the reference it matches bit for bit.
 """
 
 import math
@@ -56,7 +56,7 @@ import numpy as np
 
 from .encoding import TrainingSet
 from .errors import ParameterError, ShapeError
-from .numerics import neighborhood_slopes, pinv_apply, pinv_factor, pinv_solve, sigmoid
+from .numerics import neighborhood_slopes, pinv_solve, sigmoid
 
 __all__ = [
     "METHODS",
@@ -293,7 +293,8 @@ def hidden_output(layer: HiddenLayer, x_patterns) -> np.ndarray:
 
 def fit(layer: HiddenLayer, phi: TrainingSet) -> RandFnnModel:
     """Closed-form output weights: the minimum-norm least-squares solution
-    of hidden_output(layer, X) @ beta = Y; the reference of `trial_predictions`."""
+    of hidden_output(layer, X) @ beta = Y, by `pinv_solve` (QR or SVD);
+    the reference of `trial_predictions`."""
     beta = pinv_solve(hidden_output(layer, phi.x), phi.y)
     return RandFnnModel(hidden=layer, beta=beta)
 
@@ -320,15 +321,16 @@ def trial_predictions(weights: np.ndarray, biases: np.ndarray, phi: TrainingSet,
     `weights` (L, m, n) and `biases` (L, m), each trained on `phi`:
     bitwise `predict(fit(layer, phi), queries)` per layer, since each
     stacked product runs, per layer and query, the BLAS call of `fit` or
-    `predict`. The (L, N, m) stack of hidden outputs goes through
-    `pinv_factor` and `pinv_apply`, which check it.
+    `predict`. The (L, N, m) stack of hidden outputs goes through one
+    `pinv_solve`, which checks it and routes each matrix to QR or SVD as
+    it routes that matrix alone.
     """
     Wt = weights.transpose(0, 2, 1)  # (L, n, m)
     b = biases[:, None, :]  # (L, 1, m)
     Z = phi.x @ Wt
     Z += b
     H = sigmoid(Z)
-    del Z  # H alone is held through the SVD
-    beta = pinv_apply(pinv_factor(H), phi.y)
+    del Z  # H alone is held through the solve
+    beta = pinv_solve(H, phi.y)
     H = sigmoid(np.matmul(queries[None, :, None, :], Wt[:, None])[:, :, 0, :] + b)
     return np.matmul(H[:, :, None, :], beta[:, None])[:, :, 0, :]

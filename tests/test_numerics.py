@@ -8,20 +8,51 @@ from randfnn.errors import ParameterError, ShapeError
 from randfnn.numerics import (
     as_matrix,
     fit_hyperplane,
-    hyperplane_factors,
     knn,
     neighborhood_slopes,
-    pinv_apply,
-    pinv_factor,
     pinv_solve,
     sigmoid,
 )
+
+EPS = np.finfo(float).eps
 
 
 def ridge_solve(H, Y, lam=1e-10):
     """Normal-equations oracle: (H'H + lam I)^-1 H'Y."""
     m = H.shape[1]
     return np.linalg.solve(H.T @ H + lam * np.eye(m), H.T @ Y)
+
+
+def min_norm_oracle(H, Y):
+    """pinv(H) @ Y from numpy's own SVD, with pinv_solve's rank cutoff."""
+    u, s, vt = np.linalg.svd(H, full_matrices=False)
+    keep = s > max(H.shape) * EPS * s[0]
+    return vt[keep].T @ ((u[:, keep].T @ Y) / s[keep, None])
+
+
+def centred(x):
+    """Rows shifted to zero sum, as encoded patterns are."""
+    return x - x.mean(axis=-1, keepdims=True)
+
+
+def zero_sum_basis(n):
+    """An orthonormal basis (n, n-1) of the vectors whose entries sum to zero."""
+    return np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:]
+
+
+@pytest.fixture
+def svd_matrices(monkeypatch):
+    """The number of matrices of each call that reaches np.linalg.svd,
+    which only pinv_solve's fallback route calls."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(1 if a.ndim == 2 else len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
 
 
 class TestSigmoid:
@@ -76,13 +107,16 @@ class TestPinvSolve:
         beta = pinv_solve(h, y)
         np.testing.assert_allclose(beta, ridge_solve(h, y), atol=1e-6)
 
-    def test_duplicated_column_rank_deficient(self):
+    def test_duplicated_column_rank_deficient(self, svd_matrices):
         rng = np.random.default_rng(11)
         h = rng.normal(size=(10, 4))
         h[:, 3] = h[:, 1]
         y = rng.normal(size=(10, 2))
         beta = pinv_solve(h, y)
+        assert svd_matrices == [1]  # a duplicated node takes the SVD
         assert np.all(np.isfinite(beta))
+        np.testing.assert_allclose(beta, min_norm_oracle(h, y), atol=1e-12)
+        np.testing.assert_allclose(beta[1], beta[3], atol=1e-12)  # its weight is split evenly
         res = np.linalg.norm(h @ beta - y)
         res_oracle = np.linalg.norm(h @ ridge_solve(h, y) - y)
         assert abs(res - res_oracle) < 1e-6
@@ -129,8 +163,8 @@ class TestPinvSolve:
 
 
 class TestPinvFactorApply:
-    """pinv_solve runs as a factor step and an apply step; ddm reuses one
-    factorization for several right-hand sides."""
+    """pinv_solve's two routes: QR where the guard proves full rank under
+    the cutoff, the SVD with the cutoff otherwise."""
 
     @staticmethod
     def graded(s, seed=0, rows=9):
@@ -155,75 +189,205 @@ class TestPinvFactorApply:
                           1e-20 * self.graded([1.0, 1e-3, 1e-5], seed=3)[0],
                           self.graded([2.0, 1.0, 0.5], seed=4)[0]])
         y = np.random.default_rng(3).normal(size=(9, 4))
-        factors = pinv_factor(stack)
-        assert [np.count_nonzero(s_inv) for s_inv in factors[1]] == [2, 3, 3]
-        solutions = pinv_apply(factors, y)
+        kept = [np.linalg.matrix_rank(pinv_solve(h, np.eye(9))) for h in stack]
+        assert kept == [2, 3, 3]
+        solutions = pinv_solve(stack, y)
         for i, h in enumerate(stack):
-            for stacked, alone in zip(factors, pinv_factor(h)):
-                assert stacked[i].tobytes() == alone.tobytes()
             assert solutions[i].tobytes() == pinv_solve(h, y).tobytes()
 
     def test_steps_give_pinv_solve_bits(self):
+        # each route is its numpy steps: QR, R^-1 and two products for a
+        # full-rank H; the SVD, the cutoff and three products otherwise
         rng = np.random.default_rng(5)
         h = rng.normal(size=(32, 25))
+        q, r = np.linalg.qr(h)
+        y = rng.normal(size=(32, 1))
+        assert pinv_solve(h, y).tobytes() == (np.linalg.inv(r) @ (q.T @ y)).tobytes()
         h[:, 7] = h[:, 3]  # rank deficient
-        factors = pinv_factor(h)
+        u, s, vt = np.linalg.svd(h, full_matrices=False)
+        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 32 * EPS * s[0])
         for _ in range(3):
             y = rng.normal(size=(32, 1))
-            assert pinv_apply(factors, y).tobytes() == pinv_solve(h, y).tobytes()
+            steps = vt.T @ (s_inv[:, None] * (u.T @ y))
+            assert pinv_solve(h, y).tobytes() == steps.tobytes()
 
-    def test_zero_matrix_gives_positive_zeros(self):
-        beta = pinv_apply(pinv_factor(np.zeros((3, 2))), -np.ones((3, 1)))
+    def test_zero_matrix_gives_positive_zeros(self, svd_matrices):
+        beta = pinv_solve(np.zeros((3, 2)), -np.ones((3, 1)))
+        assert svd_matrices == [1]
         assert beta.shape == (2, 1)
         assert beta.tobytes() == np.zeros((2, 1)).tobytes()
 
     def test_apply_checks_its_input(self):
-        factors = pinv_factor(np.ones((3, 2)))
         with pytest.raises(ShapeError):
-            pinv_apply(factors, np.ones((4, 1)))
+            pinv_solve(np.ones((3, 2)), np.ones((4, 1)))
         with pytest.raises(ParameterError):
-            pinv_apply(factors, np.array([[1.0], [np.inf], [0.0]]))
+            pinv_solve(np.ones((3, 2)), np.array([[1.0], [np.inf], [0.0]]))
 
     def test_stacked_columns_give_per_column_bits(self):
+        # a (5, 3) stack: each matrix repeated for three single-column
+        # right-hand sides, each solved as it is solved alone
         rng = np.random.default_rng(9)
         stack = rng.normal(size=(5, 12, 7))
         stack[2, :, 4] = stack[2, :, 1]  # rank deficient
-        y = rng.normal(size=(5, 3, 12, 1))  # three single-column right-hand sides per matrix
-        factors = pinv_factor(stack)
-        got = pinv_apply(tuple(f[:, None] for f in factors), y)
+        y = rng.normal(size=(5, 3, 12, 1))
+        got = pinv_solve(np.broadcast_to(stack[:, None], (5, 3, 12, 7)), y)
         assert got.shape == (5, 3, 7, 1)
         for i, h in enumerate(stack):
-            alone = pinv_factor(h)
             for c in range(3):
-                assert got[i, c].tobytes() == pinv_apply(alone, y[i, c]).tobytes()
+                assert got[i, c].tobytes() == pinv_solve(h, y[i, c]).tobytes()
 
     def test_apply_checks_a_stacked_input(self):
-        factors = pinv_factor(np.ones((2, 3, 2)))
+        h = np.ones((2, 3, 2))
         with pytest.raises(ShapeError):
-            pinv_apply(factors, np.ones((2, 4, 1)))
+            pinv_solve(h, np.ones((2, 4, 1)))
         with pytest.raises(ShapeError):
-            pinv_apply(factors, np.ones(3))
+            pinv_solve(h, np.ones(3))
+        with pytest.raises(ShapeError):  # per-matrix Y for three matrices
+            pinv_solve(h, np.ones((3, 3, 1)))
         y = np.ones((2, 3, 1))
         y[1, 2, 0] = np.nan
         with pytest.raises(ParameterError):
-            pinv_apply(factors, y)
+            pinv_solve(h, y)
 
     def test_stacked_hyperplane_factors_match_each_set(self):
+        # stacked hyperplane designs [X | 1], one with a duplicated point
         rng = np.random.default_rng(10)
         sets = rng.normal(size=(2, 4, 9, 5))
         sets[1, 3, 6] = sets[1, 3, 2]
-        stacked = hyperplane_factors(sets)
+        designs = np.concatenate([sets, np.ones((2, 4, 9, 1))], axis=-1)
+        targets = rng.normal(size=(2, 4, 9, 3))
+        stacked = pinv_solve(designs, targets)
         for idx in np.ndindex(2, 4):
-            for a, b in zip(stacked, hyperplane_factors(sets[idx])):
-                assert a[idx].tobytes() == b.tobytes()
+            assert stacked[idx].tobytes() == pinv_solve(designs[idx], targets[idx]).tobytes()
 
     def test_hyperplane_factors_solve_fit_hyperplane(self):
+        # fit_hyperplane solves [X | 1], or [X Q | 1] mapped back by Q when
+        # every row of X sums to zero
         rng = np.random.default_rng(6)
         x = rng.normal(size=(12, 5))
         t = rng.normal(size=12)
         coeffs, intercept = fit_hyperplane(x, t)
-        sol = pinv_apply(hyperplane_factors(x), t[:, None])[:, 0]
+        sol = pinv_solve(np.hstack([x, np.ones((12, 1))]), t[:, None])[:, 0]
         assert sol[:-1].tobytes() == coeffs.tobytes() and sol[-1] == intercept
+        q = zero_sum_basis(5)
+        coeffs, intercept = fit_hyperplane(centred(x), t)
+        sol = pinv_solve(np.hstack([centred(x) @ q, np.ones((12, 1))]), t[:, None])
+        assert (q @ sol[:-1])[:, 0].tobytes() == coeffs.tobytes() and sol[-1, 0] == intercept
+
+
+class TestRouting:
+    """Which matrices the guard sends to the SVD, and that the minimum-norm
+    answer holds on either route."""
+
+    def test_full_rank_stack_takes_qr(self, svd_matrices):
+        rng = np.random.default_rng(20)
+        h = rng.normal(size=(4, 30, 8))
+        y = rng.normal(size=(30, 2))
+        got = pinv_solve(h, y)
+        assert svd_matrices == []
+        for i in range(4):
+            np.testing.assert_allclose(got[i], min_norm_oracle(h[i], y), rtol=1e-10, atol=1e-12)
+
+    def test_more_columns_than_rows(self, svd_matrices):
+        rng = np.random.default_rng(21)
+        h = rng.normal(size=(3, 6, 15))
+        y = rng.normal(size=(3, 6, 2))
+        got = pinv_solve(h, y)
+        assert svd_matrices == [3]
+        for i in range(3):
+            np.testing.assert_allclose(got[i], min_norm_oracle(h[i], y[i]), atol=1e-12)
+            np.testing.assert_allclose(h[i] @ got[i], y[i], atol=1e-10)
+
+    @pytest.mark.parametrize("s3, kept", [(1e-8, True), (4 * 9 * EPS, True),
+                                          (0.25 * 9 * EPS, False)])  # cutoff 9 * eps
+    def test_graded_matrix_on_each_side_of_the_cutoff(self, s3, kept):
+        h, u, v = TestPinvFactorApply.graded([1.0, 1e-3, s3], seed=7)
+        y = u[:, 2:] + 0.5 * u[:, :1]
+        beta = pinv_solve(h, y)
+        along = (v[:, 2] @ beta)[0]  # the component of the smallest direction
+        if kept:
+            assert along == pytest.approx(1.0 / s3, rel=0.1)
+        else:
+            assert abs(along) < 1e-6
+        if s3 > 1e-10 or not kept:  # at cond 1e14, 1/s3's rounding reaches every direction
+            np.testing.assert_allclose(v[:, 0] @ beta, [0.5], rtol=1e-6)
+
+    def test_mixed_stack_gives_each_matrix_its_lone_bits(self, svd_matrices):
+        rng = np.random.default_rng(23)
+        stack = rng.normal(size=(6, 20, 5))
+        stack[1, :, 4] = stack[1, :, 0]  # duplicated node: SVD
+        stack[3] = 0.0  # zero matrix: SVD
+        stack[5] *= 1e-30  # full rank at any scale: QR
+        for y in (rng.normal(size=(20, 3)), rng.normal(size=(6, 20, 3))):
+            svd_matrices.clear()
+            got = pinv_solve(stack, y)
+            assert svd_matrices == [2]
+            for i, h in enumerate(stack):
+                alone = pinv_solve(h, y if y.ndim == 2 else y[i])
+                assert got[i].tobytes() == alone.tobytes()
+
+    def test_shapes_do_not_depend_on_the_numpy_version(self):
+        # numpy 2.0 changed how np.linalg.solve broadcasts its right-hand
+        # side; each shape pinv_solve takes keeps one meaning
+        rng = np.random.default_rng(24)
+        h = rng.normal(size=(30, 6))
+        for p in (1, 4):
+            y = rng.normal(size=(30, p))
+            assert pinv_solve(h, y).shape == (6, p)
+            np.testing.assert_allclose(pinv_solve(h, y), min_norm_oracle(h, y), rtol=1e-10)
+        for stack, y in ((rng.normal(size=(5, 30, 6)), rng.normal(size=(30, 4))),
+                         (rng.normal(size=(5, 30, 6)), rng.normal(size=(5, 30, 4))),
+                         (rng.normal(size=(5, 30, 6)), rng.normal(size=(5, 30, 1))),
+                         (rng.normal(size=(6, 6, 6)), rng.normal(size=(6, 6)))):
+            got = pinv_solve(stack, y)
+            assert got.shape == (len(stack), 6, y.shape[-1])
+            for i, h in enumerate(stack):
+                alone = pinv_solve(h, y if y.ndim == 2 else y[i])
+                assert got[i].tobytes() == alone.tobytes()
+                np.testing.assert_allclose(alone, min_norm_oracle(h, y if y.ndim == 2 else y[i]),
+                                           rtol=1e-8, atol=1e-10)
+
+    def test_neighborhood_with_a_duplicated_row(self, svd_matrices):
+        # k + 1 = n centred points, two of them equal: the projected design
+        # [X Q | 1] (n columns) has rank n - 1
+        rng = np.random.default_rng(25)
+        x = centred(rng.normal(size=(6, 6)))
+        x[4] = x[1]
+        t = rng.normal(size=(6, 2))
+        coeffs, intercepts = fit_hyperplane(x, t)
+        assert svd_matrices == [1]
+        oracle = min_norm_oracle(np.hstack([x, np.ones((6, 1))]), t)
+        np.testing.assert_allclose(coeffs, oracle[:-1].T, atol=1e-10)
+        np.testing.assert_allclose(intercepts, oracle[-1], atol=1e-10)
+
+    def test_fewer_neighbors_than_dimensions(self, svd_matrices):
+        # k + 1 < n: the hyperplanes interpolate, with minimum norm
+        rng = np.random.default_rng(26)
+        x = centred(rng.normal(size=(5, 12)))
+        t = rng.normal(size=(5, 3))
+        coeffs, intercepts = fit_hyperplane(x, t)
+        assert svd_matrices == [1]
+        np.testing.assert_allclose(x @ coeffs.T + intercepts, t, atol=1e-10)
+        oracle = min_norm_oracle(np.hstack([x, np.ones((5, 1))]), t)
+        np.testing.assert_allclose(coeffs, oracle[:-1].T, atol=1e-10)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-3])
+    def test_projection_only_for_centred_points(self, svd_matrices, shift):
+        # centred points: the projected design has full rank and takes QR;
+        # rows shifted off zero sum keep [X | 1], which has full rank too
+        rng = np.random.default_rng(27)
+        x = centred(rng.normal(size=(20, 6))) + shift * rng.normal(size=(20, 1))
+        t = rng.normal(size=20)
+        coeffs, intercept = fit_hyperplane(x, t)
+        assert svd_matrices == []
+        design = np.hstack([x, np.ones((20, 1))])
+        if shift:
+            sol = pinv_solve(design, t[:, None])[:, 0]
+            assert sol[:-1].tobytes() == coeffs.tobytes() and sol[-1] == intercept
+        oracle = min_norm_oracle(design, t[:, None])[:, 0]
+        np.testing.assert_allclose(np.append(coeffs, intercept), oracle, rtol=1e-9, atol=1e-12)
+        if not shift:
+            assert abs(coeffs.sum()) < 1e-12  # nothing along (1, ..., 1)
 
 
 class TestKnn:
@@ -334,16 +498,16 @@ class TestFitHyperplane:
 
 def test_neighborhood_slopes_match_per_point_fits():
     rng = np.random.default_rng(12)
-    x = rng.normal(size=(30, 6))
-    x[17] = x[5]
+    raw = rng.normal(size=(30, 6))
     y = rng.normal(size=(30, 3))
-    for k in (1, 7, 29):
-        slopes = neighborhood_slopes(x, y, k)
-        assert slopes.shape == (30, 3, 6)
-        for i in range(30):
-            hood = np.concatenate(([i], knn(x, x[i], k)))
-            for c in range(3):
-                assert slopes[i, c].tobytes() == fit_hyperplane(x[hood], y[hood, c])[0].tobytes()
+    for x in (raw, centred(raw)):  # the full design, then the projected one
+        x[17] = x[5]
+        for k in (1, 7, 29):  # k + 1 < n, k + 1 > n, the whole set
+            slopes = neighborhood_slopes(x, y, k)
+            assert slopes.shape == (30, 3, 6)
+            for i in range(30):
+                hood = np.concatenate(([i], knn(x, x[i], k)))
+                assert slopes[i].tobytes() == fit_hyperplane(x[hood], y[hood])[0].tobytes()
     with pytest.raises(ShapeError):
         neighborhood_slopes(x, y[:-1], 3)
 

@@ -208,12 +208,13 @@ def ddm_draws(m, phi, rng):
 
 
 def reference_ddm(m, k, phi, rng):
-    """A ddm layer without the cache: a kNN and a hyperplane fit per node."""
+    """A ddm layer without the cache: a kNN and a hyperplane fit per node,
+    all target columns in one block, as the table solves them."""
     anchors, components = ddm_draws(m, phi, rng)
     weights = np.empty((m, phi.n))
     for j, (centre, comp) in enumerate(zip(anchors, components)):
         hood = np.concatenate(([centre], knn(phi.x, phi.x[centre], k)))
-        weights[j] = 4.0 * fit_hyperplane(phi.x[hood], phi.y[hood, comp])[0]
+        weights[j] = 4.0 * fit_hyperplane(phi.x[hood], phi.y[hood])[0][comp]
     return weights, -np.einsum("ij,ij->i", weights, phi.x[anchors])
 
 
