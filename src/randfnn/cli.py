@@ -6,7 +6,7 @@ complete, and the skipped days are listed on stderr and in report.json);
 130 interrupted (Ctrl-C). Every command is deterministic given --seed.
 tune and forecast print the series' load warnings (partial days
 dropped, exclusion dates not in the series) on stderr as
-`warning: ...`.
+`warning: ...`. evaluate and compare read CSV in `load_csv`'s dialect.
 
 `tune` runs each weekday's search as the `pipeline._search` task that
 `forecast --tuning once` runs, with the same seed, and writes the
@@ -32,7 +32,6 @@ import csv
 import json
 import operator
 import sys
-import warnings
 from dataclasses import fields
 from datetime import date
 from pathlib import Path
@@ -59,6 +58,9 @@ from .pipeline import (
 from .randnn import METHODS, HyperParams
 from .timeseries import (
     SynthSpec,
+    _csv_records,
+    _loadtxt,
+    _number,
     exclude_days,
     load_csv,
     load_exclusions,
@@ -366,34 +368,32 @@ def cmd_evaluate(args) -> int:
     """Print each method's metrics over every sample of a forecasts.csv.
 
     The file is CSV with a header naming at least method, date, trial,
-    hour, forecast and actual, in any order and among other columns.
-    Fields may be quoted with `"`; blank lines are skipped. Methods are
-    reported in the order they first appear. The body is parsed in one
-    `np.loadtxt` pass; numbers are read as `float` does, except that `_`
-    digit separators and non-ASCII digits are rejected. A short row or a
-    bad number is a ParseError and a zero actual a MetricError, both
-    naming the first faulty line in file order as `path:LINE:`.
+    hour, forecast and actual, in any order and among other columns, read
+    in `timeseries`' CSV dialect: stripped names, `"` quoting, empty lines
+    skipped, numbers as `np.loadtxt` reads them. Methods are reported in
+    the order they first appear. The body is parsed in one `np.loadtxt`
+    pass. A short row or a bad or non-finite number is a ParseError and a
+    zero actual a MetricError, both naming the first faulty line in file
+    order as `path:LINE:`.
     """
     path = args.forecasts
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), [])
+        header, _ = _csv_records(fh)
         needed = {"method", "date", "trial", "hour", "forecast", "actual"}
-        if not needed <= set(header):
+        if not needed <= set(header or ()):
             raise ParameterError(f"{path} lacks columns {sorted(needed)}")
         cols = tuple(header.index(c) for c in ("method", "actual", "forecast"))
         codes = _Codes()
         try:
-            with warnings.catch_warnings():  # a header-only file is reported below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(fh, delimiter=",", usecols=cols, quotechar='"',
-                                  comments=None, ndmin=1, converters={cols[0]: codes.__getitem__},
-                                  dtype=[("code", "i4"), ("actual", "f8"), ("forecast", "f8")])
+            rows = _loadtxt(fh, cols, [("code", "i4"), ("actual", "f8"), ("forecast", "f8")],
+                            converters={cols[0]: codes.__getitem__})
         except ValueError as exc:
-            _raise_first_fault(path, cols)
+            _raise_first_fault(path, fh, cols)
             raise ParseError(f"{path}: {exc}") from None
-    code, actual, forecast = rows["code"], rows["actual"], rows["forecast"]
-    if (actual == 0.0).any():
-        _raise_first_fault(path, cols)
+        code, actual, forecast = rows["code"], rows["actual"], rows["forecast"]
+        if ((actual == 0.0).any() or not np.isfinite(actual).all()
+                or not np.isfinite(forecast).all()):
+            _raise_first_fault(path, fh, cols)
     if not codes:
         raise ParameterError(f"{path} has no rows")
 
@@ -418,57 +418,51 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _number(text: str) -> float:
-    """`text` as `np.loadtxt` reads a float: as `float` does, without `_`
-    digit separators or non-ASCII digits."""
-    if "_" in text or not text.strip().isascii():
-        raise ValueError(f"not a number: {text!r}")
-    return float(text)
-
-
-def _raise_first_fault(path, cols) -> None:
+def _raise_first_fault(path, fh, cols) -> None:
     """Rescan forecasts.csv row by row and raise the error of its first
     faulty row with its physical line: a ParseError for a short row or a
-    bad number, a MetricError for a zero actual."""
+    bad or non-finite number, a MetricError for a zero actual."""
     im, ia, iv = cols
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        try:
-            for row in reader:
-                if not row:  # blank line, skipped as in the loadtxt pass
-                    continue
-                row[im]  # a row too short for the method column
-                if _number(row[ia]) == 0.0:
-                    raise MetricError(f"{path}:{reader.line_num}: actual value is zero, "
-                                      "percentage errors are undefined")
-                _number(row[iv])
-        except (IndexError, ValueError):
-            raise ParseError(f"{path}:{reader.line_num}: bad or missing method, actual or "
-                             "forecast value") from None
+    try:
+        for lineno, row in _csv_records(fh)[1]:
+            row[im]  # a row too short for the method column
+            actual = _number(row[ia])
+            if actual == 0.0:
+                raise MetricError(f"{path}:{lineno}: actual value is zero, "
+                                  "percentage errors are undefined")
+            if not np.isfinite([actual, _number(row[iv])]).all():
+                raise ValueError
+    except (IndexError, ValueError):
+        raise ParseError(f"{path}:{lineno}: bad or missing method, actual or "
+                         "forecast value") from None
 
 
 def _read_ape_records(path) -> dict:
-    """method -> {(date, hour): ape} from an ape_records.csv. A repeated
-    (method, date, hour) is a ParseError: keeping either value would pair
-    the Wilcoxon test on records the file does not hold once."""
+    """method -> {(date, hour): ape} from an ape_records.csv in `timeseries`'
+    CSV dialect, each hour whole and each APE finite and not negative. A
+    repeated (method, date, hour) is a ParseError: keeping either value
+    would pair the Wilcoxon test on records the file does not hold once."""
     series: dict = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"method", "date", "hour", "ape"}
-        if not needed <= set(reader.fieldnames or ()):
+        header, rows = _csv_records(fh)
+        needed = ("method", "date", "hour", "ape")
+        if not set(needed) <= set(header or ()):
             raise ParameterError(f"{path} lacks columns {sorted(needed)}")
-        for row in reader:
+        cols = [header.index(c) for c in needed]
+        for lineno, row in rows:
             try:
-                key = (row["date"], int(row["hour"]))
-                ape = float(row["ape"])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}:{reader.line_num}: bad or missing hour or "
+                method, day, hour, ape = [row[i] for i in cols]
+                hour, ape = _number(hour), _number(ape)
+                if not hour.is_integer() or not 0.0 <= ape < np.inf:
+                    raise ValueError
+            except (IndexError, ValueError):
+                raise ParseError(f"{path}:{lineno}: bad or missing hour or "
                                  "ape value") from None
-            records = series.setdefault(row["method"], {})
+            key = (day, int(hour))
+            records = series.setdefault(method, {})
             if key in records:
-                raise ParseError(f"{path}:{reader.line_num}: repeated record {row['method']} "
-                                 f"{key[0]} h{key[1]}")
+                raise ParseError(f"{path}:{lineno}: repeated record {method} "
+                                 f"{day} h{key[1]}")
             records[key] = ape
     if not series:
         raise ParameterError(f"{path} has no rows")

@@ -8,9 +8,11 @@ daylight-saving shifts) are rejected outright. Exclusion of atypical days
 (holidays) is a per-day flag, not a deletion, so serialization round-trips.
 
 `load_csv` reads ISO 8601 timestamps as `datetime.fromisoformat` does, at
-local wall-clock time. One `np.loadtxt` pass reads a body in `write_csv`'s
-form (`YYYY-MM-DDTHH:MM:SS` timestamps); the `csv` reader rescans a file
-only to name a fault's line or to read the other forms.
+local wall-clock time. Every CSV file the program reads, here and in `cli`,
+is in one dialect: stripped header names, one `np.loadtxt` pass over the
+body (`_loadtxt`), a `csv` rescan from the file's start that skips only
+empty lines and names a row's physical line (`_csv_records`), numbers as
+`np.loadtxt` reads them (`_number`), and finite values.
 """
 
 import csv
@@ -94,13 +96,13 @@ def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value",
     Accepts a path or an open text/byte stream. A path is parsed from the
     open file without holding its text whole, and read again from its
     start to name a fault; a stream is read whole from where it is, bytes
-    as UTF-8. A timestamp is read as
+    as UTF-8, in the module's CSV dialect. A timestamp is read as
     `datetime.fromisoformat` reads it stripped, any UTC offset dropped, and
-    a value as `float` reads it. Whole missing days are allowed; partial
-    days are dropped with a warning. Sub-hourly rows or hour gaps inside a
-    day raise `ResolutionError`, repeated timestamps raise
-    `DuplicateTimestampError`; a row's error names its line as `csv`
-    counts them. Only such a fault, or a timestamp not in the form
+    a value as `np.loadtxt` reads a float (`_number`). Whole missing days
+    are allowed; partial days are dropped with a warning. Sub-hourly rows
+    or hour gaps inside a day raise `ResolutionError`, repeated timestamps
+    raise `DuplicateTimestampError`; a row's error names the physical line
+    it ends on. Only such a fault, or a timestamp not in the form
     `YYYY-MM-DDTHH:MM:SS`, makes `csv` rescan what `np.loadtxt` read.
     """
     if hasattr(source, "read"):
@@ -116,11 +118,9 @@ def _read_series(fh, timestamp_col, value_col, n):
     # an S20 field ends at a NUL, dropping what follows, so only
     # `_parse_rows` reads a file with one
     nul = any("\0" in chunk for chunk in iter(lambda: fh.read(1 << 16), ""))
-    fh.seek(0)
-    header = next(csv.reader(fh), None)
+    header, _ = _csv_records(fh)
     if header is None:
         raise ParseError("no observations")
-    header = [h.strip() for h in header]
     try:
         cols = (header.index(timestamp_col), header.index(value_col))
     except ValueError:
@@ -130,7 +130,6 @@ def _read_series(fh, timestamp_col, value_col, n):
 
     rows = None if nul else _load_rows(fh, cols)
     if rows is None:
-        fh.seek(0)
         rows = _parse_rows(fh, cols, len(header))
     stamps, values, found = rows
     if not stamps.size:
@@ -168,15 +167,14 @@ def _load_rows(fh, cols):
     non-finite row, or a timestamp not `YYYY-MM-DDTHH:MM:SS` from year 1."""
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty body, a "Z" suffix
-            body = np.loadtxt(fh, delimiter=",", usecols=cols, quotechar='"',
-                              comments=None, ndmin=1, dtype=[("t", "S20"), ("v", "f8")])
+            warnings.simplefilter("error")  # a "Z" suffix
+            body = _loadtxt(fh, cols, [("t", "S20"), ("v", "f8")])
             raw = np.ascontiguousarray(body["t"])
             stamps, values = raw.astype("datetime64[s]"), body["v"]
     except (ValueError, Warning):
         return None
     if (((raw.view(np.uint8).reshape(-1, 20) - _CANONICAL) <= _DIGIT).all()
-            and stamps[0] >= np.datetime64("0001-01-01")
+            and (stamps[:1] >= np.datetime64("0001-01-01")).all()
             and (np.diff(stamps) > np.timedelta64(0)).all()
             and not (stamps.astype(np.int64) % 3600).any() and np.isfinite(values).all()):
         return stamps, values, None
@@ -184,16 +182,12 @@ def _load_rows(fh, cols):
 
 
 def _parse_rows(fh, cols, width):
-    """The file row by row through `csv` from its header, raising the first
-    row's fault, as (stamps, values, found) with each row's (line,
-    datetime) in `found`."""
-    reader = csv.reader(fh)
-    next(reader)
+    """The file's rows through `_csv_records`, raising the first row's
+    fault, as (stamps, values, found) with each row's (line, datetime) in
+    `found`."""
     t_idx, v_idx = cols
     found, values = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
+    for lineno, row in _csv_records(fh)[1]:
         if len(row) <= max(cols):
             raise ParseError(f"line {lineno}: expected {width} columns")
         try:
@@ -203,7 +197,7 @@ def _parse_rows(fh, cols, width):
         if ts.minute or ts.second or ts.microsecond:
             raise ResolutionError(f"line {lineno}: timestamp {row[t_idx]!r} is not on the hour")
         try:
-            value = float(row[v_idx])
+            value = _number(row[v_idx])
         except ValueError:
             raise ParseError(f"line {lineno}: bad value {row[v_idx]!r}") from None
         if not np.isfinite(value):
@@ -212,6 +206,34 @@ def _parse_rows(fh, cols, width):
         values.append(value)
     stamps = np.array([ts.replace(tzinfo=None) for _, ts in found], dtype="datetime64[s]")
     return stamps, np.array(values, dtype=float), found
+
+
+def _csv_records(fh):
+    """A seekable file opened with `newline=""`, read by `csv` from its start:
+    the stripped header names (None if empty) and an iterator of (physical
+    line, fields) over non-empty rows; until it starts, `fh` is at the body."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    return (None if header is None else [name.strip() for name in header],
+            ((reader.line_num, row) for row in reader if row))
+
+
+def _loadtxt(fh, cols, dtype, converters=None):
+    """The columns `cols` from where `fh` stands, by `np.loadtxt`: empty lines
+    skipped, `"` quoting, no rows an empty array, a bad row a ValueError."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(fh, delimiter=",", usecols=cols, quotechar='"', comments=None,
+                          ndmin=1, dtype=dtype, converters=converters)
+
+
+def _number(text: str) -> float:
+    """`text` as `np.loadtxt` reads a float: as `float` does, without `_`
+    digit separators or non-ASCII digits."""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
 
 
 def write_csv(ts: TimeSeries, target) -> None:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -15,8 +16,9 @@ import pytest
 
 from randfnn import pipeline
 from randfnn.cli import main
+from randfnn.errors import RandfnnError
 from randfnn.randnn import MAX_U
-from randfnn.timeseries import SynthSpec, synth_generate, write_csv
+from randfnn.timeseries import SynthSpec, load_csv, synth_generate, write_csv
 
 HEADER = "method,date,trial,hour,forecast,actual\n"
 
@@ -92,6 +94,9 @@ def test_evaluate_zero_actual(tmp_path, capsys):
     ("ram", "2015-01-05", 0, 1, "abc", 2.0),
     ("ram", "2015-01-05", 0, 1, 1.0, ""),
     ("ram", "2015-01-05", 0, 1, 1.0),
+    ("ram", "2015-01-05", 0, 1, "nan", 2.0),
+    ("ram", "2015-01-05", 0, 1, 1.0, "inf"),
+    ("ram", "2015-01-05", 0, 1, "-inf", 2.0),
 ])
 def test_evaluate_malformed_number(tmp_path, capsys, bad_row):
     path = write_forecasts(tmp_path / "f.csv", [("ram", "2015-01-05", 0, 0, 1.0, 2.0), bad_row])
@@ -589,13 +594,16 @@ def test_compare_exit_codes(tmp_path, capsys):
     assert main(["compare", a, b, "--labels", "one"]) == 2
 
 
-@pytest.mark.parametrize("row", [("ram", "2015-01-05", 1, "abc"), ("ram", "2015-01-05", "x", 1.0)],
-                         ids=["ape", "hour"])
-def test_compare_malformed_number_exits_1(tmp_path, capsys, row):
+@pytest.mark.parametrize("hour, ape", [(1, "abc"), ("x", 1.0), (1, "nan"), (1, "inf"), (1, -3),
+                                       (1, "1_0"), (1, "١"), ("1_0", 1.0), (1.5, 1.0)],
+                         ids=["ape", "hour", "ape_nan", "ape_inf", "ape_negative",
+                              "ape_digit_separator", "ape_non_ascii", "hour_digit_separator",
+                              "hour_fraction"])
+def test_compare_malformed_number_exits_1(tmp_path, capsys, hour, ape):
     a = write_ape(tmp_path / "a.csv", [("ram", "2015-01-05", 0, 1.0)])
-    b = write_ape(tmp_path / "b.csv", [("ram", "2015-01-05", 0, 2.0), row])
+    b = write_ape(tmp_path / "b.csv", [("ram", "2015-01-05", 0, 2.0), ("ram", "2015-01-05", hour, ape)])
     assert main(["compare", a, b]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {b}:3: ")
+    assert capsys.readouterr().err.startswith(f"error: {b}:3: bad or missing hour or ape value")
 
 
 def test_compare_repeated_record_exits_1(tmp_path, capsys):
@@ -604,3 +612,52 @@ def test_compare_repeated_record_exits_1(tmp_path, capsys):
                                        ("ram", "2015-01-05", 0, 9.0)])
     assert main(["compare", a, b]) == 1
     assert capsys.readouterr().err.startswith(f"error: {b}:4: repeated record ram 2015-01-05 h0")
+
+
+# each reader's file: its header, with the value column's name as `{col}`,
+# and its row, with that value as `{value}`
+DIALECT_FILES = {
+    "load_csv": ("timestamp,{col},note", "{day}T{hour:02d}:00:00,{value},{note}", "value"),
+    "evaluate": ("method,date,trial,hour,forecast,{col},note",
+                 "ram,{day},0,{hour},2.0,{value},{note}", "actual"),
+    "compare": ("method,date,hour,{col},note", "ram,{day},{hour},{value},{note}", "ape"),
+}
+
+
+def fault_lines(tmp_path, capsys, value="3.5", row=None, pad="", note="n"):
+    """What each of the three readers makes of two days of hourly rows
+    with `value` in the 6th row's value field, or that row replaced by
+    `row`, the value column's name padded with `pad` and `note` in the
+    2nd row: None where it reads the file, else the line its error names."""
+    lines = {}
+    for reader, (head, fmt, col) in DIALECT_FILES.items():
+        rows = [fmt.format(day=f"2012-01-0{1 + k // 24}", hour=k % 24, note=note if k == 1 else "n",
+                           value=value if k == 5 else 1.0 + k) for k in range(48)]
+        if row is not None:
+            rows[5] = row
+        path = tmp_path / f"{reader}.csv"
+        path.write_text("\n".join([head.format(col=pad + col + pad), *rows]) + "\n")
+        if reader == "load_csv":
+            try:
+                load_csv(path)
+                lines[reader] = None
+            except RandfnnError as exc:
+                lines[reader] = int(re.match(r"line (\d+):", str(exc))[1])
+            continue
+        args = ["evaluate", "--forecasts", str(path)] if reader == "evaluate" else [
+            "compare", str(path), str(path)]  # a file against itself: p = 1
+        code, err = main(args), capsys.readouterr().err
+        lines[reader] = None if code == 0 else int(
+            re.match(rf"error: {re.escape(str(path))}:(\d+):", err)[1])
+    return lines
+
+
+@pytest.mark.parametrize("form, line", [
+    (dict(value="1_0"), 7), (dict(value="١"), 7), (dict(value=" 1.5"), None),
+    (dict(value="+7"), None), (dict(value="1e5"), None), (dict(value="nan"), 7),
+    (dict(value="inf"), 7), (dict(row="   "), 7), (dict(pad="  "), None),
+    (dict(note='"two\nlines"', value="1_0"), 8),
+], ids=["digit_separator", "non_ascii_digit", "padded_value", "plus_sign", "exponent", "nan",
+        "inf", "whitespace_row", "padded_header", "two_line_field_then_fault"])
+def test_load_csv_evaluate_and_compare_read_one_dialect(tmp_path, capsys, form, line):
+    assert fault_lines(tmp_path, capsys, **form) == dict.fromkeys(DIALECT_FILES, line)

@@ -278,6 +278,15 @@ ODD_ROWS = {
     "extra_column": "2012-01-01T05:00:00,1.0,x",
 }
 
+# where the program's one CSV dialect departs from the row reader: a number
+# is what `np.loadtxt` reads, and only an empty line is skipped
+DIALECT_OUTCOMES = {
+    "digit_separator": (ParseError, "line 7: bad value '1_0'"),
+    "blank_cells": (ParseError, "line 7: bad timestamp ' '"),
+    "1_0": (ParseError, "line 2: bad value '1_0'"),
+    "١": (ParseError, "line 2: bad value '١'"),
+}
+
 
 class TestAgainstTheRowReader:
     """`load_csv` against the row-by-row reader it replaced: the same series
@@ -291,7 +300,8 @@ class TestAgainstTheRowReader:
     @pytest.mark.parametrize("row", ODD_ROWS)
     def test_odd_rows(self, row):
         text = with_row(stamped(iso), 5, ODD_ROWS[row])
-        assert outcome(load_csv, text) == outcome(reference_load_csv, text)
+        want = DIALECT_OUTCOMES.get(row) or outcome(reference_load_csv, text)
+        assert outcome(load_csv, text) == want
 
     @pytest.mark.parametrize("stamp", ["2012", "2012-01", "2012-01-01", "+2012-01-01T00:00:00",
                                        "2012-01-01T00:00:00.000000000", "2012-01-01T00",
@@ -304,7 +314,8 @@ class TestAgainstTheRowReader:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", " 1.5", "1e5", "1_0", "+7", "١"])
     def test_value_forms(self, value):
         text = stamped(iso, value=lambda k: value)
-        assert outcome(load_csv, text) == outcome(reference_load_csv, text)
+        want = DIALECT_OUTCOMES.get(value) or outcome(reference_load_csv, text)
+        assert outcome(load_csv, text) == want
 
     @pytest.mark.parametrize("body", ["", "timestamp,value\n", "timestamp,value\n\n\n",
                                       "ts,value\n2012-01-01T00:00:00,1.0\n", "\n"])
