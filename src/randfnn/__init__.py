@@ -9,7 +9,6 @@ from .encoding import (
     decode,
     encode_days,
     encode_x,
-    encode_y,
 )
 from .evaluation import (
     MetricsSummary,
@@ -27,9 +26,7 @@ from .pipeline import (
 )
 from .randnn import (
     METHODS,
-    HiddenLayer,
     HyperParams,
-    RandFnnModel,
     fit,
     hidden_output,
     make_layer,

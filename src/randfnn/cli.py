@@ -189,7 +189,7 @@ def _flag_grid(args, base: Grid) -> Grid:
 def cmd_synth(args) -> int:
     fields = {}
     if args.spec:
-        with open(args.spec) as fh:
+        with open(args.spec, encoding="utf-8") as fh:
             fields.update(json.load(fh))
     overrides = {
         "days": args.days,
@@ -244,7 +244,7 @@ def cmd_tune(args) -> int:
         trials_per_fold=args.trials_per_fold)
 
     tables = []
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         with _stages(days, len(weekdays)) as run:
             results = run(_search, [(config, args.method, wd, cutoff, wd) for wd in weekdays])
         for wd, result in zip(weekdays, results):
@@ -280,7 +280,7 @@ def _forecast_config(args) -> ExperimentConfig:
     usage error naming the file and the field."""
     cfg = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 cfg = json.load(fh)
             except ValueError as exc:
@@ -377,7 +377,7 @@ def cmd_evaluate(args) -> int:
     order as `path:LINE:`.
     """
     path = args.forecasts
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header, _ = _csv_records(fh)
         needed = {"method", "date", "trial", "hour", "forecast", "actual"}
         if not needed <= set(header or ()):
@@ -412,7 +412,7 @@ def cmd_evaluate(args) -> int:
               f"RMSE={s.rmse:.4f}  MPE={s.mpe:.4f}  Std(PE)={s.std_pe:.4f}  "
               f"N={s.n_records}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
             write_metrics_csv(summaries, fh)
         print(f"wrote {args.out}")
     return 0
@@ -443,7 +443,7 @@ def _read_ape_records(path) -> dict:
     repeated (method, date, hour) is a ParseError: keeping either value
     would pair the Wilcoxon test on records the file does not hold once."""
     series: dict = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header, rows = _csv_records(fh)
         needed = ("method", "date", "hour", "ape")
         if not set(needed) <= set(header or ()):
@@ -509,7 +509,7 @@ def cmd_compare(args) -> int:
                   f"{verdict if verdict != '-' else 'indistinguishable'}")
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["series_a", "series_b", "p_value", "lower_error"])
             for a, b, p, verdict in rows:

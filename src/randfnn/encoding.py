@@ -11,12 +11,14 @@ predicted pattern back into physical units.
 A run encodes its series once: `encode_days` turns the complete,
 non-excluded days into a `DayMatrix`, one row per day holding its date
 ordinal, values, x-pattern, mean, dispersion and whether it can be
-encoded at all (a numerically constant day cannot). Each row is bitwise
-what `encode_x` gives for that day alone. One rule, `_pair_rows`, says
-which (target, input) rows pair up: the input day is present exactly
-`tau` days before the target and is not constant. `build_training_set`
-gathers those rows; the pipeline's screening asks the same rule whether a
-day's training set would be empty.
+encoded at all (a numerically constant day cannot), all from one
+whole-array `encode_x`. One rule, `_pair_rows`, says which (target,
+input) rows pair up: the input day is present exactly `tau` days before
+the target and is not constant. `build_training_set` gathers those rows,
+coding each target with its input row's mean and dispersion; the
+pipeline's screening asks the same rule whether a day's training set
+would be empty. The one-day references of `encode_x` and of the target
+coding live in `tests/reference.py`.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +26,7 @@ from datetime import date
 
 import numpy as np
 
-from .errors import DegenerateDispersion, EmptyTrainingSet, ParameterError, ShapeError
+from .errors import EmptyTrainingSet, ParameterError, ShapeError
 from .timeseries import TimeSeries
 
 __all__ = [
@@ -32,7 +34,6 @@ __all__ = [
     "DayMatrix",
     "TrainingSet",
     "encode_x",
-    "encode_y",
     "encode_days",
     "decode",
     "build_training_set",
@@ -51,33 +52,23 @@ class CodingVars:
             raise ParameterError(f"dispersion must be positive, got {self.dispersion}")
 
 
-def _dispersion_floor(n: int, mean):
-    # scale-aware degeneracy threshold; `mean` may be an array of day means
-    return 1e-12 * n * np.maximum(1.0, np.abs(mean))
+def encode_x(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Encode days (D, n) into zero-mean, unit-norm patterns.
 
-
-def encode_x(values) -> tuple[np.ndarray, CodingVars]:
-    """Encode a seasonal sequence into a zero-mean, unit-norm pattern.
-
-    Returns the pattern together with the coding variables (mean and
-    centered-vector norm) needed to encode targets and decode forecasts.
-    Raises `DegenerateDispersion` for (numerically) constant sequences.
+    Returns the patterns x (D, n) and each day's coding variables, needed
+    to encode targets and decode forecasts: its mean (D,) and dispersion
+    (D,), the norm of its centered values. `valid` (D,) is False for a
+    (numerically) constant day, whose x row is zero.
     """
-    e = np.asarray(values, dtype=float)
-    mean = float(e.mean())
-    dispersion = float(np.sqrt(((e - mean) ** 2).sum()))
-    if dispersion <= _dispersion_floor(e.size, mean):
-        raise DegenerateDispersion(f"sequence is constant (dispersion {dispersion:g})")
-    return (e - mean) / dispersion, CodingVars(mean, dispersion)
-
-
-def encode_y(values, coding: CodingVars) -> np.ndarray:
-    """Encode a target sequence with the *input* day's coding variables.
-
-    Unlike x-patterns, the result is generally neither zero-mean nor
-    unit-norm; the residual level differences carry the weekly cycle.
-    """
-    return (np.asarray(values, dtype=float) - coding.mean) / coding.dispersion
+    values = np.asarray(values, dtype=float)
+    mean = values.mean(axis=1)
+    centered = values - mean[:, None]
+    dispersion = np.sqrt((centered ** 2).sum(axis=1))
+    # scale-aware degeneracy threshold
+    valid = dispersion > 1e-12 * values.shape[1] * np.maximum(1.0, np.abs(mean))
+    x = np.divide(centered, dispersion[:, None], out=np.zeros_like(centered),
+                  where=valid[:, None])
+    return x, mean, dispersion, valid
 
 
 def decode(y_hat, coding: CodingVars) -> np.ndarray:
@@ -90,9 +81,9 @@ class DayMatrix:
     """A series' complete, non-excluded days, encoded once, in date order.
 
     Row i is one day: `ordinals[i]` is its `date.toordinal()`, `values[i]`
-    its observations, and `x[i]`, `mean[i]`, `dispersion[i]` what
-    `encode_x` returns for it. `valid[i]` is False for a constant day,
-    whose x row is zero and which never serves as an input.
+    its observations, and `x[i]`, `mean[i]`, `dispersion[i]` and
+    `valid[i]` its row of `encode_x`. A constant day (not valid) never
+    serves as an input.
     """
 
     ordinals: np.ndarray  # (D,) int
@@ -114,12 +105,7 @@ def encode_days(ts: TimeSeries) -> DayMatrix:
     keep = ~ts.excluded
     ordinals = np.array([d.toordinal() for d in ts.dates], dtype=np.int64)[keep]
     values = ts.values[keep]
-    mean = values.mean(axis=1)
-    centered = values - mean[:, None]
-    dispersion = np.sqrt((centered ** 2).sum(axis=1))
-    valid = dispersion > _dispersion_floor(ts.n, mean)
-    x = np.divide(centered, dispersion[:, None], out=np.zeros_like(centered),
-                  where=valid[:, None])
+    x, mean, dispersion, valid = encode_x(values)
     for a in (ordinals, values, x, mean, dispersion, valid):
         a.flags.writeable = False
     return DayMatrix(ordinals, values, x, mean, dispersion, valid)

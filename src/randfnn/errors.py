@@ -25,10 +25,6 @@ class ShapeError(RandfnnError, ValueError):
     """Array dimensions do not match."""
 
 
-class DegenerateDispersion(RandfnnError):
-    """A seasonal sequence is (numerically) constant and cannot be encoded."""
-
-
 class EmptyTrainingSet(RandfnnError):
     """No admissible input/target pattern pairs exist."""
 

@@ -130,6 +130,12 @@ def _normal_p(ranks: np.ndarray, t_obs: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+def _check_alpha(alpha: float) -> None:
+    """Reject a significance level outside (0, 1), NaN included."""
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def wilcoxon_signed_rank(ape_a, ape_b, alpha: float = 0.05) -> WilcoxonResult:
     """Two-sided paired signed-rank test on absolute percentage errors.
 
@@ -137,8 +143,9 @@ def wilcoxon_signed_rank(ape_a, ape_b, alpha: float = 0.05) -> WilcoxonResult:
     distribution) for up to 12 effective pairs, otherwise a normal
     approximation with continuity and tie corrections. When p < alpha the
     decision names the input with the smaller APE sum, otherwise the pair
-    is indistinguishable.
+    is indistinguishable. `alpha` must lie in (0, 1).
     """
+    _check_alpha(alpha)
     a = np.asarray(ape_a, dtype=float).ravel()
     b = np.asarray(ape_b, dtype=float).ravel()
     if a.shape != b.shape:

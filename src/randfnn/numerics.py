@@ -6,9 +6,11 @@ arguments on every call: no NaN/Inf, and 2-D (`as_matrix`) except where
 a kernel takes a stack. `pinv_solve` solves a stack (..., N, m), by QR
 where a guard proves a matrix's rank full, by SVD otherwise; the rank
 cutoff lives there alone, and `randnn` and the hyperplane fits all solve
-through it. `knn` takes a stack (Q, n) of queries. `neighborhood_slopes`
-runs `knn` and `fit_hyperplane` stacked for ddm, every point's local fits
-at once; their one-query and one-set calls are its bitwise reference.
+through it. `knn` takes a stack (Q, n) of queries, and `fit_hyperplane`
+one point set or a stack of them. `neighborhood_slopes` runs both
+stacked for ddm, every point's local fit at once; one-query `knn`
+(`tests/reference.py`) and one-set `fit_hyperplane` calls are its
+bitwise reference.
 """
 
 import numpy as np
@@ -93,37 +95,19 @@ def pinv_solve(H, Y) -> np.ndarray:
     return B.reshape(shape)
 
 
-def knn(points, query, k: int) -> np.ndarray:
-    """Indices of the `k` nearest points to `query` (Euclidean).
+def knn(points, queries, k: int) -> np.ndarray:
+    """Indices (Q, k) of the `k` nearest points (N, n) to each query of the
+    stack `queries` (Q, n), Euclidean.
 
-    If `query` itself is one of `points` (exact componentwise match), that
-    single occurrence is excluded. Distance ties are broken by lower
-    index, so the result is deterministic. A stack of queries (Q, n)
-    gives (Q, k): each row is the single query's result, bitwise.
+    A query equal to one of `points` (exact componentwise match) excludes
+    that point's first occurrence. Distance ties are broken by lower
+    index, so the result is deterministic. Each row is computed from its
+    query alone: the norm reduction and a stable sort over all points,
+    then the query's first exact match dropped from its order (dropping
+    it before a stable sort leaves the others' order).
     """
     pts = as_matrix(points, "points")
-    q = np.asarray(query, dtype=float)
-    if q.ndim == 2:
-        return _knn_rows(pts, q, k)
-    q = q.ravel()
-    if q.shape[0] != pts.shape[1]:
-        raise ShapeError(f"query length {q.shape[0]} != point dim {pts.shape[1]}")
-    d = np.linalg.norm(pts - q, axis=1)
-    candidates = np.arange(pts.shape[0])
-    self_rows = np.flatnonzero((pts == q).all(axis=1))
-    if self_rows.size:
-        candidates = np.delete(candidates, self_rows[0])
-        d = np.delete(d, self_rows[0])
-    if not 1 <= k <= candidates.size:
-        raise ParameterError(f"k={k} not in [1, {candidates.size}]")
-    order = np.argsort(d, kind="stable")  # stable sort → ties go to lower index
-    return candidates[order[:k]]
-
-
-def _knn_rows(pts: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    # The single-query rule per row: the same norm reduction and stable sort
-    # over all points, then each row's first exact match dropped from its
-    # order (dropping it before a stable sort leaves the others' order).
+    queries = as_matrix(queries, "queries")
     N, n = pts.shape
     if queries.shape[1] != n:
         raise ShapeError(f"query length {queries.shape[1]} != point dim {n}")
@@ -180,7 +164,7 @@ def fit_hyperplane(inputs, targets) -> tuple[np.ndarray, np.ndarray | float]:
 def neighborhood_slopes(points, targets, k: int) -> np.ndarray:
     """Slopes (N, p, n) of every point's local hyperplanes: entry [i] is
     bitwise `fit_hyperplane(points[hood], targets[hood])[0]` over point i
-    and its `knn(points, points[i], k)` neighbors, whenever that
+    and its neighbors `knn(points, points[i:i + 1], k)[0]`, whenever that
     neighborhood meets `fit_hyperplane`'s zero-sum condition exactly when
     all of `points` do (always, for encoded patterns).
 

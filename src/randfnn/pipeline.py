@@ -36,9 +36,8 @@ import numpy as np
 from .encoding import (CodingVars, DayMatrix, TrainingSet, _pair_rows, build_training_set,
                        decode, encode_days)
 from .errors import EmptyTrainingSet, ExperimentError, ParameterError
-from .evaluation import _summary, percentage_errors, wilcoxon_signed_rank
-from .randnn import (METHODS, HyperParams, derive_rng, derive_seed, draw_layers,
-                     trial_predictions)
+from .evaluation import _check_alpha, _summary, percentage_errors, wilcoxon_signed_rank
+from .randnn import METHODS, HyperParams, derive_rng, derive_seed, fit, make_layer, predict
 from .timeseries import TimeSeries
 from .tuning import Grid, GridPoint, TuneResult, default_grid, grid_search, write_tuning_csv
 
@@ -93,6 +92,7 @@ class ExperimentConfig:
             raise ParameterError("trials must be >= 1")
         if self.tau < 1:
             raise ParameterError("tau must be >= 1")
+        _check_alpha(self.alpha)
         if self.tuning not in ("once", "per-day", "fixed"):
             raise ParameterError(f"unknown tuning mode {self.tuning!r}")
         if self.tuning == "fixed":
@@ -133,11 +133,11 @@ class ExperimentReport:
 def run_day(phi: TrainingSet, query: np.ndarray, coding: CodingVars, hp: HyperParams,
             rngs) -> np.ndarray:
     """One model method's decoded forecasts (trials, n) for one test day:
-    a layer per generator in `rngs`, drawn by `draw_layers`, trained on
-    `phi` in `trial_predictions`, applied to the (1, n) `query` pattern
+    a layer per generator in `rngs`, drawn by `make_layer`, trained on
+    `phi` by `fit`, applied to the (1, n) `query` pattern by `predict`
     and decoded with `coding`."""
-    layers = draw_layers(hp.method, hp.m, [hp.smoothing], phi, rngs)
-    return decode(trial_predictions(*layers, phi, query)[:, 0, :], coding)
+    layers = make_layer(hp.method, hp.m, [hp.smoothing], phi, rngs)
+    return decode(predict(layers, query, fit(layers, phi))[:, 0, :], coding)
 
 
 def _screen_day(day: date, days: DayMatrix, config: ExperimentConfig) -> str | None:
@@ -386,7 +386,7 @@ def _staged(out: Path):
 
     def open_(name, **kwargs):
         staged.append((out / f".{name}.part", out / name))
-        return open(staged[-1][0], "w", **kwargs)
+        return open(staged[-1][0], "w", encoding="utf-8", **kwargs)
 
     try:
         yield open_

@@ -19,17 +19,22 @@ Four generators are provided:
                   over the pattern and its k nearest neighbors, and takes
                   4x its slopes as weights; biases anchored on the pattern.
 
-All generators draw from a single `numpy.random.Generator` in a fixed
-order (weight block first, then per-node index draws), so a layer is
-reproducible from its seed alone.
+The kernel works on stacks of networks, L at a time: a forecast day's
+trials, or a fold's trials at every smoothing value of a grid.
+`make_layer` draws the stack, `hidden_output` gives its (L, N, m)
+hidden outputs on the training patterns, `fit` solves them for the
+(L, m, p) output weights in one stacked `pinv_solve`, and `predict`
+applies the networks to query patterns. Their one-network references,
+which the tests match bit for bit, live in `tests/reference.py`.
 
-`draw_layers` stacks layers over smoothing values and generators, and
-draws each generator's stream once for all the values. This is bitwise
-a draw per value: numpy's `uniform(low, high)` is ``low + (high - low)·U``
-with U the stream's next double, so with ``d = rng.random(shape)`` each
+Each generator draws from one `numpy.random.Generator` in a fixed order
+(weight block first, then per-node index draws), so a layer is
+reproducible from its generator alone. `make_layer` draws each
+generator's stream once for all smoothing values. This is bitwise a draw
+per value: numpy's `uniform(low, high)` is ``low + (high - low)·U`` with
+U the stream's next double, so with ``d = rng.random(shape)`` each
 ``-u + (u - -u)·d`` (ralpham: ``0 + alpha·d``) is that value's weight or
 angle block, and what follows the block does not depend on the value.
-`make_layer` is its one-layer view.
 
 A ddm node's slopes depend only on the training set, k, its anchor and
 its target component. So ``ddm`` builds the whole (N, p, n) table of
@@ -42,11 +47,6 @@ every k of a fold from one stream per trial, as the other methods draw
 their smoothing values. A table's row for an anchor is, bit for bit,
 `fit_hyperplane` over the anchor's kNN neighborhood with all target
 columns as one block.
-
-`trial_predictions` trains a stack of drawn layers at once (one stacked
-`H`, one stacked `numerics.pinv_solve`): a forecast day's trials, or a
-fold's trials at every smoothing value of a grid. `fit` and `predict`,
-one network each, are the reference it matches bit for bit.
 """
 
 import math
@@ -60,17 +60,13 @@ from .numerics import neighborhood_slopes, pinv_solve, sigmoid
 
 __all__ = [
     "METHODS",
-    "HiddenLayer",
-    "RandFnnModel",
     "HyperParams",
     "derive_rng",
     "derive_seed",
     "make_layer",
-    "draw_layers",
     "hidden_output",
     "fit",
     "predict",
-    "trial_predictions",
 ]
 
 METHODS = ("standard", "ram", "ralpham", "ddm")
@@ -93,51 +89,6 @@ def derive_rng(*keys: int) -> np.random.Generator:
 def derive_seed(*keys: int) -> int:
     """Collapse integer keys into one deterministic 32-bit seed."""
     return int(np.random.SeedSequence([int(k) for k in keys]).generate_state(1)[0])
-
-
-@dataclass(frozen=True)
-class HiddenLayer:
-    """m hidden-node weight vectors and biases; `anchor_indices` records
-    which training pattern each node's bias was anchored to (methods
-    other than ``standard``)."""
-
-    method: str
-    weights: np.ndarray  # (m, n)
-    biases: np.ndarray  # (m,)
-    anchor_indices: np.ndarray | None = None
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
-        b = np.array(self.biases, dtype=float)
-        if w.ndim != 2 or b.shape != (w.shape[0],):
-            raise ShapeError(f"weights {w.shape} and biases {b.shape} disagree")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ParameterError("layer parameters must be finite")
-        w.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "biases", b)
-
-    @property
-    def m(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_inputs(self) -> int:
-        return self.weights.shape[1]
-
-
-@dataclass(frozen=True)
-class RandFnnModel:
-    hidden: HiddenLayer
-    beta: np.ndarray  # (m, p)
-
-    def __post_init__(self):
-        beta = np.array(self.beta, dtype=float)
-        if beta.shape[0] != self.hidden.m:
-            raise ShapeError(f"beta has {beta.shape[0]} rows for {self.hidden.m} nodes")
-        beta.flags.writeable = False
-        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)
@@ -233,14 +184,16 @@ _DRAWS = {"standard": _draw_standard, "ram": _draw_ram, "ralpham": _draw_ralpham
           "ddm": _draw_ddm}
 
 
-def draw_layers(method: str, m: int, smoothing, phi: TrainingSet,
-                rngs) -> tuple[np.ndarray, np.ndarray]:
+def make_layer(method: str, m: int, smoothing, phi: TrainingSet,
+               rngs) -> tuple[np.ndarray, np.ndarray]:
     """Hidden layers of `method` with m nodes for every smoothing value
     (outer) and generator in `rngs` (inner): weights (S·T, m, n) and
-    biases (S·T, m), entry s·T + t bitwise `make_layer(HyperParams(method,
-    m, smoothing[s]), phi, rngs[t])`. Each generator is drawn once for all
-    of `smoothing` (see the module docstring). Each value is checked by
-    `HyperParams`, and a non-finite weight or bias raises `ParameterError`.
+    biases (S·T, m), entry s·T + t drawn from `rngs[t]` for `smoothing[s]`.
+    Each generator is drawn once for all of `smoothing` (see the module
+    docstring). Each value is checked by `HyperParams`, and a non-finite
+    weight or bias raises `ParameterError`. The 90-degree ``ralpham``
+    label is drawn at `MAX_ALPHA_DEG` (tangent singularity); reports keep
+    the label.
     """
     for s in smoothing:
         HyperParams(method, m, s)
@@ -250,87 +203,39 @@ def draw_layers(method: str, m: int, smoothing, phi: TrainingSet,
     return weights.reshape(-1, m, phi.n), biases.reshape(-1, m)
 
 
-def make_layer(hp: HyperParams, phi: TrainingSet,
-               rng: np.random.Generator | None = None) -> HiddenLayer:
-    """Generate a hidden layer per `hp`, drawing data from `phi` as needed:
-    the one-layer view of `draw_layers`.
-
-    The 90-degree grid label for ``ralpham`` is generated at an effective
-    89.9 degrees (tangent singularity); reports keep the original label.
+def hidden_output(layers, X: np.ndarray) -> np.ndarray:
+    """Hidden layer output matrices (L, N, m) of the L `layers` (weights
+    (L, m, n), biases (L, m)) on the patterns X (N, n):
+    H[l, i, j] = sigmoid(a_lj . x_i + b_lj), one matrix product per layer
+    over all rows. A row's last bits may change with the number of rows,
+    so forecasts for query patterns go through `predict`.
     """
-    if rng is None:
-        rng = derive_rng(hp.seed)
-    s = np.array([hp.smoothing], dtype=float)
-    weights, biases, anchors = _DRAWS[hp.method](hp.m, s, phi, [rng])
-    return HiddenLayer(hp.method, weights[0, 0], biases[0, 0],
-                       None if anchors is None else anchors[0])
+    weights, biases = layers
+    if X.shape[-1] != weights.shape[-1]:
+        raise ShapeError(f"patterns have length {X.shape[-1]}, layers expect {weights.shape[-1]}")
+    Z = X @ weights.transpose(0, 2, 1)
+    Z += biases[:, None, :]
+    return sigmoid(Z)  # Z is freed on return: H alone is held through the solve
 
 
-def _patterns(layer: HiddenLayer, x_patterns) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(x_patterns, dtype=float))
-    if X.shape[1] != layer.n_inputs:
-        raise ShapeError(f"patterns have length {X.shape[1]}, layer expects {layer.n_inputs}")
-    return X
-
-
-def _rowwise(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    # One 1-row product per row: each row takes the BLAS call a lone row
-    # takes, whatever the batch size. A plain X @ M switches kernel (and
-    # summation order) between one row and many.
-    return np.matmul(X[:, None, :], M)[:, 0, :]
-
-
-def hidden_output(layer: HiddenLayer, x_patterns) -> np.ndarray:
-    """Hidden layer output matrix: H[i, j] = sigmoid(a_j . x_i + b_j).
-
-    This is the training-matrix kernel used by `fit`: one matrix product
-    over all rows. Its rows may differ in the last bits with the number
-    of rows passed, so forecasts for query patterns go through `predict`.
+def fit(layers, phi: TrainingSet) -> np.ndarray:
+    """Output weights (L, m, p) of the L `layers` trained on `phi`: each
+    layer's minimum-norm least-squares solution of
+    hidden_output(layers, phi.x)[l] @ beta[l] = phi.y. The stack goes
+    through one `pinv_solve`, which checks it and routes each matrix to QR
+    or SVD as it routes that matrix alone.
     """
-    X = _patterns(layer, x_patterns)
-    return sigmoid(X @ layer.weights.T + layer.biases)
+    return pinv_solve(hidden_output(layers, phi.x), phi.y)
 
 
-def fit(layer: HiddenLayer, phi: TrainingSet) -> RandFnnModel:
-    """Closed-form output weights: the minimum-norm least-squares solution
-    of hidden_output(layer, X) @ beta = Y, by `pinv_solve` (QR or SVD);
-    the reference of `trial_predictions`."""
-    beta = pinv_solve(hidden_output(layer, phi.x), phi.y)
-    return RandFnnModel(hidden=layer, beta=beta)
-
-
-def predict(model: RandFnnModel, x) -> np.ndarray:
-    """Multi-output prediction; accepts one pattern or a stack of them.
-
-    Each output row is bitwise independent of the other rows in the
-    batch: predicting a stack gives exactly the rows that predicting each
-    pattern alone gives. The reference of `trial_predictions`.
+def predict(layers, queries: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Predictions (L, Q, p) of the L networks (`layers`, `beta`) for the
+    query patterns (Q, n). Both products run one 1-row BLAS call per
+    network and query, so each row has the bits that predicting its query
+    alone gives, whatever Q: a plain product over many rows switches
+    kernel (and summation order) between one row and many.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    layer = model.hidden
-    X = _patterns(layer, x)
-    H = sigmoid(_rowwise(X, layer.weights.T) + layer.biases)
-    out = _rowwise(H, model.beta)
-    return out[0] if single else out
-
-
-def trial_predictions(weights: np.ndarray, biases: np.ndarray, phi: TrainingSet,
-                      queries: np.ndarray) -> np.ndarray:
-    """Predictions (L, queries, p) of the L networks with hidden layers
-    `weights` (L, m, n) and `biases` (L, m), each trained on `phi`:
-    bitwise `predict(fit(layer, phi), queries)` per layer, since each
-    stacked product runs, per layer and query, the BLAS call of `fit` or
-    `predict`. The (L, N, m) stack of hidden outputs goes through one
-    `pinv_solve`, which checks it and routes each matrix to QR or SVD as
-    it routes that matrix alone.
-    """
-    Wt = weights.transpose(0, 2, 1)  # (L, n, m)
-    b = biases[:, None, :]  # (L, 1, m)
-    Z = phi.x @ Wt
-    Z += b
-    H = sigmoid(Z)
-    del Z  # H alone is held through the solve
-    beta = pinv_solve(H, phi.y)
-    H = sigmoid(np.matmul(queries[None, :, None, :], Wt[:, None])[:, :, 0, :] + b)
+    weights, biases = layers
+    Wt = weights.transpose(0, 2, 1)[:, None]  # (L, 1, n, m)
+    H = sigmoid(np.matmul(queries[None, :, None, :], Wt)[:, :, 0, :] + biases[:, None, :])
     return np.matmul(H[:, :, None, :], beta[:, None])[:, :, 0, :]

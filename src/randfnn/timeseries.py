@@ -9,10 +9,12 @@ daylight-saving shifts) are rejected outright. Exclusion of atypical days
 
 `load_csv` reads ISO 8601 timestamps as `datetime.fromisoformat` does, at
 local wall-clock time. Every CSV file the program reads, here and in `cli`,
-is in one dialect: stripped header names, one `np.loadtxt` pass over the
-body (`_loadtxt`), a `csv` rescan from the file's start that skips only
-empty lines and names a row's physical line (`_csv_records`), numbers as
-`np.loadtxt` reads them (`_number`), and finite values.
+is in one dialect: UTF-8 whatever the locale, a leading byte-order mark
+dropped (from a path or a byte stream), stripped header names, one
+`np.loadtxt` pass over the body (`_loadtxt`), a `csv` rescan from the
+file's start that skips only empty lines and names a row's physical line
+(`_csv_records`), numbers as `np.loadtxt` reads them (`_number`), and
+finite values.
 """
 
 import csv
@@ -95,8 +97,8 @@ def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value",
 
     Accepts a path or an open text/byte stream. A path is parsed from the
     open file without holding its text whole, and read again from its
-    start to name a fault; a stream is read whole from where it is, bytes
-    as UTF-8, in the module's CSV dialect. A timestamp is read as
+    start to name a fault; a stream is read whole from where it is, in the
+    module's CSV dialect. A timestamp is read as
     `datetime.fromisoformat` reads it stripped, any UTC offset dropped, and
     a value as `np.loadtxt` reads a float (`_number`). Whole missing days
     are allowed; partial days are dropped with a warning. Sub-hourly rows
@@ -107,9 +109,10 @@ def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value",
     """
     if hasattr(source, "read"):
         text = source.read()
-        fh = io.StringIO(text.decode() if isinstance(text, bytes) else text, newline="")
+        text = text.decode("utf-8-sig") if isinstance(text, bytes) else text
+        fh = io.StringIO(text, newline="")
         return _read_series(fh, timestamp_col, value_col, n)
-    with open(source, "r", newline="") as fh:
+    with open(source, newline="", encoding="utf-8-sig") as fh:
         return _read_series(fh, timestamp_col, value_col, n)
 
 
@@ -245,7 +248,7 @@ def write_csv(ts: TimeSeries, target) -> None:
     if hasattr(target, "write"):
         _write_rows(ts, target)
     else:
-        with open(target, "w", newline="") as fh:
+        with open(target, "w", newline="", encoding="utf-8") as fh:
             _write_rows(ts, fh)
 
 
@@ -263,7 +266,7 @@ def load_exclusions(source) -> set[date]:
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     out = set()
     for lineno, line in enumerate(lines, start=1):

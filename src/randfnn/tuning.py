@@ -12,7 +12,7 @@ import numpy as np
 
 from .encoding import TrainingSet
 from .errors import ParameterError
-from .randnn import METHODS, HyperParams, derive_rng, draw_layers, trial_predictions
+from .randnn import METHODS, HyperParams, derive_rng, fit, make_layer, predict
 
 __all__ = [
     "Grid",
@@ -97,8 +97,8 @@ def _fold_errors(phi, held, fold_idx, method, m_values, smoothing, seed,
     errors = np.empty((len(m_values), len(smoothing)))
     for i, m in enumerate(m_values):
         rngs = [derive_rng(seed, fold_idx, trial) for trial in range(trials_per_fold)]
-        layers = draw_layers(method, m, smoothing, phi_train, rngs)
-        trials = np.abs(trial_predictions(*layers, phi_train, phi.x[held]) - phi.y[held])
+        layers = make_layer(method, m, smoothing, phi_train, rngs)
+        trials = np.abs(predict(layers, phi.x[held], fit(layers, phi_train)) - phi.y[held])
         # one mean per trial, then over trials: one mean over all sums in another order
         errors[i] = [np.mean([e.mean() for e in t]) for t in np.split(trials, len(smoothing))]
     return errors

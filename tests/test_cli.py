@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randfnn import pipeline
+from randfnn import cli, pipeline
 from randfnn.cli import main
 from randfnn.errors import RandfnnError
 from randfnn.randnn import MAX_U
@@ -577,7 +577,8 @@ def test_load_warnings_reach_stderr(month_csv, tmp_path, capsys, monkeypatch):
 
 
 def write_ape(path, rows):
-    path.write_text("method,date,hour,ape\n" + "".join(f"{m},{d},{h},{a}\n" for m, d, h, a in rows))
+    path.write_text("method,date,hour,ape\n" + "".join(f"{m},{d},{h},{a}\n" for m, d, h, a in rows),
+                    encoding="utf-8")
     return str(path)
 
 
@@ -606,6 +607,23 @@ def test_compare_malformed_number_exits_1(tmp_path, capsys, hour, ape):
     assert capsys.readouterr().err.startswith(f"error: {b}:3: bad or missing hour or ape value")
 
 
+def test_alpha_outside_the_unit_interval_exits_2(month_csv, tmp_path, capsys, monkeypatch):
+    keys = [("2015-01-05", h) for h in range(6)]
+    a = write_ape(tmp_path / "a.csv", [("ram", d, h, 1.0 + h) for d, h in keys])
+    b = write_ape(tmp_path / "b.csv", [("ram", d, h, 2.0 + 0.5 * h) for d, h in keys])
+    assert main(["compare", a, b, "--alpha", "2"]) == 2
+    assert "usage error: alpha must be in (0, 1), got 2.0" in capsys.readouterr().err
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the forecast started")
+
+    monkeypatch.setattr(cli, "load_csv", no_work)  # rejected before the series is read
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    assert main(forecast_argv(month_csv, tmp_path / "out", "--test-start", "2012-01-23",
+                              "--test-end", "2012-01-25", "--alpha", "2")) == 2
+    assert "usage error: alpha must be in (0, 1), got 2.0" in capsys.readouterr().err
+
+
 def test_compare_repeated_record_exits_1(tmp_path, capsys):
     a = write_ape(tmp_path / "a.csv", [("ram", "2015-01-05", 0, 1.0), ("ram", "2015-01-05", 1, 1.0)])
     b = write_ape(tmp_path / "b.csv", [("ram", "2015-01-05", 0, 1.0), ("naive", "2015-01-05", 0, 5.0),
@@ -624,11 +642,12 @@ DIALECT_FILES = {
 }
 
 
-def fault_lines(tmp_path, capsys, value="3.5", row=None, pad="", note="n"):
+def fault_lines(tmp_path, capsys, value="3.5", row=None, pad="", note="n", bom=""):
     """What each of the three readers makes of two days of hourly rows
     with `value` in the 6th row's value field, or that row replaced by
-    `row`, the value column's name padded with `pad` and `note` in the
-    2nd row: None where it reads the file, else the line its error names."""
+    `row`, the value column's name padded with `pad`, `note` in the 2nd
+    row and the file opened by `bom`: None where it reads the file, else
+    the line its error names."""
     lines = {}
     for reader, (head, fmt, col) in DIALECT_FILES.items():
         rows = [fmt.format(day=f"2012-01-0{1 + k // 24}", hour=k % 24, note=note if k == 1 else "n",
@@ -636,7 +655,8 @@ def fault_lines(tmp_path, capsys, value="3.5", row=None, pad="", note="n"):
         if row is not None:
             rows[5] = row
         path = tmp_path / f"{reader}.csv"
-        path.write_text("\n".join([head.format(col=pad + col + pad), *rows]) + "\n")
+        path.write_text(bom + "\n".join([head.format(col=pad + col + pad), *rows]) + "\n",
+                        encoding="utf-8")
         if reader == "load_csv":
             try:
                 load_csv(path)
@@ -656,8 +676,10 @@ def fault_lines(tmp_path, capsys, value="3.5", row=None, pad="", note="n"):
     (dict(value="1_0"), 7), (dict(value="١"), 7), (dict(value=" 1.5"), None),
     (dict(value="+7"), None), (dict(value="1e5"), None), (dict(value="nan"), 7),
     (dict(value="inf"), 7), (dict(row="   "), 7), (dict(pad="  "), None),
-    (dict(note='"two\nlines"', value="1_0"), 8),
+    (dict(note='"two\nlines"', value="1_0"), 8), (dict(bom="\ufeff"), None),
+    (dict(bom="\ufeff", value="1_0"), 7),
 ], ids=["digit_separator", "non_ascii_digit", "padded_value", "plus_sign", "exponent", "nan",
-        "inf", "whitespace_row", "padded_header", "two_line_field_then_fault"])
+        "inf", "whitespace_row", "padded_header", "two_line_field_then_fault", "byte_order_mark",
+        "byte_order_mark_then_fault"])
 def test_load_csv_evaluate_and_compare_read_one_dialect(tmp_path, capsys, form, line):
     assert fault_lines(tmp_path, capsys, **form) == dict.fromkeys(DIALECT_FILES, line)

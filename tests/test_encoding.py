@@ -13,63 +13,62 @@ from randfnn.encoding import (
     decode,
     encode_days,
     encode_x,
-    encode_y,
 )
-from randfnn.errors import DegenerateDispersion, EmptyTrainingSet, ParameterError
+from randfnn.errors import EmptyTrainingSet, ParameterError
 from randfnn.timeseries import SynthSpec, TimeSeries, exclude_days, synth_generate
 
+import reference as ref
 from conftest import make_days, make_series
 
 
 class TestEncodeX:
     def test_constant_sequence_rejected(self):
-        with pytest.raises(DegenerateDispersion):
-            encode_x([2.0, 2.0, 2.0, 2.0])
+        x, _, _, valid = encode_x([[2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+        assert valid.tolist() == [False, True]
+        np.testing.assert_array_equal(x[0], 0.0)
+        with pytest.raises(ref.ConstantDay):
+            ref.encode_x([2.0, 2.0, 2.0, 2.0])
 
     def test_direct_arithmetic(self):
-        x, coding = encode_x([1.0, 2.0, 3.0, 4.0])
-        assert coding.mean == 2.5
-        assert coding.dispersion == pytest.approx(math.sqrt(5.0), rel=1e-15)
+        x, mean, dispersion, valid = encode_x([[1.0, 2.0, 3.0, 4.0]])
+        assert mean[0] == 2.5 and valid[0]
+        assert dispersion[0] == pytest.approx(math.sqrt(5.0), rel=1e-15)
         np.testing.assert_allclose(
-            x, np.array([-1.5, -0.5, 0.5, 1.5]) / math.sqrt(5.0), atol=1e-12)
-        np.testing.assert_allclose(x, [-0.67082, -0.22361, 0.22361, 0.67082],
+            x[0], np.array([-1.5, -0.5, 0.5, 1.5]) / math.sqrt(5.0), atol=1e-12)
+        np.testing.assert_allclose(x[0], [-0.67082, -0.22361, 0.22361, 0.67082],
                                    atol=5e-6)
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=48))
     @settings(max_examples=200)
     def test_unit_norm_zero_mean(self, values):
-        e = np.asarray(values)
-        try:
-            x, _ = encode_x(e)
-        except DegenerateDispersion:
-            return
-        assert abs(x.mean()) < 1e-10
-        assert abs(np.linalg.norm(x) - 1.0) < 1e-10
+        x, _, _, valid = encode_x([values])
+        if valid[0]:
+            assert abs(x[0].mean()) < 1e-10
+            assert abs(np.linalg.norm(x[0]) - 1.0) < 1e-10
 
     def test_scale_shift_equivariance(self):
         rng = np.random.default_rng(0)
         e = rng.normal(100.0, 5.0, 24)
-        x1, _ = encode_x(e)
-        x2, _ = encode_x(3.5 * e + 40.0)
-        np.testing.assert_allclose(x1, x2, atol=1e-10)
+        x = encode_x([e, 3.5 * e + 40.0])[0]
+        np.testing.assert_allclose(x[0], x[1], atol=1e-10)
 
 
 class TestEncodeY:
     def test_same_day_reduces_to_x(self):
         e = [3.0, 1.0, 4.0, 1.0, 5.0]
-        x, coding = encode_x(e)
-        np.testing.assert_array_equal(encode_y(e, coding), x)
+        x, coding = ref.encode_x(e)
+        np.testing.assert_array_equal(ref.encode_y(e, coding), x)
 
     def test_direct_arithmetic(self):
-        y = encode_y([12.0, 8.0], CodingVars(10.0, 2.0))
+        y = ref.encode_y([12.0, 8.0], CodingVars(10.0, 2.0))
         np.testing.assert_array_equal(y, [1.0, -1.0])
 
     def test_identity_coding(self):
         e = np.array([1.5, -2.0, 0.25])
-        np.testing.assert_array_equal(encode_y(e, CodingVars(0.0, 1.0)), e)
+        np.testing.assert_array_equal(ref.encode_y(e, CodingVars(0.0, 1.0)), e)
 
     def test_not_normalized_in_general(self):
-        y = encode_y([50.0, 60.0], CodingVars(10.0, 2.0))
+        y = ref.encode_y([50.0, 60.0], CodingVars(10.0, 2.0))
         assert abs(y.mean()) > 1.0  # carries the level difference
 
 
@@ -79,8 +78,8 @@ class TestDecode:
         for _ in range(20):
             e_in = rng.normal(100, 10, 24)
             e_fut = rng.normal(120, 15, 24)
-            _, coding = encode_x(e_in)
-            back = decode(encode_y(e_fut, coding), coding)
+            _, coding = ref.encode_x(e_in)
+            back = decode(ref.encode_y(e_fut, coding), coding)
             np.testing.assert_allclose(back, e_fut, rtol=1e-12)
 
     def test_direct_arithmetic(self):
@@ -146,10 +145,10 @@ class TestBuildTrainingSet:
         cutoff = self.START + timedelta(days=22)
         phi = build_training_set(days, 0, 1, cutoff)
         for k, (target, inp) in enumerate(zip(*pair_dates(days, 0, 1, cutoff))):
-            x, coding = encode_x(ts.values[ts.dates.index(inp)])
+            x, coding = ref.encode_x(ts.values[ts.dates.index(inp)])
             np.testing.assert_array_equal(phi.x[k], x)
             np.testing.assert_array_equal(
-                phi.y[k], encode_y(ts.values[ts.dates.index(target)], coding))
+                phi.y[k], ref.encode_y(ts.values[ts.dates.index(target)], coding))
 
     def test_tau_two_uses_exact_gap(self):
         days = make_days(self.START, 22)
@@ -179,12 +178,12 @@ def reference_training_set(ts, weekday, tau, cutoff):
         if d.weekday() != weekday or d >= cutoff or inp not in by_date:
             continue
         try:
-            x, coding = encode_x(by_date[inp])
-        except DegenerateDispersion:
+            x, coding = ref.encode_x(by_date[inp])
+        except ref.ConstantDay:
             skipped += 1
             continue
         xs.append(x)
-        ys.append(encode_y(by_date[d], coding))
+        ys.append(ref.encode_y(by_date[d], coding))
     return xs, ys, skipped
 
 
@@ -212,8 +211,8 @@ class TestEncodeDays:
         np.testing.assert_array_equal(days.values, ts.values[kept])
         for row, i in enumerate(kept):
             try:
-                x, coding = encode_x(ts.values[i])
-            except DegenerateDispersion:
+                x, coding = ref.encode_x(ts.values[i])
+            except ref.ConstantDay:
                 assert not days.valid[row]
                 continue
             assert days.valid[row]

@@ -47,6 +47,14 @@ class TestWilcoxon:
         assert wilcoxon_signed_rank(a + 1.0, a).decision == B_BETTER
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.05, math.nan])
+def test_alpha_outside_the_unit_interval_is_rejected(alpha):
+    a = np.arange(1.0, 21.0)
+    for b in (a + 1.0, a):  # a decided pair, and one with no differences
+        with pytest.raises(ParameterError, match=r"alpha must be in \(0, 1\)"):
+            wilcoxon_signed_rank(a, b, alpha=alpha)
+
+
 def test_midranks_share_tied_ranks():
     values = np.array([3.0, 1.0, 3.0, 2.0, 3.0, 1.0])
     ranks = _midranks(values)

@@ -14,6 +14,8 @@ from randfnn.numerics import (
     sigmoid,
 )
 
+import reference as ref
+
 EPS = np.finfo(float).eps
 
 
@@ -393,24 +395,24 @@ class TestRouting:
 class TestKnn:
     def test_ordering(self):
         pts = np.array([[3.0], [1.0], [2.0]])
-        np.testing.assert_array_equal(knn(pts, [0.0], 2), [1, 2])
+        np.testing.assert_array_equal(knn(pts, [[0.0]], 2), [[1, 2]])
 
     def test_tie_breaks_to_lower_index(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
-        np.testing.assert_array_equal(knn(pts, [0.0, 0.0], 2), [0, 1])
+        np.testing.assert_array_equal(knn(pts, [[0.0, 0.0]], 2), [[0, 1]])
 
     def test_matches_brute_force_sort(self):
         rng = np.random.default_rng(42)
         pts = rng.normal(size=(50, 24))
         q = rng.normal(size=24)
-        got = knn(pts, q, 5)
+        got = knn(pts, q[None], 5)[0]
         oracle = np.argsort([np.linalg.norm(p - q) for p in pts], kind="stable")[:5]
         np.testing.assert_array_equal(got, oracle)
 
     def test_self_excluded_when_member(self):
         rng = np.random.default_rng(1)
         pts = rng.normal(size=(10, 4))
-        got = knn(pts, pts[3], 9)
+        got = knn(pts, pts[3:4], 9)[0]
         assert 3 not in got
         assert sorted(got) == [0, 1, 2, 4, 5, 6, 7, 8, 9]
 
@@ -418,17 +420,17 @@ class TestKnn:
         rng = np.random.default_rng(8)
         pts = rng.normal(size=(20, 6))
         q = rng.normal(size=6)
-        base = knn(pts, q, 4)
+        base = knn(pts, q[None], 4)[0]
         perm = rng.permutation(20)
-        permuted = knn(pts[perm], q, 4)
+        permuted = knn(pts[perm], q[None], 4)[0]
         np.testing.assert_array_equal(perm[permuted], base)
 
     def test_k_too_large(self):
         pts = np.zeros((3, 2)) + np.arange(3)[:, None]
         with pytest.raises(ParameterError):
-            knn(pts, [9.0, 9.0], 4)
+            knn(pts, [[9.0, 9.0]], 4)
         with pytest.raises(ParameterError):
-            knn(pts, pts[0], 3)  # self excluded leaves only 2
+            knn(pts, pts[:1], 3)  # self excluded leaves only 2
 
     def test_stack_rows_match_single_queries(self):
         # lattice points: exact duplicates and distance ties everywhere
@@ -443,7 +445,7 @@ class TestKnn:
             got = knn(pts, queries, k)
             assert got.shape == (len(queries), k)
             for q, row in zip(queries, got):
-                assert row.tolist() == knn(pts, q, k).tolist()
+                assert row.tolist() == ref.knn(pts, q, k).tolist()
 
     def test_stack_k_bounds(self):
         pts = np.arange(10.0).reshape(5, 2)
@@ -453,6 +455,8 @@ class TestKnn:
             knn(pts, np.vstack([pts[:1], pts + 0.5]), 5)
         with pytest.raises(ShapeError):
             knn(pts, np.ones((2, 3)), 1)
+        with pytest.raises(ShapeError):  # one query is a stack of one
+            knn(pts, pts[0], 1)
 
 
 class TestFitHyperplane:
@@ -506,7 +510,7 @@ def test_neighborhood_slopes_match_per_point_fits():
             slopes = neighborhood_slopes(x, y, k)
             assert slopes.shape == (30, 3, 6)
             for i in range(30):
-                hood = np.concatenate(([i], knn(x, x[i], k)))
+                hood = np.concatenate(([i], ref.knn(x, x[i], k)))
                 assert slopes[i].tobytes() == fit_hyperplane(x[hood], y[hood])[0].tobytes()
     with pytest.raises(ShapeError):
         neighborhood_slopes(x, y[:-1], 3)

@@ -263,6 +263,13 @@ def test_missing_naive_reference_skips_the_day_for_every_method(two_years, tmp_p
     assert all(k == expected for k in keys.values())
 
 
+@pytest.mark.parametrize("alpha", [0.0, 2.0, float("nan")])
+def test_config_rejects_alpha_outside_the_unit_interval(alpha):
+    with pytest.raises(ParameterError, match=r"alpha must be in \(0, 1\)"):
+        ExperimentConfig(methods=("naive",), test_start=date(2012, 1, 9),
+                         test_end=date(2012, 1, 9), alpha=alpha)
+
+
 def test_screen_matches_build_training_set():
     # 2012-01-01 is a Sunday. Mondays 01-02 (constant), 01-09 (excluded)
     # and 01-16 (gap) leave Tuesday targets without a usable input day.

@@ -7,22 +7,12 @@ import pytest
 
 from randfnn.encoding import TrainingSet, build_training_set, encode_days
 from randfnn.errors import EmptyTrainingSet, ParameterError, ShapeError
-from randfnn.numerics import fit_hyperplane, knn, sigmoid
-from randfnn.randnn import (
-    MAX_U,
-    HiddenLayer,
-    HyperParams,
-    RandFnnModel,
-    derive_rng,
-    draw_layers,
-    fit,
-    hidden_output,
-    make_layer,
-    predict,
-    trial_predictions,
-)
+from randfnn.numerics import fit_hyperplane, sigmoid
+from randfnn.randnn import MAX_U, HyperParams, derive_rng, fit, hidden_output, make_layer, predict
 from randfnn.timeseries import SynthSpec, synth_generate
 from randfnn.tuning import default_grid
+
+import reference as ref
 
 
 def random_phi(n_pairs=30, n=24, p=24, seed=0):
@@ -43,8 +33,14 @@ def linear_phi(n_pairs=40, n=8, seed=1):
 
 
 def draw(method, m, smoothing, phi, *keys):
-    """One layer of `method`, drawn from derive_rng(*keys)."""
-    return make_layer(HyperParams(method, m, smoothing), phi, derive_rng(*keys))
+    """One layer of `method`, drawn from derive_rng(*keys) by the
+    one-layer reference."""
+    return ref.make_layer(HyperParams(method, m, smoothing), phi, derive_rng(*keys))
+
+
+def stacked(layer):
+    """`layer` as a stack of one, as the kernel takes it."""
+    return layer.weights[None], layer.biases[None]
 
 
 def anchor_deviation(layer, x_patterns):
@@ -95,7 +91,7 @@ class TestGenRam:
     def test_tiny_u_flattens_outputs(self):
         phi = random_phi()
         layer = draw("ram", 10, 1e-9, phi, 1)
-        h = hidden_output(layer, np.random.default_rng(0).normal(size=(5, 24)))
+        h = ref.hidden_output(layer, np.random.default_rng(0).normal(size=(5, 24)))
         np.testing.assert_allclose(h, 0.5, atol=1e-6)
 
     def test_anchors_sample_with_replacement(self):
@@ -203,7 +199,7 @@ class TestGenDdm:
 
 
 def ddm_draws(m, phi, rng):
-    """A ddm layer's anchors and target components, as `make_layer` draws them."""
+    """A ddm layer's anchors and target components, as one generator draws them."""
     return rng.integers(0, len(phi), size=m), rng.integers(0, phi.y.shape[1], size=m)
 
 
@@ -213,7 +209,7 @@ def reference_ddm(m, k, phi, rng):
     anchors, components = ddm_draws(m, phi, rng)
     weights = np.empty((m, phi.n))
     for j, (centre, comp) in enumerate(zip(anchors, components)):
-        hood = np.concatenate(([centre], knn(phi.x, phi.x[centre], k)))
+        hood = np.concatenate(([centre], ref.knn(phi.x, phi.x[centre], k)))
         weights[j] = 4.0 * fit_hyperplane(phi.x[hood], phi.y[hood])[0][comp]
     return weights, -np.einsum("ij,ij->i", weights, phi.x[anchors])
 
@@ -241,8 +237,8 @@ class TestDdmCache:
     def test_matches_uncached_fits_at_workload_shape(self):
         # a ddm_fixed day: N=178 pairs, n = p = 24, k=31, 100 trials of m=20
         phi = random_phi(n_pairs=178, n=24, p=24, seed=178)
-        weights, biases = draw_layers("ddm", 20, [31.0], phi,
-                                      [derive_rng(9, t) for t in range(100)])
+        weights, biases = make_layer("ddm", 20, [31.0], phi,
+                                     [derive_rng(9, t) for t in range(100)])
         for t in range(100):
             ref_weights, ref_biases = reference_ddm(20, 31, phi, derive_rng(9, t))
             assert weights[t].tobytes() == ref_weights.tobytes()
@@ -279,20 +275,20 @@ class TestDdmCache:
 
 class TestHiddenOutput:
     def test_zero_layer_gives_half(self):
-        layer = HiddenLayer("standard", np.zeros((3, 4)), np.zeros(3))
+        layers = np.zeros((1, 3, 4)), np.zeros((1, 3))
         np.testing.assert_array_equal(
-            hidden_output(layer, np.ones((2, 4))), np.full((2, 3), 0.5))
+            hidden_output(layers, np.ones((2, 4))), np.full((1, 2, 3), 0.5))
 
     def test_single_node_single_pattern(self):
-        layer = HiddenLayer("standard", np.array([[1.0, -1.0]]), np.array([0.25]))
-        h = hidden_output(layer, np.array([[0.5, 0.3]]))
-        assert h[0, 0] == pytest.approx(sigmoid(0.5 - 0.3 + 0.25), rel=1e-15)
+        layers = np.array([[[1.0, -1.0]]]), np.array([[0.25]])
+        h = hidden_output(layers, np.array([[0.5, 0.3]]))
+        assert h[0, 0, 0] == pytest.approx(sigmoid(0.5 - 0.3 + 0.25), rel=1e-15)
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(13)
         layer = draw("standard", 3, 1.0, random_phi(n=5), 13)
         X = rng.normal(size=(4, 5))
-        h = hidden_output(layer, X)
+        h = hidden_output(stacked(layer), X)[0]
         for i in range(4):
             for j in range(3):
                 expected = 1.0 / (1.0 + math.exp(-(layer.weights[j] @ X[i]
@@ -302,56 +298,56 @@ class TestHiddenOutput:
     def test_dimension_mismatch(self):
         layer = draw("standard", 3, 1.0, random_phi(n=5), 0)
         with pytest.raises(ShapeError):
-            hidden_output(layer, np.ones((2, 7)))
+            hidden_output(stacked(layer), np.ones((2, 7)))
 
 
 class TestFitPredict:
     def test_interpolation_regime(self):
         phi = random_phi(n_pairs=10, n=24, p=4, seed=14)
-        layer = draw("ram", 40, 1.0, phi, 14)  # m >= N
-        model = fit(layer, phi)
-        np.testing.assert_allclose(predict(model, phi.x), phi.y, atol=1e-6)
+        layers = stacked(draw("ram", 40, 1.0, phi, 14))  # m >= N
+        np.testing.assert_allclose(predict(layers, phi.x, fit(layers, phi))[0], phi.y, atol=1e-6)
 
     def test_scalar_case(self):
         phi = TrainingSet([[2.0]], [[3.0]])
-        layer = HiddenLayer("standard", np.array([[1.0]]), np.array([0.0]))
-        model = fit(layer, phi)
+        beta = fit((np.array([[[1.0]]]), np.array([[0.0]])), phi)
         h = sigmoid(2.0)
-        assert model.beta[0, 0] == pytest.approx(3.0 / h, rel=1e-12)
+        assert beta[0, 0, 0] == pytest.approx(3.0 / h, rel=1e-12)
 
     def test_matches_ridge_oracle(self):
         phi = random_phi(n_pairs=20, n=24, p=24, seed=15)
-        layer = draw("ram", 10, 0.8, phi, 15)
-        model = fit(layer, phi)
-        H = hidden_output(layer, phi.x)
+        layers = stacked(draw("ram", 10, 0.8, phi, 15))
+        beta = fit(layers, phi)[0]
+        H = hidden_output(layers, phi.x)[0]
         ridge = np.linalg.solve(H.T @ H + 1e-10 * np.eye(10), H.T @ phi.y)
-        res = np.linalg.norm(H @ model.beta - phi.y)
+        res = np.linalg.norm(H @ beta - phi.y)
         res_oracle = np.linalg.norm(H @ ridge - phi.y)
         assert abs(res - res_oracle) < 1e-6
 
     def test_fit_residual_optimality(self):
         phi = random_phi(n_pairs=25, n=24, p=6, seed=16)
-        layer = draw("ram", 8, 0.5, phi, 16)
-        model = fit(layer, phi)
-        H = hidden_output(layer, phi.x)
-        base = np.linalg.norm(H @ model.beta - phi.y)
+        layers = stacked(draw("ram", 8, 0.5, phi, 16))
+        beta = fit(layers, phi)[0]
+        H = hidden_output(layers, phi.x)[0]
+        base = np.linalg.norm(H @ beta - phi.y)
         rng = np.random.default_rng(16)
         for _ in range(20):
-            other = model.beta + rng.normal(size=model.beta.shape) * 0.01
+            other = beta + rng.normal(size=beta.shape) * 0.01
             assert base <= np.linalg.norm(H @ other - phi.y) + 1e-8
 
     def test_predict_zero_beta(self):
         phi = TrainingSet(np.eye(6), np.zeros((6, 2)))
-        model = fit(draw("standard", 4, 1.0, phi, 17), phi)
-        np.testing.assert_allclose(predict(model, np.ones(6)), 0.0, atol=1e-12)
+        layers = stacked(draw("standard", 4, 1.0, phi, 17))
+        np.testing.assert_allclose(predict(layers, np.ones((1, 6)), fit(layers, phi)), 0.0,
+                                   atol=1e-12)
 
     def test_predict_compositional_oracle(self):
         phi = random_phi(seed=18)
         layer = draw("ram", 12, 0.7, phi, 18)
-        model = fit(layer, phi)
+        beta = fit(stacked(layer), phi)
         x = np.random.default_rng(18).normal(size=24)
-        manual = sigmoid(layer.weights @ x + layer.biases) @ model.beta
-        np.testing.assert_allclose(predict(model, x), manual, atol=1e-12)
+        manual = sigmoid(layer.weights @ x + layer.biases) @ beta[0]
+        np.testing.assert_allclose(predict(stacked(layer), x[None], beta)[0, 0], manual,
+                                   atol=1e-12)
 
     def test_predict_batch_and_single_agree(self):
         # Cases run in a loop rather than through parametrize so the test
@@ -359,29 +355,30 @@ class TestFitPredict:
         # itself, exactly, so both products are pinned.
         phi = random_phi(seed=19)
         for m in (6, 50):
-            layer = draw("ram", m, 0.3, phi, 19)
-            models = {"hidden": RandFnnModel(layer, np.eye(m)), "output": fit(layer, phi)}
+            layers = stacked(draw("ram", m, 0.3, phi, 19))
+            betas = {"hidden": np.eye(m)[None], "output": fit(layers, phi)}
             for rows in (1, 3, 30):
-                for name, model in models.items():
-                    batch = predict(model, phi.x[:rows])
-                    singles = np.array([predict(model, x) for x in phi.x[:rows]])
+                for name, beta in betas.items():
+                    batch = predict(layers, phi.x[:rows], beta)
+                    singles = np.concatenate([predict(layers, x[None], beta)
+                                              for x in phi.x[:rows]], axis=1)
                     np.testing.assert_array_equal(
                         batch, singles, err_msg=f"{name} product, m={m}, rows={rows}")
 
     @pytest.mark.parametrize("m", [6, 20, 50, 120])
     @pytest.mark.parametrize("method,smoothing", [("ram", 0.05), ("ralpham", 10.0)])
     def test_single_row_path_unchanged(self, method, smoothing, m):
-        # A lone query keeps the bits of the plain hidden_output(...) @ beta
-        # path, and a 40-row stack gives exactly those rows.
+        # A lone query keeps the bits of the plain one-network
+        # hidden_output(...) @ beta path, and a 40-row stack gives exactly
+        # those rows.
         phi = random_phi(n_pairs=40, seed=25)
-        hp = HyperParams(method, m, smoothing, seed=25)
-        model = fit(make_layer(hp, phi), phi)
+        layer = draw(method, m, smoothing, phi, 25)
+        beta = fit(stacked(layer), phi)
         queries = np.random.default_rng(25).normal(size=(40, 24))
-        plain = np.array([(hidden_output(model.hidden, x[None]) @ model.beta)[0]
-                          for x in queries])
+        plain = np.array([(ref.hidden_output(layer, x[None]) @ beta[0])[0] for x in queries])
         for i, x in enumerate(queries):
-            np.testing.assert_array_equal(predict(model, x), plain[i])
-        np.testing.assert_array_equal(predict(model, queries), plain)
+            np.testing.assert_array_equal(predict(stacked(layer), x[None], beta)[0, 0], plain[i])
+        np.testing.assert_array_equal(predict(stacked(layer), queries, beta)[0], plain)
 
 
 class TestMakeLayerAndDeterminism:
@@ -389,29 +386,28 @@ class TestMakeLayerAndDeterminism:
         ("standard", 0.5), ("ram", 0.5), ("ralpham", 30.0), ("ddm", 7.0)])
     def test_full_determinism(self, method, smoothing):
         phi = random_phi(seed=20)
-        hp = HyperParams(method, 9, smoothing, seed=123)
-        a = fit(make_layer(hp, phi), phi)
-        b = fit(make_layer(hp, phi), phi)
-        np.testing.assert_array_equal(a.hidden.weights, b.hidden.weights)
-        np.testing.assert_array_equal(a.hidden.biases, b.hidden.biases)
-        np.testing.assert_array_equal(a.beta, b.beta)
+        a = make_layer(method, 9, [smoothing], phi, [derive_rng(123)])
+        b = make_layer(method, 9, [smoothing], phi, [derive_rng(123)])
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+        np.testing.assert_array_equal(fit(a, phi), fit(b, phi))
 
     def test_ralpham_90_label_clamped(self):
         phi = random_phi(seed=21)
-        layer = make_layer(HyperParams("ralpham", 5, 90.0, seed=0), phi)
+        weights, _ = make_layer("ralpham", 5, [90.0], phi, [derive_rng(0)])
         rng = derive_rng(0)  # the layer's generator: angles first, then signs
         angles = rng.uniform(0.0, 89.9, size=(5, 24))
         signs = rng.integers(0, 2, size=(5, 24)) * 2 - 1
-        assert layer.weights.tobytes() == (signs * 4.0 * np.tan(np.radians(angles))).tobytes()
-        assert np.abs(layer.weights).max() <= 4.0 * np.tan(np.radians(89.9))
+        assert weights[0].tobytes() == (signs * 4.0 * np.tan(np.radians(angles))).tobytes()
+        assert np.abs(weights).max() <= 4.0 * np.tan(np.radians(89.9))
 
     def test_method_dispatch(self):
         phi = random_phi(seed=22)
         for method, smoothing in [("standard", 0.1), ("ram", 0.1),
                                   ("ralpham", 15.0), ("ddm", 5.0)]:
-            layer = make_layer(HyperParams(method, 4, smoothing), phi)
-            assert layer.method == method
-            assert layer.m == 4
+            weights, biases = make_layer(method, 4, [smoothing], phi, [derive_rng(0)])
+            assert weights.shape == (1, 4, phi.n) and biases.shape == (1, 4)
+            assert_same_bits(draw(method, 4, smoothing, phi, 0), (weights[0], biases[0]))
 
     def test_hyperparams_validation(self):
         with pytest.raises(ParameterError):
@@ -436,7 +432,7 @@ class TestMakeLayerAndDeterminism:
                 with pytest.raises(ParameterError, match=re.escape(f"at most {MAX_U!r}")):
                     HyperParams(method, 5, u)
         with np.errstate(all="raise"):
-            draw_layers("standard", 3, [MAX_U], random_phi(n_pairs=5), [derive_rng(0)])
+            make_layer("standard", 3, [MAX_U], random_phi(n_pairs=5), [derive_rng(0)])
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +446,9 @@ def wednesdays():
 
 
 class TestTrialPredictions:
+    """The stacked kernel, make_layer -> fit -> predict, against the
+    one-network references trial by trial."""
+
     @pytest.mark.parametrize("method,m,smoothing", [
         ("standard", 20, 0.4), ("ram", 20, 0.4), ("ralpham", 20, 30.0), ("ddm", 20, 31.0),
         ("ram", 50, 0.02), ("ralpham", 20, (2.0, 30.0, 90.0))])
@@ -460,16 +459,16 @@ class TestTrialPredictions:
         phi, queries = wednesdays
         smoothing = smoothing if isinstance(smoothing, tuple) else (smoothing,)
         q = queries[:n_queries]
-        layers = [make_layer(HyperParams(method, m, s), phi, derive_rng(7, 2013, t))
+        layers = [ref.make_layer(HyperParams(method, m, s), phi, derive_rng(7, 2013, t))
                   for s in smoothing for t in range(trials)]
-        reference = np.stack([predict(fit(layer, phi), q) for layer in layers])
+        reference = np.stack([ref.predict(layer, q, ref.fit(layer, phi)) for layer in layers])
         rngs = [derive_rng(7, 2013, t) for t in range(trials)]
-        stack = draw_layers(method, m, smoothing, phi, rngs)
-        np.testing.assert_array_equal(trial_predictions(*stack, phi, q), reference)
+        stack = make_layer(method, m, smoothing, phi, rngs)
+        np.testing.assert_array_equal(predict(stack, q, fit(stack, phi)), reference)
         if smoothing == (0.02,):
             # ill-conditioned: here forecasts move with the summation order,
             # so equal bits mean the stacked products kept the per-trial calls
-            assert np.linalg.cond(hidden_output(layers[0], phi.x)) > 1e10
+            assert np.linalg.cond(ref.hidden_output(layers[0], phi.x)) > 1e10
 
 
 def reference_layer(method, m, smoothing, phi, rng):
@@ -499,12 +498,12 @@ class TestDrawLayers:
         grid = (1.0, 5.0, 9.0, 39.0) if method == "ddm" else default_grid(method).smoothing_values
         for m in (5, 20, 50):
             for key in range(2):
-                weights, biases = draw_layers(
+                weights, biases = make_layer(
                     method, m, grid, phi, [derive_rng(key, t) for t in range(trials)])
                 assert weights.shape == (len(grid) * trials, m, phi.n)
                 assert biases.shape == (len(grid) * trials, m)
                 for i, (s, t) in enumerate((s, t) for s in grid for t in range(trials)):
-                    layer = make_layer(HyperParams(method, m, s), phi, derive_rng(key, t))
+                    layer = ref.make_layer(HyperParams(method, m, s), phi, derive_rng(key, t))
                     assert_same_bits(layer, (weights[i], biases[i]))
                     assert_same_bits(layer, reference_layer(method, m, s, phi,
                                                             derive_rng(key, t)))
@@ -516,8 +515,8 @@ class TestDrawLayers:
         # rejects a u whose u - (-u) overflows
         phi = TrainingSet(np.full((5, 4), 1e200), np.zeros((5, 2)))
         with pytest.raises(ParameterError, match="finite"), np.errstate(over="ignore"):
-            draw_layers(method, 3, smoothing, phi, [derive_rng(0), derive_rng(1)])
-        draw_layers(method, 3, smoothing[:1], phi, [derive_rng(0), derive_rng(1)])
+            make_layer(method, 3, smoothing, phi, [derive_rng(0), derive_rng(1)])
+        make_layer(method, 3, smoothing[:1], phi, [derive_rng(0), derive_rng(1)])
 
     def test_rejects_out_of_range_values(self):
         phi = random_phi(n_pairs=10)
@@ -526,4 +525,4 @@ class TestDrawLayers:
                                   ("ralpham", (30.0, 0.0)), ("ralpham", (30.0, 95.0)),
                                   ("ddm", (3.0, 10.0)), ("ddm", (math.nan,))):
             with pytest.raises(ParameterError):
-                draw_layers(method, 3, smoothing, phi, [derive_rng(0)])
+                make_layer(method, 3, smoothing, phi, [derive_rng(0)])

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import os
@@ -208,7 +209,7 @@ def outcome(load, text, **kwargs):
     the error's type and message."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "series.csv"
-        path.write_text(text, newline="")
+        path.write_text(text, newline="", encoding="utf-8")
         got = [_outcome(load, source, **kwargs)
                for source in (io.StringIO(text), io.BytesIO(text.encode()), path)]
     assert got[1:] == got[:1] * 2
@@ -453,6 +454,15 @@ def test_path_and_streams_load_alike(newline, tmp_path):
     for ts in loads[1:]:
         assert ts.dates == loads[0].dates and ts.warnings == loads[0].warnings
         assert ts.values.tobytes() == loads[0].values.tobytes()
+
+
+def test_byte_order_mark_is_dropped_from_a_path_and_bytes(tmp_path):
+    text = stamped(iso)
+    path = tmp_path / "series.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    want = _outcome(load_csv, io.StringIO(text))
+    assert _outcome(load_csv, path) == want
+    assert _outcome(load_csv, io.BytesIO(codecs.BOM_UTF8 + text.encode())) == want
 
 
 def test_a_path_is_parsed_without_a_copy_of_its_text(tmp_path):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import randfnn.tuning as tuning
 from randfnn.encoding import TrainingSet
-from randfnn.randnn import (HyperParams, derive_rng, fit, make_layer, predict,
-                            trial_predictions)
+from randfnn.randnn import HyperParams, derive_rng, fit
 from randfnn.tuning import Grid, grid_search, kfold_split, write_tuning_csv
+
+import reference as ref
 
 
 def random_phi(n_pairs=20, n=6, p=4, seed=0):
@@ -29,8 +30,9 @@ def reference_errors(phi, hp, k_folds, seed, trials_per_fold):
         train = TrainingSet(phi.x[mask], phi.y[mask])
         trials = []
         for trial in range(trials_per_fold):
-            model = fit(make_layer(hp, train, derive_rng(seed, fold_idx, trial)), train)
-            trials.append(np.mean(np.abs(predict(model, phi.x[held]) - phi.y[held])))
+            layer = ref.make_layer(hp, train, derive_rng(seed, fold_idx, trial))
+            beta = ref.fit(layer, train)
+            trials.append(np.mean(np.abs(ref.predict(layer, phi.x[held], beta) - phi.y[held])))
         errors.append(np.mean(trials))
     return np.array(errors)
 
@@ -66,11 +68,11 @@ def test_one_kernel_call_per_fold_and_m(monkeypatch, method, smoothing):
     # every method, ddm too, stacks its fitting smoothing values in one call
     calls = []
 
-    def counting(weights, *args):
-        calls.append(len(weights))
-        return trial_predictions(weights, *args)
+    def counting(layers, phi):
+        calls.append(len(layers[0]))
+        return fit(layers, phi)
 
-    monkeypatch.setattr(tuning, "trial_predictions", counting)
+    monkeypatch.setattr(tuning, "fit", counting)
     grid = Grid((3, 6, 9), smoothing)
     grid_search(random_phi(), method, grid, 5, 0, trials_per_fold=2)
     fitting = len(smoothing) - (method == "ddm")  # 20 pairs in 5 folds: k <= 15
