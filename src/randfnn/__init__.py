@@ -1,15 +1,7 @@
 """Forecasting time series with multiple seasonal cycles using randomized
 single-hidden-layer feedforward networks over a pattern representation."""
 
-from .encoding import (
-    CodingVars,
-    DayMatrix,
-    TrainingSet,
-    build_training_set,
-    decode,
-    encode_days,
-    encode_x,
-)
+from .encoding import CodingVars, TrainingSet, build_training_set, decode, encode_x
 from .evaluation import (
     MetricsSummary,
     WilcoxonResult,

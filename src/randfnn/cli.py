@@ -33,12 +33,12 @@ import json
 import operator
 import sys
 from dataclasses import fields
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .encoding import _pair_rows, encode_days
+from .encoding import _pair_rows
 from .errors import (
     MetricError,
     PairingError,
@@ -71,6 +71,7 @@ from .tuning import Grid, default_grid, write_tuning_csv
 
 WEEKDAYS = ("mon", "tue", "wed", "thu", "fri", "sat", "sun")
 CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+SYNTH_KEYS = tuple(f.name for f in fields(SynthSpec))
 
 
 def main(argv=None) -> int:
@@ -186,31 +187,42 @@ def _flag_grid(args, base: Grid) -> Grid:
                 else base.smoothing_values)
 
 
+def _json_object(path) -> dict:
+    """The JSON object in the file at `path`; invalid JSON or another JSON
+    value is a usage error naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ParameterError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path}: not a JSON object")
+    return doc
+
+
 def cmd_synth(args) -> int:
-    fields = {}
-    if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            fields.update(json.load(fh))
-    overrides = {
-        "days": args.days,
-        "start_date": args.start_date,
-        "base": args.base,
-        "daily_amplitude": args.daily_amplitude,
-        "weekly_modulation": args.weekly_modulation,
-        "yearly_modulation": args.yearly_modulation,
-        "noise_level": args.noise_level,
-    }
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    if "days" not in fields:
+    """Write a synthetic series. A --spec file is a JSON object of
+    `SynthSpec` fields, which the flags override; a field that cannot be
+    read as its type is a usage error naming the file."""
+    doc = _json_object(args.spec) if args.spec else {}
+    doc.update({k: getattr(args, k) for k in SYNTH_KEYS if getattr(args, k) is not None})
+    if "days" not in doc:
         raise ParameterError("--days is required (directly or via --spec)")
-    ts = synth_generate(SynthSpec.from_dict(fields), args.seed)
+    try:
+        spec = SynthSpec.from_dict(doc)
+    except ParameterError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # flags arrive parsed, so a value that fails here came from the file
+        raise ParameterError(f"{args.spec}: bad spec: {exc}") from None
+    ts = synth_generate(spec, args.seed)
     write_csv(ts, args.out)
     print(f"wrote {ts.n_days * ts.n} rows to {args.out}")
     return 0
 
 
 def _load_series(data_path, exclude_path):
-    """The series with its excluded days flagged; its load warnings
+    """The series without its excluded days; its load warnings
     (dropped partial days, exclusion dates not in it) go to stderr."""
     ts = load_csv(data_path)
     if exclude_path:
@@ -227,10 +239,10 @@ def cmd_tune(args) -> int:
     stage runner. Write the tables in the bundle's tuning.csv format. A
     weekday without pairs is reported on stderr and the others are
     still tuned and written; the exit code is then 1."""
-    days = encode_days(_load_series(args.data, args.exclude))
+    ts = _load_series(args.data, args.exclude)
     grid = _flag_grid(args, default_grid(args.method))
     # default: every day loaded; with none left, no weekday has pairs
-    cutoff = args.cutoff or date.fromordinal(int(days.ordinals.max(initial=0)) + 1)
+    cutoff = args.cutoff or (ts.dates[-1].item() + timedelta(days=1) if ts.n_days else date.min)
 
     if args.weekday == "all":
         weekdays = list(range(7))
@@ -245,14 +257,14 @@ def cmd_tune(args) -> int:
 
     tables = []
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        with _stages(days, len(weekdays)) as run:
+        with _stages(ts, len(weekdays)) as run:
             results = run(_search, [(config, args.method, wd, cutoff, wd) for wd in weekdays])
         for wd, result in zip(weekdays, results):
             if result is None:
                 print(f"error: {WEEKDAYS[wd]}: no pairs for weekday {wd}, tau {args.tau}, "
                       f"cutoff {cutoff}", file=sys.stderr)
                 continue
-            n_pairs = _pair_rows(days, wd, args.tau, cutoff)[0].size
+            n_pairs = _pair_rows(ts, wd, args.tau, cutoff)[0].size
             best = result.best
             if best is None:
                 print(f"{WEEKDAYS[wd]}: no gridpoint fits (N={n_pairs})")
@@ -278,18 +290,10 @@ def _forecast_config(args) -> ExperimentConfig:
     """The --config file's fields, overridden by the flags given. A file
     that is not a JSON object, or a field that cannot be read, is a
     usage error naming the file and the field."""
-    cfg = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                cfg = json.load(fh)
-            except ValueError as exc:
-                raise ParameterError(f"{args.config}: not valid JSON: {exc}") from None
-        if not isinstance(cfg, dict):
-            raise ParameterError(f"{args.config}: not a JSON object")
-        unknown = sorted(set(cfg) - set(CONFIG_KEYS))
-        if unknown:
-            raise ParameterError(f"{args.config}: unknown config keys {unknown}")
+    cfg = _json_object(args.config) if args.config else {}
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ParameterError(f"{args.config}: unknown config keys {unknown}")
     cfg.update({k: getattr(args, k) for k in CONFIG_KEYS if getattr(args, k, None) is not None})
 
     def convert(key, fn):

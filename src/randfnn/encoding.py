@@ -1,5 +1,4 @@
-"""Pattern encoder/decoder, the day matrix, and weekday-grouped training
-sets.
+"""Pattern encoder/decoder and weekday-grouped training sets.
 
 An input pattern is the seasonal sequence centered by its mean and scaled
 by the Euclidean norm of the centered vector, so every x-pattern has zero
@@ -8,17 +7,16 @@ day. Target patterns reuse the *input* day's coding variables (the target
 day's are unknown at forecast time), which is also what decodes a
 predicted pattern back into physical units.
 
-A run encodes its series once: `encode_days` turns the complete,
-non-excluded days into a `DayMatrix`, one row per day holding its date
-ordinal, values, x-pattern, mean, dispersion and whether it can be
-encoded at all (a numerically constant day cannot), all from one
-whole-array `encode_x`. One rule, `_pair_rows`, says which (target,
-input) rows pair up: the input day is present exactly `tau` days before
-the target and is not constant. `build_training_set` gathers those rows,
-coding each target with its input row's mean and dispersion; the
-pipeline's screening asks the same rule whether a day's training set
-would be empty. The one-day references of `encode_x` and of the target
-coding live in `tests/reference.py`.
+`encode_x` encodes whole arrays of days at once; `timeseries.TimeSeries`
+calls it once per series and keeps each day's pattern, mean, dispersion
+and whether it can be encoded at all (a numerically constant day cannot).
+One rule, `_pair_rows`, says which (target, input) rows of a series pair
+up: the input day is present exactly `tau` days before the target and is
+not constant. `build_training_set` gathers those rows, coding each target
+with its input row's mean and dispersion; the pipeline's screening asks
+the same rule whether a day's training set would be empty. The one-day
+references of `encode_x` and of the target coding live in
+`tests/reference.py`.
 """
 
 from dataclasses import dataclass, field
@@ -27,14 +25,11 @@ from datetime import date
 import numpy as np
 
 from .errors import EmptyTrainingSet, ParameterError, ShapeError
-from .timeseries import TimeSeries
 
 __all__ = [
     "CodingVars",
-    "DayMatrix",
     "TrainingSet",
     "encode_x",
-    "encode_days",
     "decode",
     "build_training_set",
 ]
@@ -58,14 +53,17 @@ def encode_x(values) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     Returns the patterns x (D, n) and each day's coding variables, needed
     to encode targets and decode forecasts: its mean (D,) and dispersion
     (D,), the norm of its centered values. `valid` (D,) is False for a
-    (numerically) constant day, whose x row is zero.
+    (numerically) constant day and for a day whose mean or dispersion
+    overflows; its x row is zero.
     """
     values = np.asarray(values, dtype=float)
-    mean = values.mean(axis=1)
-    centered = values - mean[:, None]
-    dispersion = np.sqrt((centered ** 2).sum(axis=1))
-    # scale-aware degeneracy threshold
-    valid = dispersion > 1e-12 * values.shape[1] * np.maximum(1.0, np.abs(mean))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean(axis=1)
+        centered = values - mean[:, None]
+        dispersion = np.sqrt((centered ** 2).sum(axis=1))
+        # scale-aware degeneracy threshold
+        valid = np.isfinite(dispersion) & (
+            dispersion > 1e-12 * values.shape[1] * np.maximum(1.0, np.abs(mean)))
     x = np.divide(centered, dispersion[:, None], out=np.zeros_like(centered),
                   where=valid[:, None])
     return x, mean, dispersion, valid
@@ -76,57 +74,25 @@ def decode(y_hat, coding: CodingVars) -> np.ndarray:
     return np.asarray(y_hat, dtype=float) * coding.dispersion + coding.mean
 
 
-@dataclass(frozen=True)
-class DayMatrix:
-    """A series' complete, non-excluded days, encoded once, in date order.
-
-    Row i is one day: `ordinals[i]` is its `date.toordinal()`, `values[i]`
-    its observations, and `x[i]`, `mean[i]`, `dispersion[i]` and
-    `valid[i]` its row of `encode_x`. A constant day (not valid) never
-    serves as an input.
-    """
-
-    ordinals: np.ndarray  # (D,) int
-    values: np.ndarray  # (D, n)
-    x: np.ndarray  # (D, n)
-    mean: np.ndarray  # (D,)
-    dispersion: np.ndarray  # (D,)
-    valid: np.ndarray  # (D,) bool
-
-    def row(self, day: date) -> int | None:
-        """Row of `day`, or None when the day is absent or excluded."""
-        o = day.toordinal()
-        i = int(np.searchsorted(self.ordinals, o))
-        return i if i < self.ordinals.size and self.ordinals[i] == o else None
-
-
-def encode_days(ts: TimeSeries) -> DayMatrix:
-    """Encode every complete, non-excluded day of `ts` at once."""
-    keep = ~ts.excluded
-    ordinals = np.array([d.toordinal() for d in ts.dates], dtype=np.int64)[keep]
-    values = ts.values[keep]
-    x, mean, dispersion, valid = encode_x(values)
-    for a in (ordinals, values, x, mean, dispersion, valid):
-        a.flags.writeable = False
-    return DayMatrix(ordinals, values, x, mean, dispersion, valid)
-
-
-def _pair_rows(days: DayMatrix, weekday: int, tau: int,
+def _pair_rows(ts, weekday: int, tau: int,
                cutoff: date) -> tuple[np.ndarray, np.ndarray, int]:
-    """The admissibility rule: rows (targets, inputs) of the pairs whose
-    target falls on `weekday` strictly before `cutoff`, in date order,
-    and the number of pairs dropped for a constant input day.
+    """The admissibility rule: rows (targets, inputs) of the series `ts`
+    whose target falls on `weekday` strictly before `cutoff`, in date
+    order, and the number of pairs dropped for a constant input day.
 
     A target pairs with the day exactly `tau` calendar days earlier when
     that day is present; the pair is admissible when that day is valid.
     """
-    ords = days.ordinals
-    targets = np.flatnonzero((ords < cutoff.toordinal()) & ((ords - 1) % 7 == weekday))
-    # an input ordinal is below its target's, so its sorted position is in range
-    inputs = np.searchsorted(ords, ords[targets] - tau)
-    present = ords[inputs] == ords[targets] - tau
+    dates = ts.dates
+    # 1970-01-01, day 0 of datetime64[D], is a Thursday (weekday 3)
+    on_weekday = (dates.view(np.int64) + 3) % 7 == weekday
+    targets = np.flatnonzero((dates < np.datetime64(cutoff, "D")) & on_weekday)
+    wanted = dates[targets] - np.timedelta64(tau, "D")
+    # an input date is below its target's, so its sorted position is in range
+    inputs = np.searchsorted(dates, wanted)
+    present = dates[inputs] == wanted
     targets, inputs = targets[present], inputs[present]
-    ok = days.valid[inputs]
+    ok = ts.valid[inputs]
     return targets[ok], inputs[ok], int(np.count_nonzero(~ok))
 
 
@@ -167,10 +133,10 @@ class TrainingSet:
         return self.x.shape[1]
 
 
-def build_training_set(days: DayMatrix, target_weekday: int, tau: int,
-                       cutoff: date) -> TrainingSet:
-    """Pair each day of `target_weekday` strictly before `cutoff` with the
-    day `tau` days earlier, under the rule of `_pair_rows`.
+def build_training_set(ts, target_weekday: int, tau: int, cutoff: date) -> TrainingSet:
+    """Pair each day of the series `ts` on `target_weekday` strictly
+    before `cutoff` with the day `tau` days earlier, under the rule of
+    `_pair_rows`.
 
     x rows are the input days' patterns; y rows are the targets coded
     with the input days' mean and dispersion. Pairs with a constant input
@@ -179,10 +145,10 @@ def build_training_set(days: DayMatrix, target_weekday: int, tau: int,
     """
     if tau < 1:
         raise ParameterError(f"tau must be >= 1, got {tau}")
-    targets, inputs, skipped = _pair_rows(days, target_weekday, tau, cutoff)
+    targets, inputs, skipped = _pair_rows(ts, target_weekday, tau, cutoff)
     if not targets.size:
         raise EmptyTrainingSet(
             f"no pairs for weekday {target_weekday}, tau {tau}, cutoff {cutoff}"
         )
-    y = (days.values[targets] - days.mean[inputs, None]) / days.dispersion[inputs, None]
-    return TrainingSet(days.x[inputs], y, n_skipped_degenerate=skipped)
+    y = (ts.values[targets] - ts.mean[inputs, None]) / ts.dispersion[inputs, None]
+    return TrainingSet(ts.x[inputs], y, n_skipped_degenerate=skipped)

@@ -1,10 +1,10 @@
 """Rolling daily forecast experiment.
 
-The series is encoded once into a day matrix (`encoding.encode_days`).
-For every test day a strictly causal training set is gathered from its
-rows: the same-weekday targets before the day, each with the day `tau`
-days earlier as input, under the one admissibility rule of
-`encoding._pair_rows`, which screening applies too. A batch of
+Every stage reads the one `timeseries.TimeSeries`, whose days are encoded
+when it is built. For every test day a strictly causal training set is
+gathered from its rows: the same-weekday targets before the day, each
+with the day `tau` days earlier as input, under the one admissibility
+rule of `encoding._pair_rows`, which screening applies too. A batch of
 independently seeded models is trained, and the decoded forecasts are
 scored against the actual day. Days that any configured method cannot
 handle are skipped for all methods, so cross-method comparisons stay
@@ -19,8 +19,8 @@ All randomness is derived from the master seed, the method name, the day
 and the trial index, which makes reports reproducible and independent of
 worker scheduling. Each tuning decision is one grid search task,
 `_search`, which `randfnn tune` runs too. Searches and test days run in
-one pool of spawned workers; see `_stages`, also for the `__main__`
-guard that a calling script needs.
+one pool of spawned workers, each task carrying the series; see
+`_stages`, also for the `__main__` guard that a calling script needs.
 """
 
 import json
@@ -33,8 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoding import (CodingVars, DayMatrix, TrainingSet, _pair_rows, build_training_set,
-                       decode, encode_days)
+from .encoding import CodingVars, TrainingSet, _pair_rows, build_training_set, decode
 from .errors import EmptyTrainingSet, ExperimentError, ParameterError
 from .evaluation import _check_alpha, _summary, percentage_errors, wilcoxon_signed_rank
 from .randnn import METHODS, HyperParams, derive_rng, derive_seed, fit, make_layer, predict
@@ -92,6 +91,10 @@ class ExperimentConfig:
             raise ParameterError("trials must be >= 1")
         if self.tau < 1:
             raise ParameterError("tau must be >= 1")
+        if self.cv_folds < 2:
+            raise ParameterError(f"need at least 2 folds, got {self.cv_folds}")
+        if self.trials_per_fold < 1:
+            raise ParameterError(f"trials_per_fold must be >= 1, got {self.trials_per_fold}")
         _check_alpha(self.alpha)
         if self.tuning not in ("once", "per-day", "fixed"):
             raise ParameterError(f"unknown tuning mode {self.tuning!r}")
@@ -99,6 +102,9 @@ class ExperimentConfig:
             missing = [m for m in self.model_methods if m not in (self.fixed_params or {})]
             if missing:
                 raise ParameterError(f"fixed tuning mode lacks params for {missing}")
+        for method, hp in (self.fixed_params or {}).items():
+            if hp.method != method:
+                raise ParameterError(f"fixed_params[{method!r}] holds {hp.method!r} parameters")
 
     @property
     def model_methods(self) -> tuple[str, ...]:
@@ -140,25 +146,25 @@ def run_day(phi: TrainingSet, query: np.ndarray, coding: CodingVars, hp: HyperPa
     return decode(predict(layers, query, fit(layers, phi))[:, 0, :], coding)
 
 
-def _screen_day(day: date, days: DayMatrix, config: ExperimentConfig) -> str | None:
+def _screen_day(day: date, ts: TimeSeries, config: ExperimentConfig) -> str | None:
     """Reason to skip `day`, or None if every configured method can run it.
 
     `day`'s training set is empty exactly when the admissibility rule
     (`encoding._pair_rows`) finds no pair for its weekday before it; a
     fixed ddm with k neighbors needs more than k pairs.
     """
-    if days.row(day) is None:
+    if ts.row(day) is None:
         return "missing or excluded actual day"
-    inp = days.row(day - timedelta(days=config.tau))
+    inp = ts.row(day - timedelta(days=config.tau))
     if inp is None:
         return "missing input pattern"
-    if not days.valid[inp]:
+    if not ts.valid[inp]:
         return "degenerate input pattern"
     if NAIVE in config.methods:
-        if days.row(day - timedelta(days=NAIVE_PERIOD_DAYS)) is None:
+        if ts.row(day - timedelta(days=NAIVE_PERIOD_DAYS)) is None:
             return "missing naive reference"
     if config.model_methods:
-        pairs = _pair_rows(days, day.weekday(), config.tau, day)[0].size
+        pairs = _pair_rows(ts, day.weekday(), config.tau, day)[0].size
         if not pairs:
             return "empty training set"
         if config.tuning == "fixed" and "ddm" in config.methods:
@@ -180,15 +186,15 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _stages(days, most_tasks: int):
-    """Yields `run(fn, tasks)`, which returns `[fn(days, task) for task
+def _stages(ts, most_tasks: int):
+    """Yields `run(fn, tasks)`, which returns `[fn(ts, task) for task
     in tasks]` in task order, for a module-level `fn`.
 
     With `min(usable CPUs, most_tasks)` of at least two, every call runs
-    in one spawn pool of that many workers for the whole run, and `days`
-    goes with each task: sent once to the pool's initializer, it would
-    fill the pipe that starts each worker and start them one after
-    another. The usable CPUs are the process's affinity mask
+    in one spawn pool of that many workers for the whole run, and `ts`
+    goes with each task (a series pickles without its patterns): sent
+    once to the pool's initializer, it would fill the pipe that starts
+    each worker and start them one after another. The usable CPUs are the process's affinity mask
     (`os.sched_getaffinity`); run under `taskset` to use fewer. The
     executor starts workers on demand, in any call, so the BLAS thread
     variables are held at one for the pool's lifetime: every worker
@@ -203,7 +209,7 @@ def _stages(days, most_tasks: int):
     """
     workers = min(_usable_cpus(), most_tasks)
     if workers < 2:
-        yield lambda fn, tasks: [fn(days, task) for task in tasks]
+        yield lambda fn, tasks: [fn(ts, task) for task in tasks]
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -213,7 +219,7 @@ def _stages(days, most_tasks: int):
     try:
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
         try:
-            yield lambda fn, tasks: list(pool.map(fn, [days] * len(tasks), tasks))
+            yield lambda fn, tasks: list(pool.map(fn, [ts] * len(tasks), tasks))
         finally:
             pool.shutdown(cancel_futures=True)
     finally:
@@ -224,14 +230,14 @@ def _stages(days, most_tasks: int):
                 os.environ[k] = v
 
 
-def _search(days, task):
+def _search(ts, task):
     """Tuning task: one method's grid search on one weekday's pairs
     before `cutoff`, seeded from `config.seed`, the method and `key`: the
     weekday for `once` tuning and `randfnn tune`, the test day's ordinal
     for `per-day` tuning. None when there are no such pairs."""
     config, method, weekday, cutoff, key = task
     try:
-        phi = build_training_set(days, weekday, config.tau, cutoff)
+        phi = build_training_set(ts, weekday, config.tau, cutoff)
     except EmptyTrainingSet:
         return None
     return grid_search(phi, method, config.grid_for(method), config.cv_folds,
@@ -239,7 +245,7 @@ def _search(days, task):
                        config.trials_per_fold)
 
 
-def _forecast_day(days, task):
+def _forecast_day(ts, task):
     """Forecast task: every method's (trials, n) forecasts for one test
     day that `_screen_day` passed, given each model method's
     hyperparameters. The model methods' inputs are gathered once, and
@@ -249,17 +255,17 @@ def _forecast_day(days, task):
     t)`, with `seed` derived from the master seed and the method."""
     config, day, hps = task
     if config.model_methods:
-        inp = days.row(day - timedelta(days=config.tau))
-        phi = build_training_set(days, day.weekday(), config.tau, cutoff=day)
-        coding = CodingVars(float(days.mean[inp]), float(days.dispersion[inp]))
+        inp = ts.row(day - timedelta(days=config.tau))
+        phi = build_training_set(ts, day.weekday(), config.tau, cutoff=day)
+        coding = CodingVars(float(ts.mean[inp]), float(ts.dispersion[inp]))
     per_method = {}
     for method in config.methods:
         if method == NAIVE:
-            per_method[method] = days.values[[days.row(day - timedelta(days=NAIVE_PERIOD_DAYS))]]
+            per_method[method] = ts.values[[ts.row(day - timedelta(days=NAIVE_PERIOD_DAYS))]]
         else:
             seed = derive_seed(config.seed, _FORECAST_STREAM, _method_tag(method))
             rngs = [derive_rng(seed, day.toordinal(), t) for t in range(config.trials)]
-            per_method[method] = run_day(phi, days.x[[inp]], coding, hps[method], rngs)
+            per_method[method] = run_day(phi, ts.x[[inp]], coding, hps[method], rngs)
     return per_method
 
 
@@ -270,20 +276,17 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries) -> ExperimentReport
 
     `ts` is the loaded series with its exclusions applied;
     `config.data_path` and `config.exclusions_path` only record where it
-    came from, so that report.json replays the run. It is encoded once
-    into a day matrix, which every stage reads. A candidate day that
+    came from, so that report.json replays the run. A candidate day that
     `_screen_day` rejects is skipped with its reason; every training set
-    is gathered from the day matrix under that same admissibility rule.
+    is gathered from the series under that same admissibility rule.
     A day whose tuning selects no hyperparameters for some method is
     skipped after the screened days. Stages run as `_stages` describes.
     """
-    days = encode_days(ts)
-
     candidates = [config.test_start + timedelta(days=i)
                   for i in range((config.test_end - config.test_start).days + 1)]
     skipped, test_days = [], []
     for day in candidates:
-        reason = _screen_day(day, days, config)
+        reason = _screen_day(day, ts, config)
         if reason is None:
             test_days.append(day)
         else:
@@ -293,7 +296,7 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries) -> ExperimentReport
     if config.tuning != "fixed":
         keys = {d.weekday() for d in test_days} if config.tuning == "once" else test_days
         searches = len(config.model_methods) * len(keys)
-    with _stages(days, max(len(test_days), searches)) as run:
+    with _stages(ts, max(len(test_days), searches)) as run:
         tune_tables, hps = _resolve_tuning(config, test_days, run)
         tasks = []
         for day, hp in zip(test_days, hps):
@@ -307,7 +310,7 @@ def run_experiment(config: ExperimentConfig, ts: TimeSeries) -> ExperimentReport
         results = run(_forecast_day, tasks)
 
     test_days = [day for _, day, _ in tasks]
-    actual = days.values[[days.row(d) for d in test_days]]
+    actual = ts.values[[ts.row(d) for d in test_days]]
     forecasts = {m: np.stack([r[m] for r in results]) for m in config.methods}
     summaries, ape = {}, {}
     a = actual[:, None, :]  # (days, 1, n), against each (days, trials, n) block

@@ -1,11 +1,15 @@
 """Hourly time series ingestion, calendar exclusions, and a synthetic
 multi-seasonal generator.
 
-A `TimeSeries` holds only complete days: incomplete leading/trailing days
-are dropped at load time with a warning, while irregular timestamps inside
-a day (sub-hourly rows, duplicated or missing hours as left behind by
-daylight-saving shifts) are rejected outright. Exclusion of atypical days
-(holidays) is a per-day flag, not a deletion, so serialization round-trips.
+A `TimeSeries` is the one series object from load to forecast: complete
+days in date order, as a `datetime64[D]` array and a (days, n) value
+array, with each day's pattern (`encoding.encode_x`) computed once when
+it is built. Incomplete leading/trailing days are dropped at load time
+with a warning, while irregular timestamps inside a day (sub-hourly rows,
+duplicated or missing hours as left behind by daylight-saving shifts) are
+rejected outright. Excluding atypical days (holidays) deletes them, so
+training, screening and scoring see them as absent days, and `write_csv`
+writes the series without them.
 
 `load_csv` reads ISO 8601 timestamps as `datetime.fromisoformat` does, at
 local wall-clock time. Every CSV file the program reads, here and in `cli`,
@@ -19,12 +23,14 @@ finite values.
 
 import csv
 import io
+import operator
 import warnings
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 
 import numpy as np
 
+from .encoding import encode_x
 from .errors import (
     DuplicateTimestampError,
     ParameterError,
@@ -56,39 +62,52 @@ _DIGIT = np.where(_CANONICAL == ord("0"), 9, 0).astype(np.uint8)
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Complete hourly days with per-day exclusion flags.
+    """Complete hourly days, each encoded as a pattern.
 
-    `dates` is strictly increasing but may have gaps (absent days).
-    `values` has one row of `n` hourly observations per date.
+    `dates` is a strictly increasing `datetime64[D]` array (a sequence of
+    `date` converts) and may have gaps (absent days). `values` has one row
+    of `n` hourly observations per date. Row i of `x`, `mean`,
+    `dispersion` and `valid` is day i's row of `encoding.encode_x`; a
+    constant day (not valid) never serves as an input. A pickle holds
+    only dates, values, n and warnings, and loading it encodes again: row
+    by row, so to the same bits.
     """
 
-    dates: tuple[date, ...]
-    values: np.ndarray
-    excluded: np.ndarray
+    dates: np.ndarray  # (D,) datetime64[D]
+    values: np.ndarray  # (D, n)
     n: int = HOURS_PER_DAY
     warnings: tuple[str, ...] = ()
+    x: np.ndarray = field(init=False, repr=False, compare=False)  # (D, n)
+    mean: np.ndarray = field(init=False, repr=False, compare=False)  # (D,)
+    dispersion: np.ndarray = field(init=False, repr=False, compare=False)  # (D,)
+    valid: np.ndarray = field(init=False, repr=False, compare=False)  # (D,) bool
 
     def __post_init__(self):
+        dates = np.array(self.dates, dtype="datetime64[D]")
         values = np.array(self.values, dtype=float)
-        excluded = np.array(self.excluded, dtype=bool)
-        if values.shape != (len(self.dates), self.n):
-            raise ParameterError(
-                f"values shape {values.shape} != ({len(self.dates)}, {self.n})"
-            )
-        if excluded.shape != (len(self.dates),):
-            raise ParameterError("excluded flags must have one entry per day")
+        if dates.ndim != 1 or values.shape != (dates.size, self.n):
+            raise ParameterError(f"values shape {values.shape} != ({dates.size}, {self.n})")
         if not np.all(np.isfinite(values)):
             raise ParameterError("values contain non-finite entries")
-        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
+        if np.isnat(dates).any() or (dates[1:] <= dates[:-1]).any():
             raise ParameterError("dates must be strictly increasing")
-        values.flags.writeable = False
-        excluded.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "excluded", excluded)
+        for name, a in zip(("dates", "values", "x", "mean", "dispersion", "valid"),
+                           (dates, values, *encode_x(values))):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __reduce__(self):
+        return type(self), (self.dates, self.values, self.n, self.warnings)
 
     @property
     def n_days(self) -> int:
-        return len(self.dates)
+        return self.dates.size
+
+    def row(self, day) -> int | None:
+        """Row of `day` (a `date` or `datetime64`), or None when it is absent."""
+        d = np.datetime64(day, "D")
+        i = int(np.searchsorted(self.dates, d))
+        return i if i < self.dates.size and self.dates[i] == d else None
 
 
 def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value",
@@ -148,7 +167,7 @@ def _read_series(fh, timestamp_col, value_col, n):
     hours = stamps.astype(np.int64) // 3600
     days, starts, counts = np.unique(hours // HOURS_PER_DAY, return_index=True,
                                      return_counts=True)
-    dates = days.astype("datetime64[D]").tolist()
+    dates = days.astype("datetime64[D]")
     gaps = np.flatnonzero(hours[starts + counts - 1] - hours[starts] + 1 != counts)
     if gaps.size:
         i, s, c = gaps[0], starts[gaps[0]], counts[gaps[0]]
@@ -157,11 +176,9 @@ def _read_series(fh, timestamp_col, value_col, n):
     full = counts == n
     if not full.any():
         raise ParseError("no complete days")
-    return TimeSeries(tuple(d for d, f in zip(dates, full) if f),
-                      values[starts[full, None] + np.arange(n)],
-                      np.zeros(int(full.sum()), dtype=bool), n=n,
+    return TimeSeries(dates[full], values[starts[full, None] + np.arange(n)], n=n,
                       warnings=tuple(f"day {d}: incomplete ({c}/{n} rows), dropped"
-                                     for d, c in zip(dates, counts.tolist()) if c != n))
+                                     for d, c in zip(dates[~full], counts[~full].tolist())))
 
 
 def _load_rows(fh, cols):
@@ -254,8 +271,7 @@ def write_csv(ts: TimeSeries, target) -> None:
 
 def _write_rows(ts: TimeSeries, fh) -> None:
     fh.write("timestamp,value\n")
-    dates = np.array(ts.dates, dtype="datetime64[D]")
-    stamps = np.datetime_as_string(dates[:, None] + np.arange(ts.n).astype("timedelta64[h]"),
+    stamps = np.datetime_as_string(ts.dates[:, None] + np.arange(ts.n).astype("timedelta64[h]"),
                                    unit="s")
     for day, row in zip(stamps.tolist(), ts.values.tolist()):
         fh.write("".join([f"{t},{v!r}\n" for t, v in zip(day, row)]))
@@ -266,7 +282,7 @@ def load_exclusions(source) -> set[date]:
     if hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     out = set()
     for lineno, line in enumerate(lines, start=1):
@@ -281,22 +297,16 @@ def load_exclusions(source) -> set[date]:
 
 
 def exclude_days(ts: TimeSeries, dates_to_exclude) -> TimeSeries:
-    """Flag the given days as excluded (skipped by training and scoring).
+    """The series without the given days, which training, screening and
+    scoring then see as absent.
 
     Dates not present in the series are ignored; each adds a warning entry.
     """
-    wanted = set(dates_to_exclude)
-    excluded = ts.excluded.copy()
-    hit = set()
-    for i, d in enumerate(ts.dates):
-        if d in wanted:
-            excluded[i] = True
-            hit.add(d)
-    warnings = list(ts.warnings)
-    for d in sorted(wanted - hit):
-        warnings.append(f"exclusion date {d} not in series")
-    return TimeSeries(ts.dates, ts.values.copy(), excluded, n=ts.n,
-                      warnings=tuple(warnings))
+    wanted = np.unique(np.array(list(dates_to_exclude), dtype="datetime64[D]"))
+    keep = ~np.isin(ts.dates, wanted)
+    unknown = wanted[~np.isin(wanted, ts.dates)]
+    return TimeSeries(ts.dates[keep], ts.values[keep], n=ts.n, warnings=ts.warnings + tuple(
+        f"exclusion date {d} not in series" for d in unknown))
 
 
 @dataclass(frozen=True)
@@ -322,7 +332,7 @@ class SynthSpec:
     noise_level: float = 0.02
 
     def __post_init__(self):
-        if self.days < 14:
+        if operator.index(self.days) < 14:  # a str or float days is a TypeError
             raise ParameterError(f"need at least 14 days, got {self.days}")
         if self.base <= 0 or self.daily_amplitude <= 0:
             raise ParameterError("base and daily_amplitude must be positive")
@@ -336,7 +346,7 @@ class SynthSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SynthSpec":
         kwargs = dict(d)
-        if "start_date" in kwargs and isinstance(kwargs["start_date"], str):
+        if "start_date" in kwargs and not isinstance(kwargs["start_date"], date):
             kwargs["start_date"] = date.fromisoformat(kwargs["start_date"])
         unknown = set(kwargs) - {f for f in cls.__dataclass_fields__}
         if unknown:
@@ -362,5 +372,4 @@ def synth_generate(spec: SynthSpec, seed: int) -> TimeSeries:
     clean = synth_clean(spec)
     noisy = clean * (1.0 + spec.noise_level * rng.standard_normal(clean.shape))
     values = np.maximum(noisy, 1e-3 * spec.base)
-    dates = tuple(spec.start_date + timedelta(days=int(k)) for k in range(spec.days))
-    return TimeSeries(dates, values, np.zeros(spec.days, dtype=bool))
+    return TimeSeries(np.datetime64(spec.start_date, "D") + np.arange(spec.days), values)

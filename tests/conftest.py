@@ -2,7 +2,6 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from randfnn.encoding import encode_days
 from randfnn.timeseries import TimeSeries
 
 
@@ -20,9 +19,4 @@ def make_series(start: date, days: int, n: int = 24, rng=None, omit=(), flat=())
             + rng.normal(0, 0.5, n)
         dates.append(d)
         rows.append(np.full(n, 42.0) if d in flat else values)
-    return TimeSeries(tuple(dates), np.array(rows), np.zeros(len(dates), dtype=bool), n=n)
-
-
-def make_days(*args, **kwargs):
-    """The day matrix of `make_series(*args, **kwargs)`."""
-    return encode_days(make_series(*args, **kwargs))
+    return TimeSeries(dates, np.array(rows), n=n)

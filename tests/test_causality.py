@@ -23,8 +23,8 @@ from randfnn.tuning import Grid
 # before the test week, and the week after it can be perturbed too
 SERIES = synth_generate(SynthSpec(days=56), 4)
 TEST_START, TEST_END = date(2012, 2, 12), date(2012, 2, 18)
-FIRST_ROW = (TEST_START - SERIES.dates[0]).days
-LAST_ROW = (TEST_END - SERIES.dates[0]).days
+FIRST_ROW = SERIES.row(TEST_START)
+LAST_ROW = SERIES.row(TEST_END)
 
 METHODS = ("standard", "ram", "ralpham", "ddm", "naive")
 GRIDS = {"standard": Grid((3, 5), (0.2, 0.4)), "ram": Grid((3, 5), (0.2, 0.4)),
@@ -63,7 +63,7 @@ def perturbations(draw):
     flat = values.reshape(-1)
     stop = min(start + len(factors), flat.size)
     flat[start:stop] *= factors[:stop - start]
-    return SERIES.dates[row], TimeSeries(SERIES.dates, values, SERIES.excluded)
+    return SERIES.dates[row].item(), TimeSeries(SERIES.dates, values)
 
 
 def scoped_up_to(report, day):

@@ -243,6 +243,25 @@ def test_synth_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("spec, message", [
+    ('{"days": 30,', "not valid JSON"),
+    ('[["days", 30]]', "not a JSON object"),
+    ('{"days": "30"}', "bad spec: 'str' object cannot be interpreted as an integer"),
+    ('{"days": 30.5}', "bad spec: 'float' object cannot be interpreted as an integer"),
+    ('{"days": 30, "start_date": "2012-13-01"}', "bad spec: month must be in 1..12"),
+    ('{"days": 30, "start_date": 20120101}', "bad spec: fromisoformat: argument must be str"),
+], ids=["json", "array", "days_string", "days_float", "start_date", "start_date_number"])
+def test_synth_malformed_spec_exits_2(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    out = tmp_path / "s.csv"
+    assert main(["synth", "--spec", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {path}: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def tune_argv(data, out, *extra):
     return ["tune", "--data", str(data), "--method", "ram", "--grid-m", "5",
             "--grid-smoothing", "0.4", "--folds", "2", "--out", str(out), *extra]
@@ -356,7 +375,7 @@ def test_forecast_exit_codes(month_csv, tmp_path, capsys, monkeypatch):
 
 def test_forecast_dead_worker_exits_1(month_csv, tmp_path, capsys, monkeypatch):
     @contextmanager
-    def broken_stages(days, most_tasks):
+    def broken_stages(ts, most_tasks):
         def run(fn, tasks):
             raise BrokenProcessPool("A process in the process pool was terminated abruptly")
         yield run
@@ -515,6 +534,39 @@ def test_forecast_replays_from_report_config(month_csv, tmp_path, monkeypatch):
     assert main(["forecast", "--config", str(config), "--out-dir", str(again)]) == 0
     for name in BUNDLE:
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("tuning", ["fixed", "once", "per-day"])
+def test_forecast_exclude_is_the_series_without_the_day(month_csv, tmp_path, monkeypatch,
+                                                        tuning):
+    # 2012-01-17 is a Tuesday: the input of 01-18, the naive reference of
+    # 01-24 and a training target of the test Tuesdays; 2011-06-01 is not
+    # in the series and only warns
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    exclude = tmp_path / "exclude.txt"
+    exclude.write_text("2012-01-17\n2011-06-01\n")
+    lines = month_csv.read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.csv"
+    cut.write_text("".join(line for line in lines if not line.startswith("2012-01-17T")))
+    period = ["--test-start", "2012-01-18", "--test-end", "2012-01-25", "--tuning", tuning,
+              "--trials", "2", "--seed", "4"]
+    fixed = tmp_path / "fixed.json"
+    fixed.write_text(json.dumps({"fixed_params": {"ram": {"m": 5, "smoothing": 0.4}}}))
+    if tuning == "fixed":
+        period += ["--config", str(fixed)]
+    assert main(forecast_argv(month_csv, tmp_path / "excluded", "--exclude", str(exclude),
+                              *period)) == 3
+    assert main(forecast_argv(cut, tmp_path / "cut", *period)) == 3
+    for name in BUNDLE[:3]:
+        assert (tmp_path / "excluded" / name).read_bytes() == (tmp_path / "cut" / name).read_bytes()
+    # report.json differs only in the paths it records
+    docs = [json.loads((tmp_path / run / "report.json").read_text()) for run in ("excluded", "cut")]
+    for doc in docs:
+        del doc["config"]["data_path"], doc["config"]["exclusions_path"]
+    assert docs[0] == docs[1]
+    assert docs[0]["skipped_days"] == [
+        {"date": "2012-01-18", "reason": "missing input pattern"},
+        {"date": "2012-01-24", "reason": "missing naive reference"}]
 
 
 def test_forecast_unknown_config_key_exits_2(month_csv, tmp_path, capsys):

@@ -11,14 +11,13 @@ from randfnn.encoding import (
     _pair_rows,
     build_training_set,
     decode,
-    encode_days,
     encode_x,
 )
 from randfnn.errors import EmptyTrainingSet, ParameterError
 from randfnn.timeseries import SynthSpec, TimeSeries, exclude_days, synth_generate
 
 import reference as ref
-from conftest import make_days, make_series
+from conftest import make_series
 
 
 class TestEncodeX:
@@ -28,6 +27,13 @@ class TestEncodeX:
         np.testing.assert_array_equal(x[0], 0.0)
         with pytest.raises(ref.ConstantDay):
             ref.encode_x([2.0, 2.0, 2.0, 2.0])
+
+    def test_overflowing_day_rejected_without_warning(self):
+        # the mean overflows, then the squares; any finite series still loads
+        x, _, _, valid = encode_x([[-1.7e308, -1.7e308, 0.0], [0.0, 0.0, 1e155],
+                                   [1.0, 2.0, 3.0]])
+        assert valid.tolist() == [False, False, True]
+        np.testing.assert_array_equal(x[:2], 0.0)
 
     def test_direct_arithmetic(self):
         x, mean, dispersion, valid = encode_x([[1.0, 2.0, 3.0, 4.0]])
@@ -98,11 +104,10 @@ def test_coding_vars_requires_positive_dispersion():
         CodingVars(0.0, -1.0)
 
 
-def pair_dates(days, weekday, tau, cutoff):
+def pair_dates(ts, weekday, tau, cutoff):
     """Target and input dates of the admissible pairs, in row order."""
-    targets, inputs, _ = _pair_rows(days, weekday, tau, cutoff)
-    return ([date.fromordinal(o) for o in days.ordinals[targets].tolist()],
-            [date.fromordinal(o) for o in days.ordinals[inputs].tolist()])
+    targets, inputs, _ = _pair_rows(ts, weekday, tau, cutoff)
+    return ts.dates[targets].tolist(), ts.dates[inputs].tolist()
 
 
 class TestBuildTrainingSet:
@@ -110,68 +115,71 @@ class TestBuildTrainingSet:
     START = date(2015, 1, 5)
 
     def test_three_mondays(self):
-        days = make_days(self.START, 22)  # covers Mondays of weeks 2..4
+        ts = make_series(self.START, 22)  # covers Mondays of weeks 2..4
         cutoff = self.START + timedelta(days=22)
-        phi = build_training_set(days, target_weekday=0, tau=1, cutoff=cutoff)
+        phi = build_training_set(ts, target_weekday=0, tau=1, cutoff=cutoff)
         # manual enumeration: Mondays at offsets 7, 14, 21; inputs are Sundays
         assert len(phi) == 3
-        targets, inputs = pair_dates(days, 0, 1, cutoff)
+        targets, inputs = pair_dates(ts, 0, 1, cutoff)
         assert targets == [self.START + timedelta(days=o) for o in (7, 14, 21)]
         assert all(d.weekday() == 6 for d in inputs)
 
     def test_excluded_input_day_drops_pair(self):
         omit = {self.START + timedelta(days=13)}  # Sunday of week 2
-        days = make_days(self.START, 22, omit=omit)
+        ts = make_series(self.START, 22, omit=omit)
         cutoff = self.START + timedelta(days=22)
-        phi = build_training_set(days, 0, 1, cutoff)
+        phi = build_training_set(ts, 0, 1, cutoff)
         assert len(phi) == 2
-        assert self.START + timedelta(days=14) not in pair_dates(days, 0, 1, cutoff)[0]
+        assert self.START + timedelta(days=14) not in pair_dates(ts, 0, 1, cutoff)[0]
+        # excluding the day is omitting it
+        excluded = exclude_days(make_series(self.START, 22), omit)
+        assert len(build_training_set(excluded, 0, 1, cutoff)) == 2
+        assert pair_dates(excluded, 0, 1, cutoff) == pair_dates(ts, 0, 1, cutoff)
 
     def test_cutoff_before_first_target(self):
-        days = make_days(self.START, 22)
+        ts = make_series(self.START, 22)
         with pytest.raises(EmptyTrainingSet):
-            build_training_set(days, 0, 1, self.START + timedelta(days=7))
+            build_training_set(ts, 0, 1, self.START + timedelta(days=7))
 
     def test_anti_leakage(self):
-        days = make_days(self.START, 40)
+        ts = make_series(self.START, 40)
         cutoff = self.START + timedelta(days=25)
-        targets, inputs = pair_dates(days, 3, 1, cutoff)
-        assert len(build_training_set(days, 3, 1, cutoff)) == len(targets) == 4
+        targets, inputs = pair_dates(ts, 3, 1, cutoff)
+        assert len(build_training_set(ts, 3, 1, cutoff)) == len(targets) == 4
         assert all(d < cutoff for d in targets + inputs)
 
     def test_pair_coding_comes_from_input_day(self):
         ts = make_series(self.START, 22)
-        days = encode_days(ts)
         cutoff = self.START + timedelta(days=22)
-        phi = build_training_set(days, 0, 1, cutoff)
-        for k, (target, inp) in enumerate(zip(*pair_dates(days, 0, 1, cutoff))):
-            x, coding = ref.encode_x(ts.values[ts.dates.index(inp)])
+        phi = build_training_set(ts, 0, 1, cutoff)
+        for k, (target, inp) in enumerate(zip(*pair_dates(ts, 0, 1, cutoff))):
+            x, coding = ref.encode_x(ts.values[ts.row(inp)])
             np.testing.assert_array_equal(phi.x[k], x)
             np.testing.assert_array_equal(
-                phi.y[k], ref.encode_y(ts.values[ts.dates.index(target)], coding))
+                phi.y[k], ref.encode_y(ts.values[ts.row(target)], coding))
 
     def test_tau_two_uses_exact_gap(self):
-        days = make_days(self.START, 22)
-        targets, inputs = pair_dates(days, 0, 2, self.START + timedelta(days=22))
+        ts = make_series(self.START, 22)
+        targets, inputs = pair_dates(ts, 0, 2, self.START + timedelta(days=22))
         assert targets and all((t - i).days == 2 for t, i in zip(targets, inputs))
         assert all(i.weekday() == 5 for i in inputs)
 
     def test_degenerate_input_counted(self):
-        days = make_days(self.START, 22, flat={self.START + timedelta(days=13)})
-        phi = build_training_set(days, 0, 1, self.START + timedelta(days=22))
+        ts = make_series(self.START, 22, flat={self.START + timedelta(days=13)})
+        phi = build_training_set(ts, 0, 1, self.START + timedelta(days=22))
         assert len(phi) == 2
         assert phi.n_skipped_degenerate == 1
 
     def test_bad_tau(self):
         with pytest.raises(ParameterError):
-            build_training_set(make_days(self.START, 22), 0, 0, self.START)
+            build_training_set(make_series(self.START, 22), 0, 0, self.START)
 
 
 def reference_training_set(ts, weekday, tau, cutoff):
     """Per-pair reference for `build_training_set`: walk the dates and
     encode each pair's input and target days one vector at a time.
     Returns (x rows, y rows, number of constant input days)."""
-    by_date = {d: v for d, v, e in zip(ts.dates, ts.values, ts.excluded) if not e}
+    by_date = dict(zip(ts.dates.tolist(), ts.values))
     xs, ys, skipped = [], [], 0
     for d in sorted(by_date):
         inp = d - timedelta(days=tau)
@@ -196,33 +204,34 @@ def awkward_series(seed):
     values[700] = 1e6 + 1e-9 * np.arange(24)  # below the dispersion floor
     keep = np.ones(ts.n_days, dtype=bool)
     keep[[30, 31, 32, 900]] = False
-    dates = tuple(d for d, k in zip(ts.dates, keep) if k)
-    ts = TimeSeries(dates, values[keep], np.zeros(len(dates), dtype=bool))
+    ts = TimeSeries(ts.dates[keep], values[keep])
     return exclude_days(ts, [date(2012, 3, 5), date(2013, 7, 1), date(2014, 12, 25)])
 
 
 class TestEncodeDays:
+    """A series encodes each of its days once, as its row of `encode_x`."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rows_match_encode_x(self, seed):
         ts = awkward_series(seed)
-        days = encode_days(ts)
-        kept = [i for i in range(ts.n_days) if not ts.excluded[i]]
-        assert days.ordinals.tolist() == [ts.dates[i].toordinal() for i in kept]
-        np.testing.assert_array_equal(days.values, ts.values[kept])
-        for row, i in enumerate(kept):
+        # the excluded days are gone, the rest kept in date order
+        synth = synth_generate(SynthSpec(days=1461), seed)
+        gone = [30, 31, 32, 900] + [synth.row(d) for d in
+                                    (date(2012, 3, 5), date(2013, 7, 1), date(2014, 12, 25))]
+        assert ts.dates.tolist() == np.delete(synth.dates, gone).tolist()
+        for row in range(ts.n_days):
             try:
-                x, coding = ref.encode_x(ts.values[i])
+                x, coding = ref.encode_x(ts.values[row])
             except ref.ConstantDay:
-                assert not days.valid[row]
+                assert not ts.valid[row]
                 continue
-            assert days.valid[row]
-            assert days.x[row].tobytes() == x.tobytes()
-            assert (days.mean[row], days.dispersion[row]) == (coding.mean, coding.dispersion)
-        assert np.count_nonzero(~days.valid) == 4
+            assert ts.valid[row]
+            assert ts.x[row].tobytes() == x.tobytes()
+            assert (ts.mean[row], ts.dispersion[row]) == (coding.mean, coding.dispersion)
+        assert np.count_nonzero(~ts.valid) == 4
 
     def test_training_sets_match_per_pair_reference(self):
         ts = awkward_series(0)
-        days = encode_days(ts)
         cutoffs = [date(2012, 1, 1) + timedelta(days=i) for i in range(0, 1462, 53)]
         for tau in (1, 2, 7):
             for weekday in range(7):
@@ -231,9 +240,9 @@ class TestEncodeDays:
                     xs, ys, skipped = reference_training_set(ts, weekday, tau, cutoff)
                     if not xs:
                         with pytest.raises(EmptyTrainingSet):
-                            build_training_set(days, weekday, tau, cutoff)
+                            build_training_set(ts, weekday, tau, cutoff)
                         continue
-                    phi = build_training_set(days, weekday, tau, cutoff)
+                    phi = build_training_set(ts, weekday, tau, cutoff)
                     assert phi.x.tobytes() == np.array(xs).tobytes()
                     assert phi.y.tobytes() == np.array(ys).tobytes()
                     assert phi.n_skipped_degenerate == skipped
@@ -243,16 +252,16 @@ class TestEncodeDays:
 
     def test_row_lookup(self):
         start = date(2015, 1, 5)
-        days = make_days(start, 10, omit={start + timedelta(days=4)})
-        assert days.row(start) == 0
-        assert days.row(start + timedelta(days=5)) == 4
+        ts = make_series(start, 10, omit={start + timedelta(days=4)})
+        assert ts.row(start) == 0
+        assert ts.row(start + timedelta(days=5)) == 4
         for absent in (4, -1, 10):
-            assert days.row(start + timedelta(days=absent)) is None
+            assert ts.row(start + timedelta(days=absent)) is None
 
     def test_arrays_read_only(self):
-        days = make_days(date(2015, 1, 5), 3)
+        ts = make_series(date(2015, 1, 5), 3)
         with pytest.raises(ValueError):
-            days.x[0, 0] = 9.0
+            ts.x[0, 0] = 9.0
 
 
 class TestTrainingSet:

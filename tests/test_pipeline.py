@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from randfnn import pipeline
-from randfnn.encoding import CodingVars, _pair_rows, build_training_set, encode_days
+from randfnn.encoding import CodingVars, _pair_rows, build_training_set
 from randfnn.errors import EmptyTrainingSet, ExperimentError, ParameterError
 from randfnn.evaluation import summarize
 from randfnn.pipeline import ExperimentConfig, run_experiment, write_report_bundle
@@ -180,8 +181,7 @@ def test_fixed_ddm_skips_days_with_at_most_k_pairs(two_years, monkeypatch):
     config = short_config(methods=("ram", "ddm", "naive"), test_start=date(2012, 3, 1),
                           test_end=date(2012, 3, 21), tuning="fixed", fixed_params=FIXED)
     report, _ = run_with_cpus(monkeypatch, 1, config, two_years)
-    days = encode_days(two_years)
-    pairs = {d: _pair_rows(days, d.weekday(), 1, d)[0].size for d in
+    pairs = {d: _pair_rows(two_years, d.weekday(), 1, d)[0].size for d in
              (date(2012, 3, 1) + timedelta(days=i) for i in range(21))}
     short = [d for d, n in pairs.items() if n <= 9]  # FIXED's ddm has k=9
     assert short and len(short) < len(pairs)
@@ -219,13 +219,13 @@ def test_pool_workers_start_with_one_blas_thread(monkeypatch, tmp_path):
     assert multiprocessing.active_children() == []
 
 
-def kill_own_worker(days, task):
+def kill_own_worker(ts, task):
     if task:
         os.kill(os.getpid(), signal.SIGKILL)
     return task
 
 
-def raise_parameter_error(days, task):
+def raise_parameter_error(ts, task):
     if task:
         raise ParameterError(f"bad task {task}")
     return task
@@ -270,31 +270,45 @@ def test_config_rejects_alpha_outside_the_unit_interval(alpha):
                          test_end=date(2012, 1, 9), alpha=alpha)
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(cv_folds=1), "need at least 2 folds, got 1"),
+    (dict(cv_folds=0, trials_per_fold=0, tuning="fixed", fixed_params=FIXED),
+     "need at least 2 folds, got 0"),
+    (dict(trials_per_fold=0), "trials_per_fold must be >= 1, got 0"),
+    (dict(tuning="fixed", fixed_params={**FIXED, "ram": HyperParams("ddm", 5, 3.0)}),
+     "fixed_params['ram'] holds 'ddm' parameters"),
+], ids=["one_fold", "fixed_zero_folds", "zero_trials_per_fold", "fixed_params_method"])
+def test_config_rejects_bad_search_and_fixed_fields(fields, message):
+    # each fails on construction, before any series is read
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        short_config(methods=("ddm", "ram", "naive"), **fields)
+
+
 def test_screen_matches_build_training_set():
     # 2012-01-01 is a Sunday. Mondays 01-02 (constant), 01-09 (excluded)
     # and 01-16 (gap) leave Tuesday targets without a usable input day.
     synth = synth_generate(SynthSpec(days=42), 3)
     values = synth.values.copy()
     values[1] = 7.0
-    keep = [i for i, d in enumerate(synth.dates) if d not in (date(2012, 1, 5), date(2012, 1, 16))]
-    ts = TimeSeries(tuple(synth.dates[i] for i in keep), values[keep], np.zeros(len(keep), bool))
-    days = encode_days(exclude_days(ts, [date(2012, 1, 4), date(2012, 1, 9)]))
+    gone = [synth.row(date(2012, 1, 5)), synth.row(date(2012, 1, 16))]
+    ts = TimeSeries(np.delete(synth.dates, gone), np.delete(values, gone, axis=0))
+    ts = exclude_days(ts, [date(2012, 1, 4), date(2012, 1, 9)])
     candidates = [date(2012, 1, 1) + timedelta(days=i) for i in range(45)]
     reasons = set()
     for tau in (1, 2, 7):
         config = short_config(methods=("ram",), tau=tau, tuning="fixed", fixed_params=FIXED)
         for day in candidates:
             try:
-                build_training_set(days, day.weekday(), tau, cutoff=day)
+                build_training_set(ts, day.weekday(), tau, cutoff=day)
                 empty = False
             except EmptyTrainingSet:
                 empty = True
-            reason = pipeline._screen_day(day, days, config)
+            reason = pipeline._screen_day(day, ts, config)
             reasons.add(reason)
             if reason in (None, "empty training set"):
                 assert (reason is not None) == empty
-    first_tuesday = _pair_rows(days, 1, 1, date(2012, 2, 12))[0][0]
-    assert days.ordinals[first_tuesday] == date(2012, 1, 24).toordinal()
+    first_tuesday = _pair_rows(ts, 1, 1, date(2012, 2, 12))[0][0]
+    assert ts.dates[first_tuesday] == np.datetime64("2012-01-24")
     assert {None, "empty training set", "missing input pattern",
             "degenerate input pattern", "missing or excluded actual day"} <= reasons
 
@@ -336,12 +350,11 @@ def test_fixed_tables_select_the_fixed_params(two_years, tmp_path):
 
 @pytest.mark.parametrize("hp", [HyperParams("ram", 20, 0.4), HyperParams("ddm", 20, 31.0)])
 def test_trial_forecast_does_not_depend_on_the_batch_size(two_years, hp):
-    days = encode_days(two_years)
     day = date(2013, 1, 2)
-    inp = days.row(day - timedelta(days=1))
-    phi = build_training_set(days, day.weekday(), 1, day)
-    coding = CodingVars(float(days.mean[inp]), float(days.dispersion[inp]))
-    few, many = (pipeline.run_day(phi, days.x[[inp]], coding, hp,
+    inp = two_years.row(day - timedelta(days=1))
+    phi = build_training_set(two_years, day.weekday(), 1, day)
+    coding = CodingVars(float(two_years.mean[inp]), float(two_years.dispersion[inp]))
+    few, many = (pipeline.run_day(phi, two_years.x[[inp]], coding, hp,
                                   [derive_rng(5, day.toordinal(), t) for t in range(trials)])
                  for trials in (7, 100))
     assert few.shape == (7, 24)
@@ -352,9 +365,9 @@ def test_each_test_day_builds_one_training_set(two_years, monkeypatch):
     # every model method of a day reads the one training set its task gathers
     built = []
 
-    def counting(days, weekday, tau, cutoff):
+    def counting(ts, weekday, tau, cutoff):
         built.append(cutoff)
-        return build_training_set(days, weekday, tau, cutoff)
+        return build_training_set(ts, weekday, tau, cutoff)
 
     monkeypatch.setattr(pipeline, "build_training_set", counting)
     config = short_config(methods=("ram", "ddm", "standard", "naive"), test_end=date(2013, 1, 7),
@@ -373,7 +386,7 @@ def test_scores_match_per_trial_reference(two_years):
     for method in config.methods:
         actual, forecast = [], []
         for i, d in enumerate(report.test_days):
-            assert (report.actual[i] == two_years.values[two_years.dates.index(d)]).all()
+            assert (report.actual[i] == two_years.values[two_years.row(d)]).all()
             block = report.forecasts[method][i]
             for row in block:
                 actual.append(report.actual[i])

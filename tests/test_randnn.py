@@ -5,7 +5,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from randfnn.encoding import TrainingSet, build_training_set, encode_days
+from randfnn.encoding import TrainingSet, build_training_set
 from randfnn.errors import EmptyTrainingSet, ParameterError, ShapeError
 from randfnn.numerics import fit_hyperplane, sigmoid
 from randfnn.randnn import MAX_U, HyperParams, derive_rng, fit, hidden_output, make_layer, predict
@@ -439,10 +439,10 @@ class TestMakeLayerAndDeterminism:
 def wednesdays():
     """Synth Wednesdays before 2013 (tau 1) and the x-patterns of the 30
     days that follow: a forecast-sized training set and its queries."""
-    days = encode_days(synth_generate(SynthSpec(days=760), 0))
-    phi = build_training_set(days, 2, 1, date(2013, 1, 1))
-    rows = [days.row(date(2013, 1, 1) + timedelta(days=i)) for i in range(30)]
-    return phi, days.x[rows]
+    ts = synth_generate(SynthSpec(days=760), 0)
+    phi = build_training_set(ts, 2, 1, date(2013, 1, 1))
+    rows = [ts.row(date(2013, 1, 1) + timedelta(days=i)) for i in range(30)]
+    return phi, ts.x[rows]
 
 
 class TestTrialPredictions:

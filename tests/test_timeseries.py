@@ -2,6 +2,7 @@ import codecs
 import csv
 import io
 import os
+import pickle
 import tempfile
 import tracemalloc
 from datetime import date, datetime, timedelta
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from randfnn.encoding import encode_days
+from randfnn.encoding import encode_x
 from randfnn.errors import (
     DuplicateTimestampError,
     ParameterError,
@@ -47,7 +48,7 @@ class TestLoadCsv:
     def test_two_complete_days(self):
         ts = load_csv(csv_for(2))
         assert ts.n_days == 2 and ts.n == 24
-        assert ts.dates == (date(2015, 1, 5), date(2015, 1, 6))
+        assert ts.dates.tolist() == [date(2015, 1, 5), date(2015, 1, 6)]
         assert ts.values[1, 3] == 104.0
 
     def test_subhourly_row_rejected(self):
@@ -83,7 +84,7 @@ class TestLoadCsv:
         a = csv_for(1, start=date(2015, 1, 5)).getvalue()
         b = csv_for(1, start=date(2015, 1, 7)).getvalue().splitlines()[1:]
         ts = load_csv(io.StringIO(a + "\n".join(b)))
-        assert ts.dates == (date(2015, 1, 5), date(2015, 1, 7))
+        assert ts.dates.tolist() == [date(2015, 1, 5), date(2015, 1, 7)]
         assert not ts.warnings
 
     def test_partial_trailing_day_dropped_with_warning(self):
@@ -117,7 +118,7 @@ def test_write_then_load_round_trip_bit_exact(tmp_path):
     path = tmp_path / "series.csv"
     write_csv(ts, path)
     again = load_csv(path)
-    assert again.dates == ts.dates
+    assert again.dates.tolist() == ts.dates.tolist()
     np.testing.assert_array_equal(again.values, ts.values)
     first = path.read_text()
     write_csv(again, path)
@@ -199,8 +200,7 @@ def reference_load_csv(source, timestamp_col="timestamp", value_col="value", n=2
         days.append([v for _, v in by_day[d]])
     if not dates:
         raise ParseError("no complete days")
-    return TimeSeries(tuple(dates), np.array(days, dtype=float),
-                      np.zeros(len(dates), dtype=bool), n=n, warnings=tuple(warnings))
+    return TimeSeries(dates, np.array(days, dtype=float), n=n, warnings=tuple(warnings))
 
 
 def outcome(load, text, **kwargs):
@@ -221,7 +221,7 @@ def _outcome(load, source, **kwargs):
         ts = load(source, **kwargs)
     except Exception as exc:  # the reference may fail with any type
         return type(exc), str(exc)
-    return ts.dates, ts.values.tobytes(), ts.warnings, ts.excluded.tobytes()
+    return ts.dates.tolist(), ts.values.tobytes(), ts.warnings
 
 
 def stamped(fmt, days=2, start=datetime(2012, 1, 1), value=lambda k: f"{1000.0 + k!r}",
@@ -383,7 +383,7 @@ class TestAgainstTheRowReader:
 def reference_write_rows(ts, fh):
     """write_csv's body as one `datetime` and one f-string per hour."""
     fh.write("timestamp,value\n")
-    for d, row in zip(ts.dates, ts.values):
+    for d, row in zip(ts.dates.tolist(), ts.values):
         base = datetime(d.year, d.month, d.day)
         for h in range(ts.n):
             fh.write(f"{(base + timedelta(hours=h)).isoformat()},{float(row[h])!r}\n")
@@ -394,13 +394,13 @@ def test_write_csv_matches_the_per_hour_writer(n, tmp_path):
     dates = (date(1, 1, 1), date(999, 12, 31), date(2012, 2, 29), date(9999, 12, 31))
     values = np.random.default_rng(0).normal(size=(4, n)) * 10.0 ** np.arange(-4, 20, 24 // n)
     values[0, :2] = (-0.0, 1e16)
-    ts = TimeSeries(dates, values, np.zeros(4, dtype=bool), n=n)
+    ts = TimeSeries(dates, values, n=n)
     want = io.StringIO()
     reference_write_rows(ts, want)
     write_csv(ts, tmp_path / "series.csv")
     assert (tmp_path / "series.csv").read_bytes() == want.getvalue().encode()
     empty = io.StringIO()
-    write_csv(TimeSeries((), np.zeros((0, n)), np.zeros(0, dtype=bool), n=n), empty)
+    write_csv(TimeSeries((), np.zeros((0, n)), n=n), empty)
     assert empty.getvalue() == "timestamp,value\n"
 
 FAULTS = {
@@ -452,7 +452,7 @@ def test_path_and_streams_load_alike(newline, tmp_path):
                  load_csv(read_only), load_csv(pipe)]
     assert not stream.closed
     for ts in loads[1:]:
-        assert ts.dates == loads[0].dates and ts.warnings == loads[0].warnings
+        assert ts.dates.tolist() == loads[0].dates.tolist() and ts.warnings == loads[0].warnings
         assert ts.values.tobytes() == loads[0].values.tobytes()
 
 
@@ -485,33 +485,37 @@ def test_a_path_is_parsed_without_a_copy_of_its_text(tmp_path):
 def test_write_then_load_is_bitwise_for_any_finite_floats(values):
     days = len(values) // 24
     ts = TimeSeries(tuple(date(2015, 1, 5) + timedelta(days=k) for k in range(days)),
-                    np.reshape(values, (days, 24)), np.zeros(days, dtype=bool))
+                    np.reshape(values, (days, 24)))
     buf = io.StringIO()
     write_csv(ts, buf)
     again = load_csv(io.StringIO(buf.getvalue()))
-    assert again.dates == ts.dates
+    assert again.dates.tolist() == ts.dates.tolist()
     assert again.values.tobytes() == ts.values.tobytes()
 
 
 class TestExcludeDays:
     def test_flagging(self):
+        # an excluded day is deleted, with its values and its pattern
         ts = load_csv(csv_for(7))
         out = exclude_days(ts, {date(2015, 1, 6)})
-        assert out.excluded[1] and out.excluded.sum() == 1
-        np.testing.assert_array_equal(out.values, ts.values)
+        assert out.dates.tolist() == [d for d in ts.dates.tolist() if d != date(2015, 1, 6)]
+        for name in ("values", "x", "mean", "dispersion", "valid"):
+            want = np.delete(getattr(ts, name), 1, axis=0)
+            assert getattr(out, name).tobytes() == want.tobytes(), name
+        assert out.row(date(2015, 1, 6)) is None
 
     def test_empty_set_identity(self):
         ts = load_csv(csv_for(3))
         out = exclude_days(ts, set())
-        assert out.dates == ts.dates
-        np.testing.assert_array_equal(out.excluded, ts.excluded)
+        assert out.dates.tolist() == ts.dates.tolist()
+        assert out.values.tobytes() == ts.values.tobytes()
         assert out.warnings == ts.warnings
 
     def test_unknown_date_warns(self):
         ts = load_csv(csv_for(3))
         out = exclude_days(ts, {date(2030, 1, 1)})
-        assert not out.excluded.any()
-        assert len(out.warnings) - len(ts.warnings) == 1
+        assert out.dates.tolist() == ts.dates.tolist()
+        assert out.warnings == ts.warnings + ("exclusion date 2030-01-01 not in series",)
 
 
 def test_load_exclusions_with_comments(tmp_path):
@@ -523,36 +527,41 @@ def test_load_exclusions_with_comments(tmp_path):
         load_exclusions(p)
 
 
+def test_load_exclusions_drops_a_byte_order_mark(tmp_path):
+    p = tmp_path / "holidays.txt"
+    p.write_bytes(codecs.BOM_UTF8 + b"2012-03-01\n2012-03-02\n")
+    assert load_exclusions(p) == {date(2012, 3, 1), date(2012, 3, 2)}
+
+
 class TestSplitSeasonal:
-    """A series splits into its seasonal (daily) cycles as the rows of its
-    day matrix."""
+    """A series splits into its seasonal (daily) cycles as its rows, each
+    encoded as a pattern."""
 
     def test_full_week(self):
         ts = load_csv(csv_for(7, start=date(2015, 1, 5)))  # a Monday
-        days = encode_days(ts)
-        assert [date.fromordinal(o) for o in days.ordinals.tolist()] == list(ts.dates)
-        assert [date.fromordinal(o).weekday() for o in days.ordinals.tolist()] == list(range(7))
-        np.testing.assert_array_equal(days.values, ts.values)
+        assert ts.dates.tolist() == [date(2015, 1, 5) + timedelta(days=k) for k in range(7)]
+        assert [d.weekday() for d in ts.dates.tolist()] == list(range(7))
+        for got, want in zip((ts.x, ts.mean, ts.dispersion, ts.valid), encode_x(ts.values)):
+            assert got.tobytes() == want.tobytes()
 
     def test_excluded_day_leaves_index_gap(self):
         # manual oracle: days 0..6, Wednesday (index 2) excluded
-        ts = load_csv(csv_for(7, start=date(2015, 1, 5)))
-        ts = exclude_days(ts, {date(2015, 1, 7)})
-        days = encode_days(ts)
-        assert (days.ordinals - days.ordinals[0]).tolist() == [0, 1, 3, 4, 5, 6]
-        np.testing.assert_array_equal(days.values[2], ts.values[3])
-        assert days.row(date(2015, 1, 7)) is None
-        assert days.row(date(2015, 1, 8)) == 2
+        week = load_csv(csv_for(7, start=date(2015, 1, 5)))
+        ts = exclude_days(week, {date(2015, 1, 7)})
+        assert (ts.dates - ts.dates[0]).astype(int).tolist() == [0, 1, 3, 4, 5, 6]
+        np.testing.assert_array_equal(ts.values[2], week.values[3])
+        assert ts.row(date(2015, 1, 7)) is None
+        assert ts.row(date(2015, 1, 8)) == 2
 
     def test_25_hours_gives_one_sequence_and_warning(self):
         ts = load_csv(csv_for(2, hours_last_day=1))
-        assert encode_days(ts).ordinals.size == 1
+        assert ts.n_days == ts.x.shape[0] == 1
         assert any("incomplete" in w for w in ts.warnings)
 
     def test_sequence_count_invariant(self):
         ts = load_csv(csv_for(14))
-        ts = exclude_days(ts, {date(2015, 1, 6), date(2015, 1, 11)})
-        assert encode_days(ts).ordinals.size == ts.n_days - int(ts.excluded.sum())
+        out = exclude_days(ts, {date(2015, 1, 6), date(2015, 1, 11)})
+        assert out.n_days == out.x.shape[0] == ts.n_days - 2
 
 
 class TestSynth:
@@ -578,7 +587,7 @@ class TestSynth:
         # oracle: direct group means over 3 years
         ts = synth_generate(SynthSpec(days=3 * 365), seed=5)
         daily_means = ts.values.mean(axis=1)
-        weekdays = np.array([d.weekday() for d in ts.dates])
+        weekdays = np.array([d.weekday() for d in ts.dates.tolist()])
         weekday_mean = daily_means[weekdays < 5].mean()
         sat_mean = daily_means[weekdays == 5].mean()
         sun_mean = daily_means[weekdays == 6].mean()
@@ -623,10 +632,22 @@ def test_timeseries_immutability():
 
 def test_timeseries_invariant_checks():
     with pytest.raises(ParameterError):
-        TimeSeries((date(2015, 1, 2), date(2015, 1, 1)),
-                   np.ones((2, 24)), np.zeros(2, dtype=bool))
+        TimeSeries((date(2015, 1, 2), date(2015, 1, 1)), np.ones((2, 24)))
     with pytest.raises(ParameterError):
-        TimeSeries((date(2015, 1, 1),), np.ones((1, 23)), np.zeros(1, dtype=bool))
+        TimeSeries((date(2015, 1, 1), date(2015, 1, 1)), np.ones((2, 24)))
     with pytest.raises(ParameterError):
-        TimeSeries((date(2015, 1, 1),), np.full((1, 24), np.nan),
-                   np.zeros(1, dtype=bool))
+        TimeSeries((date(2015, 1, 1),), np.ones((1, 23)))
+    with pytest.raises(ParameterError):
+        TimeSeries((date(2015, 1, 1),), np.full((1, 24), np.nan))
+
+
+def test_pickle_carries_no_patterns_and_rebuilds_them_bitwise():
+    ts = exclude_days(synth_generate(SynthSpec(days=1461), seed=7), {date(2013, 5, 1)})
+    data = pickle.dumps(ts)
+    assert len(data) < ts.values.nbytes + ts.dates.nbytes + 16 * 1024
+    again = pickle.loads(data)
+    for name in ("dates", "values", "x", "mean", "dispersion", "valid"):
+        got, want = getattr(again, name), getattr(ts, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert (again.n, again.warnings) == (ts.n, ts.warnings)
+    assert not again.x.flags.writeable
