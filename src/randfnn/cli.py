@@ -32,7 +32,7 @@ import csv
 import json
 import operator
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -239,21 +239,24 @@ def cmd_tune(args) -> int:
     stage runner. Write the tables in the bundle's tuning.csv format. A
     weekday without pairs is reported on stderr and the others are
     still tuned and written; the exit code is then 1."""
-    ts = _load_series(args.data, args.exclude)
     grid = _flag_grid(args, default_grid(args.method))
-    # default: every day loaded; with none left, no weekday has pairs
-    cutoff = args.cutoff or (ts.dates[-1].item() + timedelta(days=1) if ts.n_days else date.min)
-
     if args.weekday == "all":
         weekdays = list(range(7))
     elif args.weekday in WEEKDAYS:
         weekdays = [WEEKDAYS.index(args.weekday)]
     else:
         raise ParameterError(f"unknown weekday {args.weekday!r}")
+    # the config checks the flags before the load; the default cutoff needs the series
+    cutoff = args.cutoff or date.min
     config = ExperimentConfig(
         methods=(args.method,), test_start=cutoff, test_end=cutoff, tau=args.tau,
         seed=args.seed, grids={args.method: grid}, cv_folds=args.folds,
         trials_per_fold=args.trials_per_fold)
+    ts = _load_series(args.data, args.exclude)
+    if not args.cutoff and ts.n_days:
+        # default: every day loaded; with none left, no weekday has pairs
+        cutoff = ts.dates[-1].item() + timedelta(days=1)
+        config = replace(config, test_start=cutoff, test_end=cutoff)
 
     tables = []
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -269,7 +272,7 @@ def cmd_tune(args) -> int:
             if best is None:
                 print(f"{WEEKDAYS[wd]}: no gridpoint fits (N={n_pairs})")
             else:
-                cv_error = min(p.mean_error for p in result.table if p.mean_error is not None)
+                cv_error = np.nanmin(result.mean_error)
                 print(f"{WEEKDAYS[wd]}: m={best.m} {best.smoothing_name}={best.smoothing} "
                       f"(N={n_pairs}, cv_error={cv_error:.6g})")
             tables.append((args.method, f"weekday={wd}", result))

@@ -38,7 +38,7 @@ from .errors import EmptyTrainingSet, ExperimentError, ParameterError
 from .evaluation import _check_alpha, _summary, percentage_errors, wilcoxon_signed_rank
 from .randnn import METHODS, HyperParams, derive_rng, derive_seed, fit, make_layer, predict
 from .timeseries import TimeSeries
-from .tuning import Grid, GridPoint, TuneResult, default_grid, grid_search, write_tuning_csv
+from .tuning import Grid, TuneResult, default_grid, grid_search, write_tuning_csv
 
 __all__ = [
     "ExperimentConfig",
@@ -194,18 +194,18 @@ def _stages(ts, most_tasks: int):
     in one spawn pool of that many workers for the whole run, and `ts`
     goes with each task (a series pickles without its patterns): sent
     once to the pool's initializer, it would fill the pipe that starts
-    each worker and start them one after another. The usable CPUs are the process's affinity mask
-    (`os.sched_getaffinity`); run under `taskset` to use fewer. The
-    executor starts workers on demand, in any call, so the BLAS thread
-    variables are held at one for the pool's lifetime: every worker
-    starts with one BLAS thread. Otherwise the tasks run in this
-    process; there is no per-stage rule, and results do not depend on
-    which path runs them. A task's exception reaches the caller with its
-    type and message, and a killed worker raises `BrokenProcessPool`.
-    Workers are started with `spawn`, which imports the main module
-    again: a script that calls `run_experiment`, or `cli.main` with
-    `tune` or `forecast`, must do so under an `if __name__ ==
-    "__main__":` guard.
+    each worker and start them one after another. The usable CPUs are
+    the process's affinity mask (`os.sched_getaffinity`); run under
+    `taskset` to use fewer. The executor starts workers on demand, in
+    any call, so the BLAS thread variables are held at one for the
+    pool's lifetime: every worker starts with one BLAS thread. Otherwise
+    the tasks run in this process; there is no per-stage rule, and
+    results do not depend on which path runs them. A task's exception
+    reaches the caller with its type and message, and a killed worker
+    raises `BrokenProcessPool`. Workers are started with `spawn`, which
+    imports the main module again: a script that calls `run_experiment`,
+    or `cli.main` with `tune` or `forecast`, must do so under an `if
+    __name__ == "__main__":` guard.
     """
     workers = min(_usable_cpus(), most_tasks)
     if workers < 2:
@@ -341,15 +341,16 @@ def _resolve_tuning(config, test_days, run):
     `once` searches per method, then weekday, before the first test day
     (key and scope: the weekday); `per-day` per test day, then method,
     on the day's own training set (key: its ordinal, scope: its date).
-    `fixed` searches nothing: each model method's table is one selected
-    row, scope `fixed`, holding its fixed hyperparameters. A search
+    `fixed` searches nothing: each model method's table is 1×1, scope
+    `fixed`, its fixed hyperparameters with no error, selected. A search
     without pairs gives no table; it, or one where no gridpoint fits,
     leaves its days with None.
     """
     methods = config.model_methods
     if config.tuning == "fixed":
         hps = {m: config.fixed_params[m] for m in methods}
-        tables = [(m, "fixed", TuneResult(hp, (GridPoint(hp.m, hp.smoothing, None, None),)))
+        no_error = np.full((1, 1), np.nan)
+        tables = [(m, "fixed", TuneResult(hp, Grid((hp.m,), (hp.smoothing,)), no_error, no_error))
                   for m, hp in hps.items()]
         return tables, [hps] * len(test_days)
 

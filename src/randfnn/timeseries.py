@@ -110,8 +110,7 @@ class TimeSeries:
         return i if i < self.dates.size and self.dates[i] == d else None
 
 
-def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value",
-             n: int = HOURS_PER_DAY) -> TimeSeries:
+def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value") -> TimeSeries:
     """Read an hourly CSV (header row, ISO 8601 timestamps) into a TimeSeries.
 
     Accepts a path or an open text/byte stream. A path is parsed from the
@@ -119,8 +118,9 @@ def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value",
     start to name a fault; a stream is read whole from where it is, in the
     module's CSV dialect. A timestamp is read as
     `datetime.fromisoformat` reads it stripped, any UTC offset dropped, and
-    a value as `np.loadtxt` reads a float (`_number`). Whole missing days
-    are allowed; partial days are dropped with a warning. Sub-hourly rows
+    a value as `np.loadtxt` reads a float (`_number`). A day is
+    `HOURS_PER_DAY` rows. Whole missing days are allowed; partial days
+    are dropped with a warning. Sub-hourly rows
     or hour gaps inside a day raise `ResolutionError`, repeated timestamps
     raise `DuplicateTimestampError`; a row's error names the physical line
     it ends on. Only such a fault, or a timestamp not in the form
@@ -130,12 +130,12 @@ def load_csv(source, timestamp_col: str = "timestamp", value_col: str = "value",
         text = source.read()
         text = text.decode("utf-8-sig") if isinstance(text, bytes) else text
         fh = io.StringIO(text, newline="")
-        return _read_series(fh, timestamp_col, value_col, n)
+        return _read_series(fh, timestamp_col, value_col)
     with open(source, newline="", encoding="utf-8-sig") as fh:
-        return _read_series(fh, timestamp_col, value_col, n)
+        return _read_series(fh, timestamp_col, value_col)
 
 
-def _read_series(fh, timestamp_col, value_col, n):
+def _read_series(fh, timestamp_col, value_col):
     """`load_csv` of a seekable text file opened with `newline=""`."""
     # an S20 field ends at a NUL, dropping what follows, so only
     # `_parse_rows` reads a file with one
@@ -173,11 +173,11 @@ def _read_series(fh, timestamp_col, value_col, n):
         i, s, c = gaps[0], starts[gaps[0]], counts[gaps[0]]
         raise ResolutionError(f"day {dates[i]}: non-hourly spacing "
                               f"(hours {(hours[s:s + c] % HOURS_PER_DAY).tolist()})")
-    full = counts == n
+    full = counts == HOURS_PER_DAY
     if not full.any():
         raise ParseError("no complete days")
-    return TimeSeries(dates[full], values[starts[full, None] + np.arange(n)], n=n,
-                      warnings=tuple(f"day {d}: incomplete ({c}/{n} rows), dropped"
+    return TimeSeries(dates[full], values[starts[full, None] + np.arange(HOURS_PER_DAY)],
+                      warnings=tuple(f"day {d}: incomplete ({c}/{HOURS_PER_DAY} rows), dropped"
                                      for d, c in zip(dates[~full], counts[~full].tolist())))
 
 
@@ -277,13 +277,10 @@ def _write_rows(ts: TimeSeries, fh) -> None:
         fh.write("".join([f"{t},{v!r}\n" for t, v in zip(day, row)]))
 
 
-def load_exclusions(source) -> set[date]:
-    """Read an exclusion list: one YYYY-MM-DD per line, `#` comments allowed."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, encoding="utf-8-sig") as fh:
-            lines = fh.read().splitlines()
+def load_exclusions(path) -> set[date]:
+    """Read an exclusion list file: one YYYY-MM-DD per line, `#` comments allowed."""
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = fh.read().splitlines()
     out = set()
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()

@@ -4,6 +4,12 @@ method-specific smoothing parameter.
 The validation loss is the mean absolute error in pattern space (between
 predicted and true target patterns), which keeps tuning independent of
 the coding variables used for decoding.
+
+A search returns its error table: `TuneResult.mean_error` and
+`std_error` are (len(m_values), len(smoothing_values)) arrays over the
+grid, rows by m and columns by smoothing value, NaN where the gridpoint
+does not fit the history. The selected gridpoint is the first least
+mean error in C order: smaller m first, then smaller smoothing.
 """
 
 from dataclasses import dataclass
@@ -16,7 +22,6 @@ from .randnn import METHODS, HyperParams, derive_rng, fit, make_layer, predict
 
 __all__ = [
     "Grid",
-    "GridPoint",
     "TuneResult",
     "default_grid",
     "kfold_split",
@@ -39,18 +44,12 @@ class Grid:
                 raise ParameterError(f"{name} must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    m: int
-    smoothing: float
-    mean_error: float | None  # None: the gridpoint does not fit the history
-    std_error: float | None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TuneResult:
     best: HyperParams | None
-    table: tuple[GridPoint, ...]
+    grid: Grid
+    mean_error: np.ndarray  # (len(m_values), len(smoothing_values)); NaN: does not fit
+    std_error: np.ndarray
 
 
 _M_VALUES = tuple(range(5, 55, 5))
@@ -100,51 +99,48 @@ def _fold_errors(phi, held, fold_idx, method, m_values, smoothing, seed,
         layers = make_layer(method, m, smoothing, phi_train, rngs)
         trials = np.abs(predict(layers, phi.x[held], fit(layers, phi_train)) - phi.y[held])
         # one mean per trial, then over trials: one mean over all sums in another order
-        errors[i] = [np.mean([e.mean() for e in t]) for t in np.split(trials, len(smoothing))]
+        errors[i] = trials.reshape(len(smoothing), trials_per_fold, -1).mean(axis=2).mean(axis=1)
     return errors
 
 
 def grid_search(phi: TrainingSet, method: str, grid: Grid, k_folds: int, seed: int,
                 trials_per_fold: int = 3) -> TuneResult:
-    """Evaluate every (m, smoothing) gridpoint; ties prefer the simpler
-    model (smaller m, then smaller smoothing value).
+    """The error table of `grid`, as the module docstring describes, and
+    its selection.
 
-    Each gridpoint's error is the mean held-out pattern-space MAE over the
-    folds, each fold averaging `trials_per_fold` independently seeded
-    layers. The split is drawn once. The search runs fold, then m: one
-    draw and one kernel call over every smoothing value that fits, whose
-    layers share each trial's draw (bitwise, see `randnn`). A ddm
-    gridpoint whose k exceeds the smallest fold training set less one
-    cannot be generated: it stays in the table with no error and is never
-    selected. With fewer pairs than folds no gridpoint fits. `best` is
-    None when nothing fits.
+    A gridpoint's mean error is its held-out pattern-space MAE averaged
+    over the folds, each fold averaging `trials_per_fold` independently
+    seeded layers; its std error is the folds' sample std (ddof=1). The
+    split is drawn once. The search runs fold, then m: one draw and one
+    kernel call over every smoothing value that fits, whose layers share
+    each trial's draw (bitwise, see `randnn`). A ddm k above the smallest
+    fold training set less one cannot be generated: its column is NaN.
+    With fewer pairs than folds no gridpoint fits. `best` is the first
+    least entry in C order (ties prefer smaller m, then smaller
+    smoothing), None when nothing fits.
     """
     if trials_per_fold < 1:
         raise ParameterError(f"trials_per_fold must be >= 1, got {trials_per_fold}")
-    hps = {(m, s): HyperParams(method, m, s, seed=seed)  # rejects a bad gridpoint
-           for m in grid.m_values for s in grid.smoothing_values}
-    points = {(m, s): GridPoint(m, s, None, None) for m, s in hps}  # in table order
+    for m in grid.m_values:
+        for s in grid.smoothing_values:
+            HyperParams(method, m, s)  # rejects a bad gridpoint
+    mean_error = np.full((len(grid.m_values), len(grid.smoothing_values)), np.nan)
+    std_error = mean_error.copy()
+    best = None
     # too few pairs to split: no fold, so no gridpoint fits
     helds = kfold_split(len(phi), k_folds, seed) if len(phi) >= k_folds else []
     max_k = len(phi) - max(map(len, helds), default=len(phi)) - 1
+    # the smoothing values are increasing, so the fitting ones lead each row
     fitting = [s for s in grid.smoothing_values if method != "ddm" or s <= max_k]
     if helds and fitting:
         errors = np.stack([_fold_errors(phi, held, fold_idx, method, grid.m_values, fitting,
                                         seed, trials_per_fold)
                            for fold_idx, held in enumerate(helds)], axis=-1)
-        for m, row in zip(grid.m_values, errors):
-            for s, e in zip(fitting, row):
-                std = float(e.std(ddof=1)) if e.size > 1 else 0.0
-                points[m, s] = GridPoint(m, s, float(e.mean()), std)
-    table = tuple(points.values())
-    best = None
-    best_error = np.inf
-    for p in table:
-        # strict: earlier (simpler) point wins ties
-        if p.mean_error is not None and p.mean_error < best_error:
-            best_error = p.mean_error
-            best = hps[p.m, p.smoothing]
-    return TuneResult(best=best, table=table)
+        mean_error[:, :len(fitting)] = errors.mean(axis=-1)
+        std_error[:, :len(fitting)] = errors.std(axis=-1, ddof=1)
+        i, j = np.unravel_index(np.nanargmin(mean_error), mean_error.shape)
+        best = HyperParams(method, grid.m_values[i], grid.smoothing_values[j])
+    return TuneResult(best, grid, mean_error, std_error)
 
 
 def write_tuning_csv(tables, fh) -> None:
@@ -154,8 +150,10 @@ def write_tuning_csv(tables, fh) -> None:
     did not fit) and 1 on the selected gridpoint, else 0."""
     fh.write("method,scope,m,smoothing,mean_error,std_error,selected\n")
     for method, scope, result in tables:
-        best = result.best
-        for p in result.table:
-            sel = int(best is not None and p.m == best.m and p.smoothing == best.smoothing)
-            errors = ",".join("" if e is None else repr(e) for e in (p.mean_error, p.std_error))
-            fh.write(f"{method},{scope},{p.m},{p.smoothing!r},{errors},{sel}\n")
+        best = result.best and (result.best.m, result.best.smoothing)
+        grid = result.grid
+        for m, means, stds in zip(grid.m_values, result.mean_error.tolist(),
+                                  result.std_error.tolist()):
+            for s, mean, std in zip(grid.smoothing_values, means, stds):
+                errors = "," if np.isnan(mean) else f"{mean!r},{std!r}"
+                fh.write(f"{method},{scope},{m},{s!r},{errors},{int((m, s) == best)}\n")

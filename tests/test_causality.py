@@ -67,8 +67,10 @@ def perturbations(draw):
 
 
 def scoped_up_to(report, day):
-    """The report's tuning tables scoped to a weekday or to a day <= `day`."""
-    return [(m, scope, r) for m, scope, r in report.tune_tables
+    """The report's tuning tables scoped to a weekday or to a day <= `day`,
+    each with its error arrays as bytes."""
+    return [(m, scope, r.best, r.grid, r.mean_error.tobytes(), r.std_error.tobytes())
+            for m, scope, r in report.tune_tables
             if not scope[0].isdigit() or date.fromisoformat(scope) <= day]
 
 

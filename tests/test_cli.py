@@ -281,6 +281,18 @@ def test_tune_exit_codes(month_csv, tmp_path, capsys):
     assert capsys.readouterr().err.count("no pairs for weekday") == 7
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--folds", "1", "need at least 2 folds, got 1"),
+    ("--trials-per-fold", "0", "trials_per_fold must be >= 1, got 0"),
+    ("--tau", "0", "tau must be >= 1")], ids=["folds", "trials_per_fold", "tau"])
+def test_tune_bad_flag_exits_2_before_the_series_is_read(tmp_path, capsys, flag, value,
+                                                         message):
+    out = tmp_path / "t.csv"
+    assert main(tune_argv(tmp_path / "missing.csv", out, flag, value)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+    assert not out.exists()
+
+
 def test_tune_non_finite_smoothing_exits_2(month_csv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
     argv = tune_argv(month_csv, tmp_path / "t.csv", "--grid-smoothing", "nan")

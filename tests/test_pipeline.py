@@ -23,7 +23,7 @@ from randfnn.evaluation import summarize
 from randfnn.pipeline import ExperimentConfig, run_experiment, write_report_bundle
 from randfnn.randnn import MAX_U, HyperParams, derive_rng
 from randfnn.timeseries import SynthSpec, TimeSeries, exclude_days, synth_generate
-from randfnn.tuning import Grid, GridPoint, TuneResult
+from randfnn.tuning import Grid
 
 BUNDLE = ("forecasts.csv", "ape_records.csv", "tuning.csv", "report.json")
 
@@ -330,7 +330,7 @@ def test_fewer_pairs_than_folds_skips_the_weekday(sixty_days, tmp_path, tuning):
     assert report.skipped == [(date(2012, 2, d), "empty tuning history") for d in (2, 3, 4, 5)]
     unfit = [result for _, _, result in report.tune_tables if result.best is None]
     assert len(unfit) == 4
-    assert all(p.mean_error is None and p.std_error is None for r in unfit for p in r.table)
+    assert all(np.isnan(r.mean_error).all() and np.isnan(r.std_error).all() for r in unfit)
     write_report_bundle(report, tmp_path)
     with open(tmp_path / "tuning.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -340,9 +340,11 @@ def test_fewer_pairs_than_folds_skips_the_weekday(sixty_days, tmp_path, tuning):
 def test_fixed_tables_select_the_fixed_params(two_years, tmp_path):
     config = short_config(methods=("ddm", "ram", "naive"), tuning="fixed", fixed_params=FIXED)
     report = run_experiment(config, two_years)
-    assert report.tune_tables == [
-        (m, "fixed", TuneResult(hp, (GridPoint(hp.m, hp.smoothing, None, None),)))
-        for m, hp in FIXED.items()]
+    assert [(m, scope, r.best, r.grid) for m, scope, r in report.tune_tables] == [
+        (m, "fixed", hp, Grid((hp.m,), (hp.smoothing,))) for m, hp in FIXED.items()]
+    for _, _, r in report.tune_tables:
+        assert r.mean_error.shape == r.std_error.shape == (1, 1)
+        assert np.isnan(r.mean_error).all() and np.isnan(r.std_error).all()
     write_report_bundle(report, tmp_path)
     assert (tmp_path / "tuning.csv").read_text().splitlines()[1:] == [
         "ddm,fixed,5,9.0,,,1", "ram,fixed,10,0.4,,,1"]

@@ -166,7 +166,7 @@ def _reference_parse_rows(fh, timestamp_col, value_col):
     return rows
 
 
-def reference_load_csv(source, timestamp_col="timestamp", value_col="value", n=24):
+def reference_load_csv(source, timestamp_col="timestamp", value_col="value"):
     """load_csv as it read one row at a time with `csv` and `fromisoformat`:
     the oracle for the whole-array reader."""
     if hasattr(source, "read"):
@@ -193,14 +193,14 @@ def reference_load_csv(source, timestamp_col="timestamp", value_col="value", n=2
         hours = [h for h, _ in by_day[d]]
         if any(b - a != 1 for a, b in zip(hours, hours[1:])):
             raise ResolutionError(f"day {d}: non-hourly spacing (hours {hours})")
-        if len(hours) != n:
-            warnings.append(f"day {d}: incomplete ({len(hours)}/{n} rows), dropped")
+        if len(hours) != 24:
+            warnings.append(f"day {d}: incomplete ({len(hours)}/24 rows), dropped")
             continue
         dates.append(d)
         days.append([v for _, v in by_day[d]])
     if not dates:
         raise ParseError("no complete days")
-    return TimeSeries(dates, np.array(days, dtype=float), n=n, warnings=tuple(warnings))
+    return TimeSeries(dates, np.array(days, dtype=float), warnings=tuple(warnings))
 
 
 def outcome(load, text, **kwargs):

@@ -48,17 +48,20 @@ def test_errors_match_per_gridpoint_reference(method, smoothing):
     phi = random_phi(n_pairs=30)
     grid = Grid((3, 6), smoothing)
     result = grid_search(phi, method, grid, 4, 11, trials_per_fold=2)
-    assert [(p.m, p.smoothing) for p in result.table] == [
-        (m, s) for m in grid.m_values for s in grid.smoothing_values]
-    fitted = [p for p in result.table if p.smoothing != 22.0]
-    for p in fitted:
-        ref = reference_errors(phi, HyperParams(method, p.m, p.smoothing, seed=11), 4, 11, 2)
-        assert p.mean_error == float(ref.mean())
-        assert p.std_error == float(ref.std(ddof=1))
-    assert all(p.mean_error is None and p.std_error is None
-               for p in result.table if p not in fitted)
-    first_least = min(fitted, key=lambda p: p.mean_error)
-    assert (result.best.m, result.best.smoothing) == (first_least.m, first_least.smoothing)
+    assert result.grid == grid
+    assert result.mean_error.shape == result.std_error.shape == (2, len(smoothing))
+    fitted = []  # (mean error, m, smoothing) in table order
+    for i, m in enumerate(grid.m_values):
+        for j, s in enumerate(smoothing):
+            if s == 22.0:
+                assert np.isnan(result.mean_error[i, j]) and np.isnan(result.std_error[i, j])
+                continue
+            ref = reference_errors(phi, HyperParams(method, m, s), 4, 11, 2)
+            assert result.mean_error[i, j] == float(ref.mean())
+            assert result.std_error[i, j] == float(ref.std(ddof=1))
+            fitted.append((result.mean_error[i, j], m, s))
+    _, m, s = min(fitted, key=lambda p: p[0])
+    assert result.best == HyperParams(method, m, s)  # no search seed
 
 
 @pytest.mark.parametrize("method, smoothing", [
@@ -94,30 +97,30 @@ def test_folds_built_once(monkeypatch):
 def test_ddm_gridpoints_too_large_for_a_fold_are_skipped():
     # 20 pairs in 5 folds: every training fold has 16 pairs, so k <= 15
     phi = random_phi(n_pairs=20)
-    result = grid_search(phi, "ddm", Grid((3, 6), (5.0, 15.0, 16.0, 40.0)), 5, 1,
+    # integer values, as a JSON grid gives them, keep their text in tuning.csv
+    result = grid_search(phi, "ddm", Grid((3, 6), (5.0, 15.0, 16, 40)), 5, 1,
                          trials_per_fold=1)
-    fitted = {(p.m, p.smoothing) for p in result.table if p.mean_error is not None}
-    skipped = {(p.m, p.smoothing) for p in result.table
-               if p.mean_error is None and p.std_error is None}
-    assert fitted == {(m, k) for m in (3, 6) for k in (5.0, 15.0)}
-    assert skipped == {(m, k) for m in (3, 6) for k in (16.0, 40.0)}
+    assert not np.isnan(result.mean_error[:, :2]).any()
+    assert not np.isnan(result.std_error[:, :2]).any()
+    assert np.isnan(result.mean_error[:, 2:]).all() and np.isnan(result.std_error[:, 2:]).all()
     assert result.best.smoothing in (5.0, 15.0)
 
     buf = io.StringIO()
     write_tuning_csv([("ddm", "weekday=0", result)], buf)
-    assert "ddm,weekday=0,3,16.0,,,0\n" in buf.getvalue()
+    assert "ddm,weekday=0,3,16,,,0\n" in buf.getvalue()
 
 
 def test_ddm_nothing_fits():
     result = grid_search(random_phi(n_pairs=20), "ddm", Grid((3,), (16.0, 30.0)), 5, 1)
     assert result.best is None
-    assert all(p.mean_error is None for p in result.table)
+    assert result.mean_error.shape == (1, 2)
+    assert np.isnan(result.mean_error).all() and np.isnan(result.std_error).all()
 
 
 def test_ram_has_no_size_limit():
     result = grid_search(random_phi(n_pairs=10), "ram", Grid((3,), (40.0,)), 5, 1,
                          trials_per_fold=1)
-    assert result.table[0].mean_error is not None
+    assert not np.isnan(result.mean_error[0, 0])
 
 
 @given(st.integers(2, 200).flatmap(
@@ -133,23 +136,37 @@ def test_kfold_split_partitions(args):
 
 def test_ties_prefer_smaller_m_then_smaller_smoothing(monkeypatch):
     # least error 1.0 at (3, 0.6), (6, 0.2) and (6, 0.4): m=3 wins
-    # although its smoothing is the largest; without it (6, 0.2) wins
+    # although its smoothing is the largest; without it (6, 0.2) wins.
+    # ddm: 20 pairs in 5 folds fit k <= 15, so the unfit k=16 ends each
+    # row, between the tied (3, 10.0) and (6, 5.0) in table order
     def fake_errors(least):
         def errors(phi, held, fold_idx, method, m_values, smoothing, seed, trials_per_fold):
             return np.array([[1.0 if (m, s) in least else 2.0 for s in smoothing]
                              for m in m_values])
         return errors
 
-    grid = Grid((3, 6), (0.2, 0.4, 0.6))
-    for least, best in (({(3, 0.6), (6, 0.2), (6, 0.4)}, (3, 0.6)),
-                        ({(6, 0.4), (6, 0.2)}, (6, 0.2))):
+    ram = Grid((3, 6), (0.2, 0.4, 0.6))
+    for method, grid, least, best in (
+            ("ram", ram, {(3, 0.6), (6, 0.2), (6, 0.4)}, (3, 0.6)),
+            ("ram", ram, {(6, 0.4), (6, 0.2)}, (6, 0.2)),
+            ("ddm", Grid((3, 6), (5.0, 10.0, 16.0)), {(3, 10.0), (6, 5.0)}, (3, 10.0))):
         monkeypatch.setattr(tuning, "_fold_errors", fake_errors(least))
-        result = grid_search(random_phi(), "ram", grid, 5, 0)
+        result = grid_search(random_phi(), method, grid, 5, 0)
         assert (result.best.m, result.best.smoothing) == best
+    assert np.isnan(result.mean_error[:, 2]).all() and np.isnan(result.std_error[:, 2]).all()
+    buf = io.StringIO()
+    write_tuning_csv([("ddm", "weekday=0", result)], buf)
+    assert buf.getvalue().splitlines()[1:] == [
+        "ddm,weekday=0,3,5.0,2.0,0.0,0", "ddm,weekday=0,3,10.0,1.0,0.0,1",
+        "ddm,weekday=0,3,16.0,,,0", "ddm,weekday=0,6,5.0,1.0,0.0,0",
+        "ddm,weekday=0,6,10.0,2.0,0.0,0", "ddm,weekday=0,6,16.0,,,0"]
 
 
 def test_same_seed_same_table():
     grid = Grid((3, 6), (0.2, 0.6))
-    first = grid_search(random_phi(), "ram", grid, 5, 7, trials_per_fold=2)
-    assert grid_search(random_phi(), "ram", grid, 5, 7, trials_per_fold=2) == first
-    assert grid_search(random_phi(), "ram", grid, 5, 8, trials_per_fold=2).table != first.table
+    first, again, other = (grid_search(random_phi(), "ram", grid, 5, seed, trials_per_fold=2)
+                           for seed in (7, 7, 8))
+    assert again.best == first.best and again.grid == first.grid
+    assert np.array_equal(again.mean_error, first.mean_error, equal_nan=True)
+    assert np.array_equal(again.std_error, first.std_error, equal_nan=True)
+    assert not np.array_equal(other.mean_error, first.mean_error, equal_nan=True)
